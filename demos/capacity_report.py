@@ -8,7 +8,7 @@ interest.  The quasi-periodic capacity vanishes toward the cell centre
 the band peaks there.
 
 Run:
-  python3 demos/capacity_report.py    # a few seconds
+  python3 demos/capacity_report.py    # well under a second
 """
 
 import math
@@ -38,7 +38,7 @@ def main():
         ("(pi, pi)", (math.pi, math.pi)),
     ]
     for label, alpha in points:
-        result = capacity_quasi(alpha, crystal.radius, 3, 120)
+        result = capacity_quasi(alpha, crystal.radius, 3)
         resonance = minnaert_frequency(
             material.delta, material.v_b, result.cap, crystal.area
         )

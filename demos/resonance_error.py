@@ -9,7 +9,7 @@ delta = rho_b/rho, so its relative error should fall roughly like delta
 as the inclusion becomes softer.
 
 Run:
-  python3 demos/resonance_error.py    # about ten seconds
+  python3 demos/resonance_error.py    # a second or two
 """
 
 import numpy as np

@@ -2,13 +2,13 @@
 
 The static (zero-frequency) single-layer operator of a disk has an explicit
 inverse, which gives the free-space capacity in closed form.  Its
-quasi-periodic counterpart is obtained numerically: truncate the quasi-static
-multipole matrix, solve against a unit monopole load and read off the
-monopole coefficient of the solution.  Because the reciprocal-space
-truncation converges only like 1/cutoff, :func:`capacity_quasi` solves on a
-doubling ladder of cutoffs and extrapolates the capacity to the infinite-sum
-limit; the raw single-cutoff value would carry a bias several orders above
-the quoted accuracy.
+quasi-periodic counterpart is obtained numerically: solve the quasi-periodic
+single-layer block against a unit monopole load and read off the monopole
+coefficient of the solution.  For a nonzero Bloch vector the block has an
+exact k -> 0 limit, which :func:`capacity_quasi` forms from the k -> 0
+limits of the Ewald-split lattice sums (``LatticeSumEngine.zero_k_limits``,
+``multipole.outer_block_limit``); no reciprocal-space truncation enters, so
+the result carries no cutoff bias.
 
 The capacities feed two frequency estimates: the free-space breathing
 resonance of a single bubble (:func:`minnaert_frequency`) and its
@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .multipole import DiskCrystal, MaterialParams, quasistatic_matrix
+from .lattice import as_bloch, lattice_sum_limits
+from .multipole import DiskCrystal, MaterialParams, ZeroAlphaError, outer_block_limit
 
 __all__ = [
     "CapacityResult",
@@ -41,7 +42,7 @@ __all__ = [
 
 
 class SingularSystemError(RuntimeError):
-    """The truncated quasi-static system could not be solved reliably."""
+    """The single-layer system could not be solved reliably."""
 
 
 def capacity_disk(radius: float) -> float:
@@ -65,17 +66,15 @@ def capacity_disk(radius: float) -> float:
 class CapacityResult:
     """Quasi-periodic capacity together with solve diagnostics.
 
-    ``cap`` is the extrapolated capacity; ``residual`` is the worst
-    Frobenius-scaled linear-solve residual across the cutoff ladder, and
-    ``cutoff`` the base of that ladder.  ``order_max`` records the angular
-    truncation of the quasi-static matrix.
+    ``cap`` is the capacity; ``residual`` is the Frobenius-scaled residual
+    of the linear solve, and ``order_max`` the angular truncation of the
+    single-layer block.
     """
 
     cap: float
     alpha: np.ndarray
     radius: float
     order_max: int
-    cutoff: int
     residual: float
 
     def __post_init__(self) -> None:
@@ -83,84 +82,47 @@ class CapacityResult:
             raise ValueError(f"capacity must be positive; got {self.cap}")
 
 
-def _solve_monopole(
-    alpha: np.ndarray, radius: float, order_max: int, cutoff: int
-) -> tuple[float, float]:
-    """Solve the truncated quasi-static system for a unit monopole load.
+def capacity_quasi(
+    alpha: Sequence[float] | np.ndarray,
+    radius: float,
+    order_max: int,
+) -> CapacityResult:
+    """Quasi-periodic capacity of a disk at Bloch vector ``alpha``.
 
-    Returns the resulting capacity at this single cutoff together with the
-    Frobenius-scaled residual of the solve.
+    Solves the k -> 0 limit of the quasi-periodic single-layer block,
+    truncated at harmonic order ``order_max``, for a unit monopole load;
+    the capacity is ``-2 pi R`` times the monopole coefficient.
     """
-    matrix = quasistatic_matrix(alpha, radius, order_max, cutoff)
+    alpha_arr = as_bloch(alpha)
+    if float(np.hypot(alpha_arr[0], alpha_arr[1])) == 0.0:
+        raise ZeroAlphaError("quasi-periodic capacity requires alpha != 0")
+    limits = lattice_sum_limits(2 * order_max, alpha_arr)
+    matrix = outer_block_limit(limits, radius, order_max)
     rhs = np.zeros(matrix.shape[0], dtype=complex)
     rhs[order_max] = 1.0
     try:
         coeff = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            f"quasi-static solve failed at alpha={alpha}, cutoff={cutoff}"
+            f"single-layer solve failed at alpha={alpha_arr}"
         ) from exc
-    scale = float(np.linalg.norm(matrix))
-    residual = float(np.linalg.norm(matrix @ coeff - rhs)) / scale
+    residual = float(np.linalg.norm(matrix @ coeff - rhs)) / float(
+        np.linalg.norm(matrix)
+    )
     value = -2.0 * math.pi * radius * complex(coeff[order_max])
     if abs(value.imag) > 1e-10 * (1.0 + abs(value)):
         raise SingularSystemError(
-            f"capacity came out non-real (imag {value.imag:.3e}) at alpha={alpha}"
+            f"capacity came out non-real (imag {value.imag:.3e}) at alpha={alpha_arr}"
         )
-    return value.real, residual
-
-
-def _extrapolate_inverse_cutoff(cutoffs: Sequence[int], values: Sequence[float]) -> float:
-    """Neville extrapolation to zero of a polynomial in 1/cutoff."""
-    h = [1.0 / c for c in cutoffs]
-    tab = [float(v) for v in values]
-    for level in range(1, len(tab)):
-        tab = [
-            tab[i + 1]
-            + (tab[i + 1] - tab[i]) * h[i + level] / (h[i] - h[i + level])
-            for i in range(len(tab) - 1)
-        ]
-    return tab[0]
-
-
-def capacity_quasi(
-    alpha: Sequence[float] | np.ndarray,
-    radius: float,
-    order_max: int,
-    cutoff: int = 120,
-) -> CapacityResult:
-    """Quasi-periodic capacity of a disk at Bloch vector ``alpha``.
-
-    Solves the truncated quasi-static system at cutoffs ``(c, 2c, 4c)`` and
-    extrapolates the capacity in 1/cutoff; the truncation tail of each matrix
-    entry decays only like 1/cutoff, so a single solve at any affordable
-    cutoff would be biased at the 1e-3 level.  The three-point ladder brings
-    the residual bias to roughly 1e-6..1e-5 (validated against doubled
-    ladders), beyond which an oscillatory second-order remainder dominates
-    and higher-order extrapolation stops helping.
-    """
-    base = int(cutoff)
-    if base < 20:
-        raise ValueError(f"cutoff must be at least 20; got {cutoff}")
-    alpha_arr = np.asarray(alpha, dtype=float)
-    ladder = (base, 2 * base, 4 * base)
-    caps = []
-    residual = 0.0
-    for rung in ladder:
-        value, res = _solve_monopole(alpha_arr, radius, order_max, rung)
-        caps.append(value)
-        residual = max(residual, res)
-    cap = _extrapolate_inverse_cutoff(ladder, caps)
-    if not cap > 0.0:
+    if not value.real > 0.0:
         raise SingularSystemError(
-            f"extrapolated capacity non-positive ({cap:.3e}) at alpha={alpha_arr}"
+            f"capacity non-positive ({value.real:.3e}) at alpha={alpha_arr}"
         )
     return CapacityResult(
-        cap=cap,
+        cap=value.real,
         alpha=alpha_arr,
         radius=float(radius),
         order_max=int(order_max),
-        cutoff=base,
         residual=residual,
     )
 
@@ -185,7 +147,6 @@ def approx_resonance(
     material: MaterialParams,
     crystal: DiskCrystal,
     order_max: int,
-    cutoff: int = 120,
 ) -> float:
     """Capacity-based estimate of the first band frequency at ``alpha``.
 
@@ -194,7 +155,7 @@ def approx_resonance(
     resonance scaled by ``sqrt(cap_alpha / cap_free)``.  Accurate to leading
     order in the density contrast, so best at high-contrast bubbles.
     """
-    result = capacity_quasi(alpha, crystal.radius, order_max, cutoff)
+    result = capacity_quasi(alpha, crystal.radius, order_max)
     return minnaert_frequency(
         material.delta, material.v_b, result.cap, crystal.area
     )
@@ -221,7 +182,6 @@ def dilute_consistency(
     alphas: Sequence[Sequence[float]],
     radii: Sequence[float],
     order_max: int,
-    cutoff: int = 120,
 ) -> DiluteReport:
     """Probe how the capacity deficit scales across small radii.
 
@@ -242,7 +202,7 @@ def dilute_consistency(
     for i, a in enumerate(alpha_list):
         for j, r in enumerate(radii_t):
             free = capacity_disk(r)
-            quasi = capacity_quasi(a, r, order_max, cutoff)
+            quasi = capacity_quasi(a, r, order_max)
             betas[i, j] = (quasi.cap - free) / free**2
     means = np.mean(betas, axis=1)
     spreads = (np.max(betas, axis=1) - np.min(betas, axis=1)) / np.abs(means)

@@ -88,7 +88,6 @@ class RunConfig:
     omega_max: float = 5.0
     scan_step: float = 2e-3
     lattice_tol: float = 1e-8
-    spectral_cutoff: int = 120
     output_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -98,7 +97,7 @@ class RunConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise UsageError(f"config field {name!r} must be positive")
-        for name in ("truncation_N", "path_resolution", "spectral_cutoff"):
+        for name in ("truncation_N", "path_resolution"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise UsageError(f"config field {name!r} must be an integer")
@@ -106,8 +105,6 @@ class RunConfig:
             raise UsageError("truncation_N must lie in 1..12")
         if self.path_resolution < 3:
             raise UsageError("path_resolution must be at least 3")
-        if self.spectral_cutoff < 20:
-            raise UsageError("spectral_cutoff must be at least 20")
         if self.radius >= 0.5:
             raise UsageError("radius must be below 0.5 (half the period)")
 
@@ -212,15 +209,22 @@ def run_bands(config: RunConfig, *, threads: int = 1) -> Path:
 # compare
 # ---------------------------------------------------------------------------
 
+def _nonzero_bloch(alpha, command: str) -> np.ndarray:
+    """``alpha`` as a Bloch vector; the capacity needs it nonzero."""
+    bloch = as_bloch(alpha)
+    if float(np.hypot(bloch[0], bloch[1])) == 0.0:
+        raise UsageError(f"{command} requires a nonzero Bloch vector")
+    return bloch
+
+
 def run_compare(config: RunConfig, contrast_list, alpha=None) -> Path:
     """Compare predicted vs refined resonance over a contrast list."""
-    bloch = as_bloch(M_POINT if alpha is None else alpha)
+    bloch = _nonzero_bloch(M_POINT if alpha is None else alpha, "compare")
     contrasts = [float(c) for c in contrast_list]
     if not contrasts or any(not c > 1.0 for c in contrasts):
         raise UsageError("contrasts must all exceed 1")
     try:
-        cap = capacity_quasi(bloch, config.radius, config.truncation_N,
-                             cutoff=config.spectral_cutoff)
+        cap = capacity_quasi(bloch, config.radius, config.truncation_N)
     except SingularSystemError as exc:
         raise ComputationError(str(exc)) from exc
     crystal = config.crystal
@@ -312,12 +316,9 @@ def run_dilute(config: RunConfig, radius_list, *, contrast: float = 1000.0,
 
 def run_capacity(config: RunConfig, alpha) -> str:
     """Render the capacity / resonance report for one Bloch vector."""
-    bloch = as_bloch(alpha)
-    if float(np.hypot(bloch[0], bloch[1])) == 0.0:
-        raise UsageError("capacity requires a nonzero Bloch vector")
+    bloch = _nonzero_bloch(alpha, "capacity")
     try:
-        quasi = capacity_quasi(bloch, config.radius, config.truncation_N,
-                               cutoff=config.spectral_cutoff)
+        quasi = capacity_quasi(bloch, config.radius, config.truncation_N)
     except SingularSystemError as exc:
         raise ComputationError(str(exc)) from exc
     free_cap = capacity_disk(config.radius)
@@ -327,14 +328,12 @@ def run_capacity(config: RunConfig, alpha) -> str:
                                         free_cap, area)
     bloch_resonance = minnaert_frequency(material.delta, material.v_b,
                                          quasi.cap, area)
-    cutoffs = (quasi.cutoff, 2 * quasi.cutoff, 4 * quasi.cutoff)
     return "\n".join([
         "capacity report",
         f"  radius           = {config.radius:g}",
         f"  alpha            = ({bloch[0]:.15g}, {bloch[1]:.15g})",
         f"  multipole order  = {quasi.order_max}",
-        f"  ladder cutoffs   = {cutoffs} (extrapolated in 1/cutoff)",
-        f"  max residual     = {quasi.residual:.3e}",
+        f"  solve residual   = {quasi.residual:.3e}",
         f"  free capacity    = {_fmt(free_cap)}",
         f"  bloch capacity   = {_fmt(quasi.cap)}",
         f"  capacity ratio   = {_fmt(free_cap / quasi.cap)}    (free/bloch)",

@@ -269,6 +269,7 @@ class LatticeSumEngine:
         for s in range(1, order_max + 1):
             self._p_pow[s] = self._p_pow[s - 1] * pc
         self._p_pow_abs = np.abs(self._p_pow)
+        self._ring_p_abs = self._p_pow_abs[:, self._spec_ring]
 
         # direct-lattice data (shared cache) plus alpha phases
         mx, my, r, unit_pow, coeff = _spatial_coefficients(
@@ -281,6 +282,7 @@ class LatticeSumEngine:
         self._unit_pow = unit_pow
         self._unit_pow_conj = np.conj(unit_pow)
         self._coeff = coeff
+        self._j_cap_abs = np.sum(np.abs(coeff[:, _J_CAP, :]), axis=1)
         self._spat_phase = np.exp(-1j * (mx * self.alpha[0] + my * self.alpha[1]))
 
         self._pref_pos = np.array(
@@ -327,11 +329,7 @@ class LatticeSumEngine:
         w = np.exp((k2 - self._p_norm2) / (4.0 * self.eta * self.eta)) / (
             k2 - self._p_norm2
         )
-        t_pos = self._p_pow @ w                 # sum_p (px + i py)^s W_p
-        t_neg = np.conj(self._p_pow) @ w
         k_pow = kc ** (-np.arange(S + 1.0))
-        spec_pos = self._pref_pos * k_pow * t_pos
-        spec_neg = self._pref_pos * self._parity * k_pow * t_neg
 
         # ---- spatial part -------------------------------------------------
         half_k = 0.5 * kc
@@ -340,16 +338,12 @@ class LatticeSumEngine:
         # povs[s, j] = (k/2)^(2j - s)
         expo = 2.0 * jj[None, :] - np.arange(S + 1.0)[:, None]
         povs = np.exp(expo * log_half_k)
-        # radial[s, pt] = sum_j povs[s, j] coeff[s, j, pt], as two real
-        # batched matmuls (one per part of the complex povs)
-        radial = (povs.real[:, None, :] @ self._coeff)[:, 0] + 1j * (
-            povs.imag[:, None, :] @ self._coeff
-        )[:, 0]
-
-        ws = self._spat_phase * radial
-        base = -1j / np.pi
-        spat_pos = base * self._parity * np.sum(ws * self._unit_pow, axis=1)
-        spat_neg = base * np.sum(ws * self._unit_pow_conj, axis=1)
+        # radial[s, pt] = sum_j povs[s, j] coeff[s, j, pt], as one real
+        # batched matmul per part of povs (its imaginary part is exactly 0
+        # for real k)
+        radial = (povs.real[:, None, :] @ self._coeff)[:, 0]
+        if not is_real:
+            radial = radial + 1j * (povs.imag[:, None, :] @ self._coeff)[:, 0]
 
         # ---- central correction (order 0) ---------------------------------
         # series sum_{j>=1} zc^j / (j * j!) with zc = (k / (2 eta))^2
@@ -369,21 +363,14 @@ class LatticeSumEngine:
         )
 
         # ---- assembly and error estimate ----------------------------------
-        values = np.empty(2 * S + 1, dtype=complex)
-        values[S::-1] = spec_neg + spat_neg
-        values[S:] = spec_pos + spat_pos
+        values = self._sum_orders(w, k_pow, radial)
         values[S] += central
 
         ring_w = np.abs(w[self._spec_ring])
-        ring_p = np.abs(self._p_pow[:, self._spec_ring])
-        spec_tail = 4.0 * np.abs(k_pow) * (ring_p @ ring_w)
+        spec_tail = 4.0 * np.abs(k_pow) * (self._ring_p_abs @ ring_w)
         ring_r = np.abs(radial[:, self._spat_ring])
         spat_tail = np.sum(ring_r, axis=1) / np.pi
-        j_tail = (
-            np.abs(povs[:, _J_CAP])
-            * np.sum(np.abs(self._coeff[:, _J_CAP, :]), axis=1)
-            / np.pi
-        )
+        j_tail = np.abs(povs[:, _J_CAP]) * self._j_cap_abs / np.pi
         # Roundoff floor: the windows truncate far below machine precision,
         # so the estimate must also cover cancellation noise, proportional to
         # the gross (unsigned) magnitude of the summed terms.  Without it,
@@ -421,6 +408,52 @@ class LatticeSumEngine:
             values=values,
             est_error=est,
         )
+
+    def zero_k_limits(self) -> np.ndarray:
+        """Scaled k -> 0 limits of the lattice sums, |n| <= order_max.
+
+        ``L_n = lim (k/2)^|n| Q_n(k)`` for ``n != 0`` and the regular part
+        ``L_0 = lim [Q_0 + (2i/pi) log(k/2)]``, laid out like
+        ``LatticeSumTable.values``.  Formed from ``table``'s own terms at
+        k = 0: the spectral weights ``W_p(0) = -exp(-|p|^2/(4 eta^2))/|p|^2``,
+        ``2^-s`` in place of ``k^-s``, and the j = 0 radial coefficients.
+        Needs ``alpha != 0``, so that no reciprocal point sits at the origin.
+        At the default windows the truncation tails stay below 1e-23 of
+        ``max(|L_n|, (|n| - 1)!)``, the larger of the limit and its
+        nearest-shell size, for orders up to 24 (Linton, SIAM Rev. 52 (2010)
+        630-674, on the Ewald form of lattice sums).
+        """
+        if np.any(self._p_norm2 == 0.0):
+            raise ValueError("k -> 0 limits need a nonzero Bloch vector")
+        S = self.order_max
+        w = -np.exp(-self._p_norm2 / (4.0 * self.eta * self.eta)) / self._p_norm2
+        limits = self._sum_orders(
+            w, 2.0 ** -np.arange(S + 1.0), self._coeff[:, 0, :]
+        )
+        limits[S] += -1.0 - (1j / np.pi) * (EULER_GAMMA - 2.0 * np.log(self.eta))
+        return limits
+
+    def _sum_orders(self, w, k_pow, radial) -> np.ndarray:
+        """Orders -order_max..order_max of the spectral plus spatial sums.
+
+        ``w`` holds the spectral weights per reciprocal point, ``k_pow`` the
+        factors ``k^-s`` and ``radial[s, pt]`` the radial functions per
+        lattice point; the order-0 central term is left to the caller.
+        """
+        S = self.order_max
+        # sum_p (px + i py)^s W_p and its conjugate-power twin
+        spec_pos = self._pref_pos * k_pow * (self._p_pow @ w)
+        spec_neg = self._pref_pos * self._parity * k_pow * (
+            np.conj(self._p_pow) @ w
+        )
+        ws = self._spat_phase * radial
+        base = -1j / np.pi
+        spat_pos = base * self._parity * np.sum(ws * self._unit_pow, axis=1)
+        spat_neg = base * np.sum(ws * self._unit_pow_conj, axis=1)
+        values = np.empty(2 * S + 1, dtype=complex)
+        values[S::-1] = spec_neg + spat_neg
+        values[S:] = spec_pos + spat_pos
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +498,12 @@ def lattice_sum_table(
         return _engine_for(alpha.tobytes(), order_max, widen=_RANGE_BUMP).table(
             k, tol=tol, guard=guard
         )
+
+
+def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:
+    """k -> 0 limits ``L_n``, |n| <= order_max; see ``zero_k_limits``."""
+    alpha = as_bloch(alpha)
+    return _engine_for(alpha.tobytes(), order_max).zero_k_limits()
 
 
 def lattice_sum(n: int, k, alpha, tol: float = 1e-8, guard: float = 0.05) -> complex:

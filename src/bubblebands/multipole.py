@@ -26,9 +26,12 @@ block characteristic matrix
 
 whose characteristic values omega (through k = omega / v and
 k_b = omega / v_b) are the band frequencies; ``delta`` is the
-bubble-to-host density ratio.  A separate quasi-static matrix gives the
-zero-wavenumber limit of the quasi-periodic layer through its absolutely
-convergent reciprocal-space form; it feeds the quasi-periodic capacity.
+bubble-to-host density ratio.  For ``alpha != 0`` the block ``S`` has an
+exact k -> 0 limit, formed from the k -> 0 limits of the lattice sums
+(``outer_block_limit``); it feeds the quasi-periodic capacity.  The
+plane-wave quasi-static matrix (``quasistatic_matrix``) is the same limit
+summed over a truncated reciprocal lattice; it converges only like
+1/cutoff and serves as an independent check.
 
 Derivative diagonals come from differentiating the one-sided interior /
 exterior expansions directly, which reproduces the unit jump to machine
@@ -45,7 +48,7 @@ import numpy as np
 import scipy.special as sp
 
 from . import bessel
-from .lattice import LatticeSumTable, as_bloch, lattice_sum_table
+from .lattice import EULER_GAMMA, LatticeSumTable, as_bloch, lattice_sum_table
 
 __all__ = [
     "MaterialParams",
@@ -55,6 +58,7 @@ __all__ = [
     "ZeroAlphaError",
     "inner_block_diag",
     "outer_block_entries",
+    "outer_block_limit",
     "assemble_characteristic_matrix",
     "quasistatic_matrix",
 ]
@@ -290,6 +294,48 @@ def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: i
     s_mat[diag, diag] += c * j[idx] * h[idx]
     ds_mat[diag, diag] += c * k * j[idx] * hp[idx]
     return s_mat, ds_mat
+
+
+def outer_block_limit(
+    limits: np.ndarray, radius: float, order_max: int
+) -> np.ndarray:
+    """Exact k -> 0 limit ``S0`` of the ``S`` block of ``_outer_block_matrices``.
+
+    ``limits`` holds the scaled lattice-sum limits ``L_{-M}..L_M``,
+    ``M >= 2 order_max``, of ``LatticeSumEngine.zero_k_limits``.  With
+    ``J_n(kR) ~ (kR/2)^|n| / |n|!`` the coupling ``J_m Q_{n-m} J_n`` tends to
+    ``R^|n-m| L_{n-m} / (|m|! |n|!)`` where ``|m| + |n| = |n - m|`` (orders of
+    opposite sign, or one of them 0) and to 0 elsewhere off the diagonal;
+    the diagonal ``c J_n H_n`` tends to ``-R / (2|n|)``.  At (0, 0) the
+    logarithms of ``Q_0`` and of ``J_0 H_0`` cancel, leaving
+    ``c (L_0 + 1 + (2i/pi)(log R + gamma))``.  Hermitian negative definite
+    for ``alpha != 0``; the finite-k block approaches it like k^2.
+    """
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    limits = np.asarray(limits)
+    stored = (limits.size - 1) // 2
+    if stored < 2 * order_max:
+        raise MissingLatticeOrderError(
+            f"blocks of order {order_max} need limits up to {2 * order_max}; "
+            f"got {stored}"
+        )
+    orders = np.arange(-order_max, order_max + 1)
+    idx = np.abs(orders)
+    scale = _parity_signs(orders) / sp.factorial(idx)
+    diff = orders[None, :] - orders[:, None]          # n - m
+    c = -0.5j * math.pi * radius
+    s0 = (
+        c * (-1.0) ** diff * radius ** np.abs(diff)
+        * limits[diff + stored] * scale[None, :] * scale[:, None]
+    )
+    s0[orders[:, None] * orders[None, :] > 0] = 0.0
+    nonzero = np.flatnonzero(orders)
+    s0[nonzero, nonzero] = -radius / (2.0 * idx[nonzero])
+    s0[order_max, order_max] = c * (
+        limits[stored] + 1.0 + (2j / math.pi) * (math.log(radius) + EULER_GAMMA)
+    )
+    return s0
 
 
 def assemble_characteristic_matrix(

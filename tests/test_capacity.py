@@ -49,38 +49,37 @@ def test_disk_capacity_domain_errors():
 # ---------------------------------------------------------------------------
 
 def test_quasi_capacity_frozen_regression_and_determinism():
-    first = cap.capacity_quasi(M_POINT, 0.05, 3, 120)
+    first = cap.capacity_quasi(M_POINT, 0.05, 3)
     assert first.cap == pytest.approx(2.6418303663, abs=2e-5)
     assert first.residual <= 1e-10
-    again = cap.capacity_quasi(M_POINT, 0.05, 3, 120)
+    again = cap.capacity_quasi(M_POINT, 0.05, 3)
     assert again.cap == first.cap
 
 
 def test_quasi_capacity_records_inputs():
-    result = cap.capacity_quasi((1.3, -0.7), 0.05, 2, 60)
+    result = cap.capacity_quasi((1.3, -0.7), 0.05, 2)
     assert tuple(result.alpha) == (1.3, -0.7)
     assert result.radius == 0.05
     assert result.order_max == 2
-    assert result.cutoff == 60
 
 
 def test_quasi_capacity_symmetric_under_momentum_reversal():
-    plus = cap.capacity_quasi((1.3, -0.7), 0.05, 3, 60)
-    minus = cap.capacity_quasi((-1.3, 0.7), 0.05, 3, 60)
+    plus = cap.capacity_quasi((1.3, -0.7), 0.05, 3)
+    minus = cap.capacity_quasi((-1.3, 0.7), 0.05, 3)
     assert abs(plus.cap - minus.cap) < 1e-10
 
 
 def test_quasi_capacity_positive_at_corner_points():
     for alpha in (X_POINT, M_POINT):
         for radius in (0.05, 0.25):
-            result = cap.capacity_quasi(alpha, radius, 3, 60)
+            result = cap.capacity_quasi(alpha, radius, 3)
             assert result.cap > 0.0
             assert result.residual <= 1e-10
 
 
 def test_quasi_capacity_ratio_approaches_free_value_for_small_disks():
     ratios = [
-        cap.capacity_quasi(M_POINT, r, 3, 120).cap / cap.capacity_disk(r)
+        cap.capacity_quasi(M_POINT, r, 3).cap / cap.capacity_disk(r)
         for r in (0.05, 0.02, 0.01)
     ]
     deviations = [abs(r - 1.0) for r in ratios]
@@ -88,29 +87,45 @@ def test_quasi_capacity_ratio_approaches_free_value_for_small_disks():
     assert deviations[0] > deviations[1] > deviations[2]
 
 
+def _neville_inverse_cutoff(cutoffs, values):
+    """Neville extrapolation to zero of a polynomial in 1/cutoff."""
+    h = [1.0 / c for c in cutoffs]
+    tab = list(values)
+    for level in range(1, len(tab)):
+        tab = [
+            tab[i + 1]
+            + (tab[i + 1] - tab[i]) * h[i + level] / (h[i] - h[i + level])
+            for i in range(len(tab) - 1)
+        ]
+    return tab[0]
+
+
 def test_quasi_capacity_raw_truncation_monotone_extrapolation_stable():
-    # Single-cutoff capacities decrease monotonically with a clean 1/cutoff
-    # signature; the internal ladder extrapolation is stable to ~1e-5 under
-    # doubling of its base (the raw values move at the 1e-3 level).
-    raws = []
-    for cutoff in (60, 120, 240, 480):
+    # Capacities from the plane-wave quasi-static matrix at one cutoff
+    # decrease monotonically with a clean 1/cutoff signature (they move at
+    # the 1e-3 level).  A three-rung Neville ladder (c, 2c, 4c) in 1/cutoff
+    # converges to the k -> 0 capacity, its error shrinking several-fold
+    # under each doubling of the base c.
+    raws = {}
+    for cutoff in (30, 60, 120, 240, 480):
         matrix = quasistatic_matrix(np.asarray(M_POINT), 0.05, 3, cutoff)
         rhs = np.zeros(7, dtype=complex)
         rhs[3] = 1.0
         solution = np.linalg.solve(matrix, rhs)
-        raws.append((-2.0 * np.pi * 0.05 * solution[3]).real)
-    drops = [raws[i] - raws[i + 1] for i in range(3)]
+        raws[cutoff] = (-2.0 * np.pi * 0.05 * solution[3]).real
+    drops = [raws[c] - raws[2 * c] for c in (60, 120, 240)]
     assert all(d > 0.0 for d in drops)
     for i in range(2):
         assert 1.9 < drops[i] / drops[i + 1] < 2.1
-    coarse = cap.capacity_quasi(M_POINT, 0.05, 3, 60).cap
-    fine = cap.capacity_quasi(M_POINT, 0.05, 3, 120).cap
-    assert abs(coarse - fine) < 2e-5
-
-
-def test_quasi_capacity_cutoff_validation():
-    with pytest.raises(ValueError):
-        cap.capacity_quasi(M_POINT, 0.05, 3, 19)
+    exact = cap.capacity_quasi(M_POINT, 0.05, 3).cap
+    errors = []
+    for base in (30, 60, 120):
+        ladder = (base, 2 * base, 4 * base)
+        errors.append(abs(
+            _neville_inverse_cutoff(ladder, [raws[c] for c in ladder]) - exact
+        ))
+    assert errors[0] > 5.0 * errors[1] > 25.0 * errors[2]
+    assert errors[2] < 2e-6
 
 
 def test_capacity_result_rejects_nonpositive():
@@ -120,7 +135,6 @@ def test_capacity_result_rejects_nonpositive():
             alpha=np.array([1.0, 1.0]),
             radius=0.05,
             order_max=3,
-            cutoff=60,
             residual=0.0,
         )
 
@@ -159,18 +173,18 @@ def test_minnaert_frequency_rejects_nonpositive():
 
 def test_approx_resonance_is_scaled_free_resonance():
     crystal = DiskCrystal(radius=0.05)
-    value = cap.approx_resonance(M_POINT, DILUTE_MAT, crystal, 3, 60)
+    value = cap.approx_resonance(M_POINT, DILUTE_MAT, crystal, 3)
     free = cap.minnaert_frequency(
         DILUTE_MAT.delta, DILUTE_MAT.v_b, cap.capacity_disk(0.05), crystal.area
     )
-    ratio = cap.capacity_quasi(M_POINT, 0.05, 3, 60).cap / cap.capacity_disk(0.05)
+    ratio = cap.capacity_quasi(M_POINT, 0.05, 3).cap / cap.capacity_disk(0.05)
     assert value == pytest.approx(free * np.sqrt(ratio), rel=1e-12)
 
 
 def test_approx_resonance_vanishes_toward_zone_centre():
     crystal = DiskCrystal(radius=0.05)
-    at_corner = cap.approx_resonance(M_POINT, DILUTE_MAT, crystal, 3, 60)
-    near_centre = cap.approx_resonance((0.02, 0.0), DILUTE_MAT, crystal, 3, 60)
+    at_corner = cap.approx_resonance(M_POINT, DILUTE_MAT, crystal, 3)
+    near_centre = cap.approx_resonance((0.02, 0.0), DILUTE_MAT, crystal, 3)
     assert near_centre < 0.25 * at_corner
 
 
@@ -179,14 +193,14 @@ def test_approx_resonance_vanishes_toward_zone_centre():
 # ---------------------------------------------------------------------------
 
 def test_dilute_deficit_nearly_radius_independent_at_corner():
-    report = cap.dilute_consistency([M_POINT], [0.05, 0.02, 0.01], 3, 120)
+    report = cap.dilute_consistency([M_POINT], [0.05, 0.02, 0.01], 3)
     assert report.betas.shape == (1, 3)
     assert report.spreads[0] <= 0.20
 
 
 def test_dilute_report_symmetric_under_momentum_reversal():
     report = cap.dilute_consistency(
-        [(1.7, 0.6), (-1.7, -0.6)], [0.05, 0.02], 3, 60
+        [(1.7, 0.6), (-1.7, -0.6)], [0.05, 0.02], 3
     )
     assert np.max(np.abs(report.betas[0] - report.betas[1])) < 1e-8
 
@@ -197,7 +211,7 @@ def test_dilute_correction_strengthens_toward_zone_centre():
     # again once inside the deficit regime.
     ts = (1.0, 0.65, 0.5, 0.35)
     report = cap.dilute_consistency(
-        [(np.pi * t, np.pi * t) for t in ts], [0.02], 3, 120
+        [(np.pi * t, np.pi * t) for t in ts], [0.02], 3
     )
     betas = report.betas[:, 0]
     assert all(betas[i] > betas[i + 1] for i in range(len(ts) - 1))
@@ -206,4 +220,4 @@ def test_dilute_correction_strengthens_toward_zone_centre():
 
 def test_dilute_requires_alpha_away_from_zone_centre():
     with pytest.raises(ValueError):
-        cap.dilute_consistency([(0.5, 0.0)], [0.05], 3, 60)
+        cap.dilute_consistency([(0.5, 0.0)], [0.05], 3)

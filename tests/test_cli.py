@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from bubblebands.capacity import capacity_disk, minnaert_frequency
+from bubblebands.capacity import capacity_disk, capacity_quasi, minnaert_frequency
 from bubblebands.cli import RunConfig, UsageError, load_config, main
-from bubblebands.multipole import DiskCrystal
+from bubblebands.multipole import DiskCrystal, ZeroAlphaError
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +41,15 @@ def test_config_rejects_boolean_disguised_as_integer():
         RunConfig(truncation_N=True)
 
 
-def test_config_requires_minimum_path_resolution_and_cutoff():
+def test_config_requires_minimum_path_resolution_and_drops_cutoff_key(
+        tmp_path, capsys):
     with pytest.raises(UsageError):
         RunConfig(path_resolution=2)
-    with pytest.raises(UsageError):
-        RunConfig(spectral_cutoff=19)
+    # A key the program does not read is rejected, not silently ignored.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"spectral_cutoff": 120}))
+    assert main(["capacity", "--config", str(path)]) == 2
+    assert "spectral_cutoff" in capsys.readouterr().err
 
 
 def test_load_config_merges_file_and_overrides(tmp_path):
@@ -88,6 +92,13 @@ def test_load_config_rejects_non_object_json(tmp_path):
 def test_zero_bloch_vector_is_a_usage_error(capsys):
     assert main(["capacity", "--alpha", "0,0"]) == 2
     assert "nonzero" in capsys.readouterr().err
+    assert main(["compare", "--alpha", "0,0"]) == 2
+    assert "nonzero" in capsys.readouterr().err
+
+
+def test_capacity_at_zero_bloch_vector_raises_in_the_library():
+    with pytest.raises(ZeroAlphaError):
+        capacity_quasi((0.0, 0.0), 0.05, 3)
 
 
 def test_malformed_alpha_is_a_usage_error(capsys):

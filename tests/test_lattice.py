@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +172,50 @@ def test_slightly_complex_wavenumber_is_continuous():
     for n in range(-2, 3):
         assert abs(base.value(n) - shifted.value(n)) < 1e-4
     assert shifted.values[2].imag != 0.0  # genuinely complex evaluation
+
+
+# ---------------------------------------------------------------------------
+# k -> 0 limits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "alpha", [lat.M_POINT, (np.pi / 8, 0.0), (1.3, -0.7), (0.01, 0.0)]
+)
+def test_zero_k_limits_are_window_independent(alpha):
+    # The default windows truncate the limits far below roundoff: windows
+    # widened by _RANGE_BUMP move each L_n by less than 1e-13 of its own
+    # size or of its nearest-shell size (|n| - 1)!, whichever is larger
+    # (the odd orders at the corner points are exact zeros).
+    order = 24
+    bump = lat._RANGE_BUMP
+    default = lat.LatticeSumEngine(alpha, order).zero_k_limits()
+    widened = lat.LatticeSumEngine(
+        alpha, order,
+        spatial_range=lat._SPATIAL_RANGE + bump,
+        spectral_range=lat._SPECTRAL_RANGE + bump,
+    ).zero_k_limits()
+    orders = np.abs(np.arange(-order, order + 1))
+    scale = np.maximum(np.abs(widened), sp.factorial(np.maximum(orders - 1, 0)))
+    assert np.max(np.abs(default - widened) / scale) < 1e-13
+
+
+def test_zero_k_limits_match_small_wavenumber_tables():
+    # L_n is the k -> 0 limit of (k/2)^|n| Q_n, and of Q_0 + (2i/pi) log(k/2)
+    # at n = 0; the finite-k values approach it like k^2.  Re L_0 = -1 is
+    # the static identity Re Q_0 = -1.
+    alpha, order, k = (0.9, -2.0), 6, 1e-4
+    limits = lat.lattice_sum_limits(order, alpha)
+    table = lat.lattice_sum_table(order, k, alpha)
+    orders = np.abs(np.arange(-order, order + 1))
+    scaled = (k / 2.0) ** orders * table.values
+    scaled[order] += (2j / np.pi) * np.log(k / 2.0)
+    np.testing.assert_allclose(scaled, limits, rtol=1e-6, atol=1e-6)
+    assert limits[order].real == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_zero_k_limits_need_a_nonzero_bloch_vector():
+    with pytest.raises(ValueError):
+        lat.lattice_sum_limits(4, lat.GAMMA_POINT)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from bubblebands import multipole as mp
 from bubblebands import reference
-from bubblebands.lattice import M_POINT, LatticeSumTable, lattice_sum_table
+from bubblebands.lattice import (
+    M_POINT,
+    LatticeSumTable,
+    lattice_sum_limits,
+    lattice_sum_table,
+)
 
 
 def zero_sum_table(k: float, alpha, order_max: int) -> LatticeSumTable:
@@ -302,3 +307,40 @@ def test_quasistatic_matrix_validation():
         mp.quasistatic_matrix(np.array([0.5, 0.5]), 0.05, -1, 40)
     with pytest.raises(ValueError):
         mp.quasistatic_matrix(np.array([0.5, 0.5]), -0.05, 2, 40)
+
+
+# ---------------------------------------------------------------------------
+# k -> 0 limit of the quasi-periodic layer
+# ---------------------------------------------------------------------------
+
+LIMIT_CASES = [((np.pi / 8, 0.0), 0.05, 3), (tuple(M_POINT), 0.05, 3),
+               ((1.3, -0.7), 0.25, 5)]
+
+
+@pytest.mark.parametrize("alpha, radius, order", LIMIT_CASES)
+def test_outer_block_limit_matches_small_wavenumber_blocks(alpha, radius, order):
+    # The finite-k block approaches the limit like k^2: each decade of k
+    # shrinks the difference about 100-fold.
+    s0 = mp.outer_block_limit(lattice_sum_limits(2 * order, alpha), radius, order)
+    gaps = []
+    for k in (1e-3, 1e-4):
+        table = lattice_sum_table(2 * order, k, alpha)
+        s_k, _ = mp._outer_block_matrices(k, radius, table, order)
+        gaps.append(np.max(np.abs(s_k - s0)) / np.max(np.abs(s0)))
+    assert gaps[0] < 1e-5
+    assert gaps[1] < gaps[0] / 50.0
+
+
+@pytest.mark.parametrize("alpha, radius, order", LIMIT_CASES)
+def test_outer_block_limit_hermitian_negative_definite(alpha, radius, order):
+    s0 = mp.outer_block_limit(lattice_sum_limits(2 * order, alpha), radius, order)
+    assert np.max(np.abs(s0 - s0.conj().T)) < 1e-14 * np.max(np.abs(s0))
+    assert np.all(np.linalg.eigvalsh(s0) < 0.0)
+
+
+def test_outer_block_limit_validation():
+    limits = lattice_sum_limits(4, (0.5, 0.5))
+    with pytest.raises(mp.MissingLatticeOrderError):
+        mp.outer_block_limit(limits, 0.05, 3)
+    with pytest.raises(ValueError):
+        mp.outer_block_limit(limits, -0.05, 2)
