@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,8 +59,7 @@ __all__ = [
     "ScanResult",
     "ScanSettings",
     "band_structure",
-    "extract_gap_and_star",
-    "first_two_bands",
+    "bands_at",
     "muller_refine",
     "resonance_near",
     "retruncated_root",
@@ -454,14 +452,18 @@ def _accepted_roots(
     material: MaterialParams,
     crystal: DiskCrystal,
     truncation: int,
-    omega_max: float,
-    count: int,
+    omega_range: tuple[float, float],
+    count: int | None,
     settings: ScanSettings,
 ) -> list[tuple[float, RootDiagnostics]]:
-    """Lowest accepted roots in ``(0, omega_max]``, at most ``count``."""
+    """Accepted roots in ``omega_range``, lowest first, at most ``count``.
+
+    This is the one loop that scans and refines; ``count=None`` keeps every
+    root.  A root within ``1e-7 (1 + omega)`` of the previous one was reached
+    again from a neighbouring bracket and is dropped.
+    """
     scan = scan_and_bracket(
-        alpha, material, crystal, truncation, (0.0, omega_max),
-        settings=settings,
+        alpha, material, crystal, truncation, omega_range, settings=settings
     )
     roots: list[tuple[float, RootDiagnostics]] = []
     for bracket in scan.brackets:
@@ -479,35 +481,40 @@ def _accepted_roots(
     return roots
 
 
-def first_two_bands(
+def bands_at(
     alpha,
     material: MaterialParams,
     crystal: DiskCrystal,
     truncation: int,
     omega_max: float,
+    band_count: int = 2,
     *,
     settings: ScanSettings = ScanSettings(),
-) -> tuple[float, float]:
-    """Two lowest band frequencies at one Bloch vector.
+) -> tuple[tuple[float, ...], tuple[RootDiagnostics, ...]]:
+    """The ``band_count`` lowest band frequencies at one Bloch vector.
 
-    At the zone centre the first band passes through zero frequency
-    analytically (uniform translation mode), so only the second band is
-    searched for; elsewhere both come from the scan-and-refine pipeline.
+    Returns the frequencies and their acceptance diagnostics.  At the zone
+    centre the first band passes through zero frequency analytically
+    (uniform translation mode), so it is reported as exactly 0 and only the
+    bands above it are searched for.  Raises :class:`BandNotFoundError` when
+    fewer bands lie below ``omega_max``.
     """
+    if band_count < 1:
+        raise ValueError("band_count must be at least 1")
     alpha = as_bloch(alpha)
     at_centre = float(np.hypot(alpha[0], alpha[1])) == 0.0
-    needed = 1 if at_centre else 2
+    needed = band_count - 1 if at_centre else band_count
     roots = _accepted_roots(
-        alpha, material, crystal, truncation, omega_max, needed, settings
+        alpha, material, crystal, truncation, (0.0, omega_max), needed,
+        settings,
     )
     if len(roots) < needed:
         raise BandNotFoundError(
-            f"found {len(roots)} of {needed} bands below omega={omega_max} "
-            f"at alpha={tuple(alpha)}"
+            f"found {len(roots)} of {needed} bands below omega={omega_max}"
         )
     if at_centre:
-        return 0.0, roots[0][0]
-    return roots[0][0], roots[1][0]
+        roots.insert(0, (0.0, RootDiagnostics(0.0, 0)))
+    return tuple(r[0] for r in roots), tuple(r[1] for r in roots)
 
 
 def resonance_near(
@@ -522,36 +529,27 @@ def resonance_near(
 ) -> float:
     """Accepted characteristic frequency closest to an analytic prediction.
 
-    Scans the window ``[(1-window), (1+window)] * omega_guess``, refines
-    every bracket, and returns the accepted root nearest the guess.  This
-    identifies the resonance branch even when other bands cross the
-    window; raises :class:`BandNotFoundError` when no root is accepted.
+    Collects every accepted root in the window
+    ``[(1-window), (1+window)] * omega_guess`` and returns the one nearest
+    the guess.  This identifies the resonance branch even when other bands
+    cross the window; raises :class:`BandNotFoundError` when no root is
+    accepted.
     """
     if not omega_guess > 0.0:
         raise ValueError("omega_guess must be positive")
     if not 0.0 < window < 1.0:
         raise ValueError("window must lie in (0, 1)")
-    alpha = as_bloch(alpha)
-    scan = scan_and_bracket(
-        alpha, material, crystal, truncation,
+    roots = _accepted_roots(
+        as_bloch(alpha), material, crystal, truncation,
         ((1.0 - window) * omega_guess, (1.0 + window) * omega_guess),
-        settings=settings,
+        None, settings,
     )
-    roots: list[float] = []
-    for bracket in scan.brackets:
-        try:
-            omega, _ = _refine_bracket(
-                bracket, alpha, material, crystal, truncation, settings
-            )
-        except (RootNotConvergedError, RejectedRootError):
-            continue
-        roots.append(omega)
     if not roots:
         raise BandNotFoundError(
             f"no accepted characteristic frequency within {window:.0%} of "
             f"omega={omega_guess}"
         )
-    return min(roots, key=lambda w: abs(w - omega_guess))
+    return min((r[0] for r in roots), key=lambda w: abs(w - omega_guess))
 
 
 def retruncated_root(
@@ -617,13 +615,36 @@ class BandStructure:
     gap: tuple[float, float] | None
     failures: tuple[tuple[float, tuple[float, float], str], ...] = ()
 
+    @classmethod
+    def from_points(
+        cls,
+        points: Sequence[BandPoint],
+        failures: Sequence[tuple[float, tuple[float, float], str]] = (),
+    ) -> BandStructure:
+        """Structure over ``points`` with its first-band maximum and gap.
 
-def _path_samples(
-    resolution: int, reverse: bool
-) -> list[tuple[float, np.ndarray]]:
+        The first maximum along the path wins a tie.  The gap needs a second
+        band at every point; with fewer bands it is ``None``.
+        """
+        first_band = np.array([p.omegas[0] for p in points])
+        star_index = int(np.argmax(first_band))
+        omega_star = float(first_band[star_index])
+        gap: tuple[float, float] | None = None
+        if all(len(p.omegas) >= 2 for p in points):
+            second_min = min(p.omegas[1] for p in points)
+            if second_min > omega_star:
+                gap = (omega_star, second_min)
+        return cls(
+            points=tuple(points),
+            omega_star=omega_star,
+            argmax_alpha=points[star_index].alpha.copy(),
+            gap=gap,
+            failures=tuple(failures),
+        )
+
+
+def _path_samples(resolution: int) -> list[tuple[float, np.ndarray]]:
     corners = [GAMMA_POINT, X_POINT, M_POINT, GAMMA_POINT]
-    if reverse:
-        corners = corners[::-1]
     samples: list[tuple[float, np.ndarray]] = []
     for edge in range(3):
         start, end = corners[edge], corners[edge + 1]
@@ -643,97 +664,33 @@ def band_structure(
     omega_max: float = 0.5,
     *,
     settings: ScanSettings = ScanSettings(),
-    threads: int = 1,
-    reverse: bool = False,
 ) -> BandStructure:
     """Sweep the closed zone-boundary path and assemble the band structure.
 
     ``resolution`` samples per edge (three edges plus the repeated closing
-    corner).  Samples are independent; with ``threads > 1`` they are
-    computed concurrently and merged back in deterministic path order.
+    corner), solved one after another in path order with :func:`bands_at`.
     Failed samples are recorded, not fatal.
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3 points per edge")
-    if band_count < 1:
-        raise ValueError("band_count must be at least 1")
-    samples = _path_samples(resolution, reverse)
-
-    def solve(sample: tuple[float, np.ndarray]):
-        s, alpha = sample
-        at_centre = float(np.hypot(alpha[0], alpha[1])) == 0.0
-        needed = band_count - 1 if at_centre else band_count
-        roots = _accepted_roots(
-            alpha, material, crystal, truncation, omega_max, needed, settings
-        )
-        if len(roots) < needed:
-            raise BandNotFoundError(
-                f"found {len(roots)} of {needed} bands below omega={omega_max}"
-            )
-        if at_centre:
-            roots = [(0.0, RootDiagnostics(0.0, 0))] + roots
-        return BandPoint(
-            s=s,
-            alpha=alpha,
-            omegas=tuple(r[0] for r in roots),
-            diagnostics=tuple(r[1] for r in roots),
-        )
-
-    outcomes: list[BandPoint | Exception]
-    if threads > 1:
-        def guarded(sample):
-            try:
-                return solve(sample)
-            except (BandNotFoundError, NonConvergenceError) as exc:
-                return exc
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(guarded, samples))
-    else:
-        outcomes = []
-        for sample in samples:
-            try:
-                outcomes.append(solve(sample))
-            except (BandNotFoundError, NonConvergenceError) as exc:
-                outcomes.append(exc)
-
     points: list[BandPoint] = []
     failures: list[tuple[float, tuple[float, float], str]] = []
-    for (s, alpha), outcome in zip(samples, outcomes):
-        if isinstance(outcome, BandPoint):
-            points.append(outcome)
-        else:
-            failures.append((s, (float(alpha[0]), float(alpha[1])), str(outcome)))
+    for s, alpha in _path_samples(resolution):
+        try:
+            omegas, diagnostics = bands_at(
+                alpha, material, crystal, truncation, omega_max, band_count,
+                settings=settings,
+            )
+        except (BandNotFoundError, NonConvergenceError) as exc:
+            failures.append((s, (float(alpha[0]), float(alpha[1])), str(exc)))
+            continue
+        points.append(BandPoint(
+            s=s, alpha=alpha, omegas=omegas, diagnostics=diagnostics
+        ))
     if not points:
         s, alpha_pair, reason = failures[0]
         raise BandNotFoundError(
             f"band search failed at every path point; first: s={s:.6f}, "
             f"alpha=({alpha_pair[0]:.6f}, {alpha_pair[1]:.6f}): {reason}"
         )
-
-    first_band = np.array([p.omegas[0] for p in points])
-    star_index = int(np.argmax(first_band))
-    omega_star = float(first_band[star_index])
-    gap: tuple[float, float] | None = None
-    if band_count >= 2:
-        second_min = min(p.omegas[1] for p in points)
-        if second_min > omega_star:
-            gap = (omega_star, second_min)
-    return BandStructure(
-        points=tuple(points),
-        omega_star=omega_star,
-        argmax_alpha=points[star_index].alpha.copy(),
-        gap=gap,
-        failures=tuple(failures),
-    )
-
-
-def extract_gap_and_star(
-    structure: BandStructure,
-) -> tuple[float, tuple[float, float] | None]:
-    """Recompute the first-band maximum and the gap from stored points."""
-    if any(len(p.omegas) < 2 for p in structure.points):
-        raise ValueError("gap extraction needs at least two bands per point")
-    lo = max(p.omegas[0] for p in structure.points)
-    hi = min(p.omegas[1] for p in structure.points)
-    return lo, (lo, hi) if hi > lo else None
+    return BandStructure.from_points(points, failures)

@@ -13,9 +13,7 @@ the result carries no cutoff bias.
 The capacities feed two frequency estimates: the free-space breathing
 resonance of a single bubble (:func:`minnaert_frequency`) and its
 quasi-periodic analogue (:func:`approx_resonance`), which rescales it by the
-square root of the capacity ratio.  :func:`dilute_consistency` probes the
-small-radius regime, where the relative capacity deficit divided by the
-squared free-space capacity should become radius-independent.
+square root of the capacity ratio.
 """
 
 from __future__ import annotations
@@ -31,12 +29,10 @@ from .multipole import DiskCrystal, MaterialParams, ZeroAlphaError, outer_block_
 
 __all__ = [
     "CapacityResult",
-    "DiluteReport",
     "SingularSystemError",
     "approx_resonance",
     "capacity_disk",
     "capacity_quasi",
-    "dilute_consistency",
     "minnaert_frequency",
 ]
 
@@ -158,57 +154,4 @@ def approx_resonance(
     result = capacity_quasi(alpha, crystal.radius, order_max)
     return minnaert_frequency(
         material.delta, material.v_b, result.cap, crystal.area
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class DiluteReport:
-    """Radius-independence check of the quasi-periodic capacity deficit.
-
-    ``betas[i, j]`` is ``(cap_alpha - cap_free) / cap_free**2`` for
-    ``alphas[i]`` and ``radii[j]``.  ``spreads[i]`` is the max-minus-min
-    spread of that row divided by the magnitude of its mean: small spreads
-    mean the deficit scales with the squared free-space capacity across
-    radii, as the small-radius expansion predicts.
-    """
-
-    alphas: tuple[tuple[float, float], ...]
-    radii: tuple[float, ...]
-    betas: np.ndarray
-    spreads: np.ndarray
-
-
-def dilute_consistency(
-    alphas: Sequence[Sequence[float]],
-    radii: Sequence[float],
-    order_max: int,
-) -> DiluteReport:
-    """Probe how the capacity deficit scales across small radii.
-
-    For each Bloch vector, computes ``beta = (cap_alpha - cap_free) /
-    cap_free**2`` at every radius and reports the relative spread of the
-    row.  Requires ``|alpha| >= 1``: near the zone centre the capacity
-    deficit is no longer a small correction and the scaling law does not
-    apply.
-    """
-    alpha_list = [np.asarray(a, dtype=float) for a in alphas]
-    for a in alpha_list:
-        if np.linalg.norm(a) < 1.0:
-            raise ValueError(
-                f"dilute check needs |alpha| >= 1 away from the zone centre; got {a}"
-            )
-    radii_t = tuple(float(r) for r in radii)
-    betas = np.empty((len(alpha_list), len(radii_t)))
-    for i, a in enumerate(alpha_list):
-        for j, r in enumerate(radii_t):
-            free = capacity_disk(r)
-            quasi = capacity_quasi(a, r, order_max)
-            betas[i, j] = (quasi.cap - free) / free**2
-    means = np.mean(betas, axis=1)
-    spreads = (np.max(betas, axis=1) - np.min(betas, axis=1)) / np.abs(means)
-    return DiluteReport(
-        alphas=tuple((float(a[0]), float(a[1])) for a in alpha_list),
-        radii=radii_t,
-        betas=betas,
-        spreads=spreads,
     )

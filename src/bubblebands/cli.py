@@ -169,14 +169,13 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 # bands
 # ---------------------------------------------------------------------------
 
-def run_bands(config: RunConfig, *, threads: int = 1) -> Path:
+def run_bands(config: RunConfig) -> Path:
     """Write the two-band path sweep as CSV; returns the output path."""
     try:
         structure = band_structure(
             config.material, config.crystal, config.truncation_N,
             resolution=config.path_resolution, band_count=2,
             omega_max=config.omega_max, settings=config.scan_settings,
-            threads=threads,
         )
     except (BandNotFoundError, NonConvergenceError, NearEmptyResonanceError) as exc:
         raise ComputationError(str(exc)) from exc
@@ -260,8 +259,8 @@ def run_compare(config: RunConfig, contrast_list, alpha=None) -> Path:
 # dilute
 # ---------------------------------------------------------------------------
 
-def run_dilute(config: RunConfig, radius_list, *, contrast: float = 1000.0,
-               threads: int = 1) -> Path:
+def run_dilute(config: RunConfig, radius_list, *,
+               contrast: float = 1000.0) -> Path:
     """Sweep bubble radii at fixed contrast; report omega_star / omega_M."""
     radii = [float(r) for r in radius_list]
     if not radii or any(not 0.0 < r < 0.5 for r in radii):
@@ -280,7 +279,6 @@ def run_dilute(config: RunConfig, radius_list, *, contrast: float = 1000.0,
                 material, crystal, config.truncation_N,
                 resolution=config.path_resolution, band_count=1,
                 omega_max=config.omega_max, settings=config.scan_settings,
-                threads=threads,
             )
         except (BandNotFoundError, NonConvergenceError,
                 NearEmptyResonanceError) as exc:
@@ -378,11 +376,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output file path (overrides config output_path)")
 
 
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for the path sweep (default 1)")
-
-
 def _add_alpha(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", metavar="AX,AY",
                         help="Bloch vector components in [-pi, pi]")
@@ -406,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "overlap). Deterministic: reruns are byte-identical."),
     )
     _add_common(bands)
-    _add_threads(bands)
 
     compare = sub.add_parser(
         "compare", help="predicted vs computed resonance over contrasts",
@@ -430,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "fixed density contrast (--contrast, default 1000)."),
     )
     _add_common(dilute)
-    _add_threads(dilute)
     dilute.add_argument("--radii", default="0.25,0.1,0.05", metavar="R1,R2,...",
                         help="bubble radii in (0, 0.5) (default 0.25,0.1,0.05)")
     dilute.add_argument("--contrast", type=float, default=1000.0, metavar="C",
@@ -452,14 +443,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:  # only bands and dilute
-            raise UsageError("--threads must be at least 1")
         config = load_config(args.config, output_path=args.output)
         alpha = getattr(args, "alpha", None)  # only compare and capacity
         if alpha is not None:
             alpha = _parse_alpha(alpha)
         if args.command == "bands":
-            out = run_bands(config, threads=args.threads)
+            out = run_bands(config)
             print(f"wrote {out}")
         elif args.command == "compare":
             contrasts = _parse_list(args.contrasts, "contrasts")
@@ -467,8 +456,7 @@ def main(argv=None) -> int:
             print(f"wrote {out}")
         elif args.command == "dilute":
             radii = _parse_list(args.radii, "radii")
-            out = run_dilute(config, radii, contrast=args.contrast,
-                             threads=args.threads)
+            out = run_dilute(config, radii, contrast=args.contrast)
             print(f"wrote {out}")
         else:
             print(run_capacity(config, alpha if alpha is not None else M_POINT))

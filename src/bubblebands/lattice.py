@@ -505,7 +505,3 @@ def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:
     alpha = as_bloch(alpha)
     return _engine_for(alpha.tobytes(), order_max).zero_k_limits()
 
-
-def lattice_sum(n: int, k, alpha, tol: float = 1e-8, guard: float = 0.05) -> complex:
-    """Single lattice sum Q_n(k, alpha); see ``lattice_sum_table``."""
-    return lattice_sum_table(abs(n), k, alpha, tol=tol, guard=guard).value(n)

@@ -131,10 +131,6 @@ class DiskCrystal:
             raise ValueError("radius must lie strictly between 0 and 1/2")
 
     @property
-    def cell_halfwidth(self) -> float:
-        return 0.5
-
-    @property
     def area(self) -> float:
         """Area of the disk (the bubble volume per cell in 2D)."""
         return math.pi * self.radius**2

@@ -14,8 +14,7 @@ from bubblebands.bands import (
     RootNotConvergedError,
     ScanSettings,
     band_structure,
-    extract_gap_and_star,
-    first_two_bands,
+    bands_at,
     muller_refine,
     resonance_near,
     retruncated_root,
@@ -165,25 +164,25 @@ def test_scan_step_halving_preserves_the_refined_root():
 
 
 # ---------------------------------------------------------------------------
-# first_two_bands / resonance_near / retruncated_root
+# bands_at / resonance_near / retruncated_root
 # ---------------------------------------------------------------------------
 
 def test_first_two_bands_at_corner_matches_frozen_values():
-    w1, w2 = first_two_bands(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
+    (w1, w2), _ = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
     assert w1 == pytest.approx(DILUTE_M_BAND1, abs=1e-9)
     assert w2 == pytest.approx(4.5107, abs=5e-3)
     assert w1 < w2
 
 
 def test_first_two_bands_zone_centre_first_band_is_exactly_zero():
-    w1, w2 = first_two_bands((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 2.2)
+    (w1, w2), _ = bands_at((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 2.2)
     assert w1 == 0.0
     assert w2 == pytest.approx(DILUTE_GAMMA_BAND2, abs=1e-8)
 
 
 def test_first_two_bands_raises_when_ceiling_is_too_low():
     with pytest.raises(BandNotFoundError):
-        first_two_bands(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.1)
+        bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.1)
 
 
 def test_refined_corner_root_lies_inside_its_scan_bracket():
@@ -272,17 +271,9 @@ def test_sweep_accepted_roots_meet_the_indicator_tolerance(small_sweep):
             assert diag.iterations >= 1
 
 
-def test_sweep_reversal_and_threads_leave_the_star_unchanged(small_sweep):
-    reversed_sweep = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3, resolution=6,
-                                    band_count=1, omega_max=0.4, reverse=True,
-                                    threads=2)
-    assert abs(reversed_sweep.omega_star - small_sweep.omega_star) < 1e-8
-    assert np.allclose(reversed_sweep.argmax_alpha, small_sweep.argmax_alpha)
-
-
 def test_sweep_rerun_is_bitwise_deterministic(small_sweep):
     again = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3, resolution=6,
-                           band_count=1, omega_max=0.4, threads=2)
+                           band_count=1, omega_max=0.4)
     assert [p.omegas for p in again.points] == [p.omegas for p in small_sweep.points]
     assert again.omega_star == small_sweep.omega_star
 
@@ -311,29 +302,24 @@ def _synthetic_structure(band_pairs):
                   diagnostics=tuple(RootDiagnostics(0.0, 1) for _ in pair))
         for i, pair in enumerate(band_pairs)
     )
-    star = max(p.omegas[0] for p in points)
-    return BandStructure(points=points, omega_star=star,
-                         argmax_alpha=points[0].alpha, gap=None)
+    return BandStructure.from_points(points)
 
 
 def test_extract_gap_two_constant_bands():
     structure = _synthetic_structure([(0.1, 0.2)] * 3)
-    star, gap = extract_gap_and_star(structure)
-    assert star == pytest.approx(0.1)
-    assert gap == (pytest.approx(0.1), pytest.approx(0.2))
+    assert structure.omega_star == pytest.approx(0.1)
+    assert structure.gap == (pytest.approx(0.1), pytest.approx(0.2))
+    assert np.array_equal(structure.argmax_alpha, [0.1, 0.0])
 
 
 def test_extract_gap_closes_when_bands_overlap():
     structure = _synthetic_structure([(0.1, 0.2), (0.25, 0.3), (0.1, 0.2)])
-    star, gap = extract_gap_and_star(structure)
-    assert star == pytest.approx(0.25)
-    assert gap is None
+    assert structure.omega_star == pytest.approx(0.25)
+    assert np.array_equal(structure.argmax_alpha, [1.1, 0.0])
+    assert structure.gap is None
 
 
 def test_extract_gap_requires_two_bands_per_point():
-    point = BandPoint(s=0.0, alpha=np.zeros(2), omegas=(0.1,),
-                      diagnostics=(RootDiagnostics(0.0, 1),))
-    structure = BandStructure(points=(point,), omega_star=0.1,
-                              argmax_alpha=np.zeros(2), gap=None)
-    with pytest.raises(ValueError):
-        extract_gap_and_star(structure)
+    structure = _synthetic_structure([(0.1, 0.2), (0.15,), (0.1, 0.2)])
+    assert structure.omega_star == pytest.approx(0.15)
+    assert structure.gap is None

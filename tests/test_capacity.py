@@ -192,17 +192,24 @@ def test_approx_resonance_vanishes_toward_zone_centre():
 # dilute-regime consistency
 # ---------------------------------------------------------------------------
 
+def _deficit_coefficient(alpha, radius, order_max=3):
+    """beta = (cap_alpha - cap_free) / cap_free**2, which the small-radius
+    expansion predicts to be independent of the radius."""
+    free = cap.capacity_disk(radius)
+    return (cap.capacity_quasi(alpha, radius, order_max).cap - free) / free**2
+
+
 def test_dilute_deficit_nearly_radius_independent_at_corner():
-    report = cap.dilute_consistency([M_POINT], [0.05, 0.02, 0.01], 3)
-    assert report.betas.shape == (1, 3)
-    assert report.spreads[0] <= 0.20
+    betas = [_deficit_coefficient(M_POINT, r) for r in (0.05, 0.02, 0.01)]
+    spread = (max(betas) - min(betas)) / abs(np.mean(betas))
+    assert spread <= 0.20
 
 
 def test_dilute_report_symmetric_under_momentum_reversal():
-    report = cap.dilute_consistency(
-        [(1.7, 0.6), (-1.7, -0.6)], [0.05, 0.02], 3
-    )
-    assert np.max(np.abs(report.betas[0] - report.betas[1])) < 1e-8
+    for radius in (0.05, 0.02):
+        forward = _deficit_coefficient((1.7, 0.6), radius)
+        backward = _deficit_coefficient((-1.7, -0.6), radius)
+        assert abs(forward - backward) < 1e-8
 
 
 def test_dilute_correction_strengthens_toward_zone_centre():
@@ -210,14 +217,6 @@ def test_dilute_correction_strengthens_toward_zone_centre():
     # decreases strictly (crossing zero on the way), and its magnitude grows
     # again once inside the deficit regime.
     ts = (1.0, 0.65, 0.5, 0.35)
-    report = cap.dilute_consistency(
-        [(np.pi * t, np.pi * t) for t in ts], [0.02], 3
-    )
-    betas = report.betas[:, 0]
+    betas = [_deficit_coefficient((np.pi * t, np.pi * t), 0.02) for t in ts]
     assert all(betas[i] > betas[i + 1] for i in range(len(ts) - 1))
     assert abs(betas[3]) > abs(betas[2])
-
-
-def test_dilute_requires_alpha_away_from_zone_centre():
-    with pytest.raises(ValueError):
-        cap.dilute_consistency([(0.5, 0.0)], [0.05], 3)

@@ -107,15 +107,13 @@ def test_malformed_alpha_is_a_usage_error(capsys):
     assert main(["capacity", "--alpha", "a,b"]) == 2
 
 
-def test_bad_threads_is_a_usage_error():
-    assert main(["bands", "--threads", "0"]) == 2
-
-
 @pytest.mark.parametrize("argv", [
     ["bands", "--alpha", "1,0"],
     ["dilute", "--alpha", "1,0"],
     ["compare", "--threads", "2"],
     ["capacity", "--threads", "2"],
+    ["bands", "--threads", "2"],
+    ["dilute", "--threads", "2"],
 ])
 def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:

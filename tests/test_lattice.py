@@ -100,7 +100,7 @@ def test_parity_and_static_identity_property(ax, ay, k):
 # ---------------------------------------------------------------------------
 
 def test_matches_brute_oracle_at_reference_point():
-    value = lat.lattice_sum(0, 1.0, (np.pi, 0.0))
+    value = lat.lattice_sum_table(0, 1.0, (np.pi, 0.0)).value(0)
     brute = brute_lattice_sum(0, 1.0, (np.pi, 0.0), shell_count=400)
     assert abs(value - brute.value) < 1e-6
 
@@ -120,9 +120,12 @@ def test_table_matches_brute_oracle_entrywise():
 # ---------------------------------------------------------------------------
 
 def test_table_matches_elementwise_calls():
+    # each order read from the order-4 table equals the same order read from
+    # the smallest table holding it
     table = lat.lattice_sum_table(4, 1.7, (0.3, 2.1))
     for n in range(-4, 5):
-        assert abs(table.value(n) - lat.lattice_sum(n, 1.7, (0.3, 2.1))) <= 1e-12
+        single = lat.lattice_sum_table(abs(n), 1.7, (0.3, 2.1)).value(n)
+        assert abs(table.value(n) - single) <= 1e-12
 
 
 def test_table_order_bounds_and_repeatability():

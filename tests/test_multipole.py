@@ -49,7 +49,6 @@ def test_material_params_rejects_nonpositive():
 def test_disk_crystal_geometry():
     crystal = mp.DiskCrystal(radius=0.25)
     assert crystal.area == pytest.approx(np.pi * 0.0625, rel=1e-15)
-    assert crystal.cell_halfwidth == 0.5
     for bad in (0.0, 0.5, 0.6, -0.1):
         with pytest.raises(ValueError):
             mp.DiskCrystal(radius=bad)
