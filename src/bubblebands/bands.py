@@ -57,7 +57,6 @@ __all__ = [
     "RootDiagnostics",
     "RootNotConvergedError",
     "ScanResult",
-    "ScanSettings",
     "band_structure",
     "bands_at",
     "muller_refine",
@@ -89,51 +88,20 @@ class RejectedRootError(RuntimeError):
         self.root = root
 
 
-@dataclass(frozen=True)
-class ScanSettings:
-    """Grid and refinement parameters for the root search.
-
-    The frequency grid steps by ``step_low`` below ``split`` and
-    ``step_high`` above it.  ``guard`` is the empty-lattice margin below
-    which a grid point counts as lying in a flagged resonance zone; inside
-    such zones the grid is subdivided (half step) and matrices are still
-    assembled, down to the tighter ``refine_guard``.  A refined root is
-    accepted when the equilibrated smallest singular value is below
-    ``indicator_tol`` times the largest one and the iterate's imaginary
-    part is below ``imag_tol``.  ``lattice_tol`` is passed through to the
-    quasi-periodic lattice-sum engine.
-    """
-
-    step_low: float = 2e-3
-    step_high: float = 1e-2
-    split: float = 0.5
-    guard: float = 0.05
-    refine_guard: float = 0.01
-    indicator_tol: float = 1e-6
-    imag_tol: float = 1e-8
-    muller_tol: float = 1e-10
-    muller_max_iter: int = 50
-    lattice_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        positive = (
-            "step_low",
-            "step_high",
-            "split",
-            "guard",
-            "refine_guard",
-            "indicator_tol",
-            "imag_tol",
-            "muller_tol",
-            "lattice_tol",
-        )
-        for name in positive:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.refine_guard >= self.guard:
-            raise ValueError("refine_guard must be tighter than guard")
-        if self.muller_max_iter < 1:
-            raise ValueError("muller_max_iter must be at least 1")
+#: Scan grid: frequency step below and above ``_STEP_SPLIT``.
+_STEP_LOW = 2e-3
+_STEP_HIGH = 1e-2
+_STEP_SPLIT = 0.5
+#: Empty-lattice margin below which the scan half-steps and flags a zone.
+#: Matrices are still assembled there, down to the lattice-sum guard.
+_ZONE_MARGIN = 0.05
+#: Acceptance: equilibrated smallest singular value relative to the largest,
+#: and the largest imaginary part of a refined root.
+_INDICATOR_TOL = 1e-6
+_IMAG_TOL = 1e-8
+#: Muller stopping rule: relative step size and iteration budget.
+_MULLER_TOL = 1e-10
+_MULLER_MAX_ITER = 50
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +149,10 @@ def _scaled_log_determinant(entries: np.ndarray, row_scale: np.ndarray) -> compl
 
 @dataclass(frozen=True)
 class MullerResult:
-    """Converged Muller iterate with its iteration count and final step."""
+    """Converged Muller iterate with its iteration count."""
 
     root: complex
     iterations: int
-    last_step: float
 
 
 def muller_refine(
@@ -193,14 +160,13 @@ def muller_refine(
     x0: complex,
     x1: complex,
     x2: complex,
-    tol: float = 1e-10,
-    max_iter: int = 50,
     accept: Callable[[complex], bool] | None = None,
 ) -> MullerResult:
     """Find a root of ``f`` by quadratic (Muller) iteration.
 
     Fits a parabola through the last three iterates and steps to its nearer
-    root; stops when the step shrinks below ``tol * (1 + |x|)``.  The
+    root; stops when the step shrinks below ``_MULLER_TOL * (1 + |x|)``, or
+    raises after ``_MULLER_MAX_ITER`` iterations.  The
     iteration runs in complex arithmetic even from real starts, so it can
     pass through real-axis extrema.  If ``accept`` is given, a converged
     iterate it vetoes raises :class:`RejectedRootError`; running out of
@@ -213,11 +179,9 @@ def muller_refine(
     f0, f1, f2 = (complex(f(x)) for x in xs)
     x0c, x1c, x2c = xs
     iterations = 0
-    step = math.inf
-    while iterations < max_iter:
+    while iterations < _MULLER_MAX_ITER:
         iterations += 1
         if f2 == 0.0:
-            step = 0.0
             break
         h1 = x1c - x0c
         h2 = x2c - x1c
@@ -238,21 +202,20 @@ def muller_refine(
         else:
             delta = -2.0 * f2 / den
         x3 = x2c + delta
-        step = abs(delta)
         x0c, x1c, x2c = x1c, x2c, x3
         f0, f1, f2 = f1, f2, complex(f(x3))
-        if step < tol * (1.0 + abs(x3)):
+        if abs(delta) < _MULLER_TOL * (1.0 + abs(x3)):
             break
     else:
         best = x2c if abs(f2) <= abs(f1) else x1c
         raise RootNotConvergedError(
-            f"no convergence in {max_iter} Muller iterations",
+            f"no convergence in {_MULLER_MAX_ITER} Muller iterations",
             best=best,
             iterations=iterations,
         )
     if accept is not None and not accept(x2c):
         raise RejectedRootError(f"iterate {x2c} failed acceptance", root=x2c)
-    return MullerResult(root=x2c, iterations=iterations, last_step=step)
+    return MullerResult(root=x2c, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +229,8 @@ class ScanResult:
     Iterating the result yields the brackets, each a frequency triple
     ``(lo, mid, hi)`` of consecutive grid points with a local indicator
     minimum at ``mid``.  ``flagged`` lists the ``(lo, hi)`` frequency
-    subintervals whose empty-lattice margin fell below the guard; the grid
-    is subdivided there, never silently thinned.
+    subintervals whose empty-lattice margin fell below ``_ZONE_MARGIN``; the
+    grid is subdivided there, never silently thinned.
     """
 
     brackets: tuple[tuple[float, float, float], ...]
@@ -286,8 +249,6 @@ def _indicator_profile(
     crystal: DiskCrystal,
     truncation: int,
     omega_range: tuple[float, float],
-    step: float | None,
-    settings: ScanSettings,
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
     """Indicator values on the (guard-aware) frequency grid."""
     lo, hi = (float(omega_range[0]), float(omega_range[1]))
@@ -296,15 +257,13 @@ def _indicator_profile(
     flagged: list[tuple[float, float]] = []
     flag_start: float | None = None
     w = max(lo, 0.0)
-    in_zone = empty_lattice_margin(w / material.v, alpha) <= settings.guard
+    in_zone = empty_lattice_margin(w / material.v, alpha) <= _ZONE_MARGIN
     while w < hi - 1e-15:
-        base = step if step is not None else (
-            settings.step_low if w < settings.split else settings.step_high
-        )
+        base = _STEP_LOW if w < _STEP_SPLIT else _STEP_HIGH
         # half-step through flagged zones so a band squeezed against an
         # empty-lattice resonance still produces a bracketable minimum
         w = min(w + (0.5 * base if in_zone else base), hi)
-        in_zone = empty_lattice_margin(w / material.v, alpha) <= settings.guard
+        in_zone = empty_lattice_margin(w / material.v, alpha) <= _ZONE_MARGIN
         if in_zone and flag_start is None:
             flag_start = w
         elif not in_zone and flag_start is not None:
@@ -312,9 +271,7 @@ def _indicator_profile(
             flag_start = None
         try:
             cm = assemble_characteristic_matrix(
-                w, material, alpha, crystal, truncation,
-                guard=settings.refine_guard,
-                lattice_tol=settings.lattice_tol,
+                w, material, alpha, crystal, truncation
             )
             values.append(singular_value_indicator(cm))
         except (NearEmptyResonanceError, NonConvergenceError, ValueError):
@@ -331,22 +288,17 @@ def scan_and_bracket(
     crystal: DiskCrystal,
     truncation: int,
     omega_range: tuple[float, float],
-    step: float | None = None,
-    *,
-    settings: ScanSettings = ScanSettings(),
 ) -> ScanResult:
     """Bracket indicator minima over a frequency range at one Bloch vector.
 
-    Walks the grid (uniform at ``step`` if given, otherwise the split
-    default from ``settings``), evaluates the singularity indicator, and
-    returns each interior local minimum with its two neighbours as a
-    bracket, ordered by frequency.
+    Walks the grid (``_STEP_LOW`` below ``_STEP_SPLIT``, ``_STEP_HIGH``
+    above), evaluates the singularity indicator, and returns each interior
+    local minimum with its two neighbours as a bracket, ordered by
+    frequency.
     """
-    if step is not None and not step > 0.0:
-        raise ValueError("step must be positive")
     alpha = as_bloch(alpha)
     omegas, values, flagged = _indicator_profile(
-        alpha, material, crystal, truncation, omega_range, step, settings
+        alpha, material, crystal, truncation, omega_range
     )
     brackets: list[tuple[float, float, float]] = []
     for i in range(1, len(omegas) - 1):
@@ -378,15 +330,17 @@ def _refine_bracket(
     material: MaterialParams,
     crystal: DiskCrystal,
     truncation: int,
-    settings: ScanSettings,
 ) -> tuple[float, RootDiagnostics]:
     """Polish one bracket to an accepted band root.
 
     The Muller target is the determinant of the characteristic matrix with
     row scales frozen at the first evaluation, so the function stays smooth
-    while the iterates move.  Acceptance requires the iterate to come back
-    to the real axis, stay inside its bracket, and push the (freshly
-    equilibrated) indicator below tolerance.
+    while the iterates move.  An iterate where the matrix cannot be built
+    (outside the admissible region, inside the lattice-sum guard, or with
+    an unconverged lattice sum) ends the refinement as unconverged.
+    Acceptance requires the iterate to come back to the real axis, stay
+    inside its bracket, and push the (freshly equilibrated) indicator below
+    ``_INDICATOR_TOL``.
     """
     lo, mid, hi = bracket
     row_scale: np.ndarray | None = None
@@ -402,11 +356,16 @@ def _refine_bracket(
                 best=om,
                 iterations=0,
             )
-        cm = assemble_characteristic_matrix(
-            om, material, alpha, crystal, truncation,
-            guard=settings.refine_guard,
-            lattice_tol=settings.lattice_tol,
-        )
+        try:
+            cm = assemble_characteristic_matrix(
+                om, material, alpha, crystal, truncation
+            )
+        except (NearEmptyResonanceError, NonConvergenceError) as exc:
+            raise RootNotConvergedError(
+                f"no characteristic matrix at iterate {om}: {exc}",
+                best=om,
+                iterations=0,
+            ) from exc
         if row_scale is None:
             _, row_scale = _equilibrate(cm.entries)
         log_det = _scaled_log_determinant(cm.entries, row_scale)
@@ -415,32 +374,24 @@ def _refine_bracket(
         return cmath.exp(complex(log_det.real - ref_mag, log_det.imag))
 
     def accept(root: complex) -> bool:
-        if abs(root.imag) > settings.imag_tol:
+        if abs(root.imag) > _IMAG_TOL:
             return False
         w = float(root.real)
         if not lo <= w <= hi:
             return False
         try:
             cm = assemble_characteristic_matrix(
-                w, material, alpha, crystal, truncation,
-                guard=settings.refine_guard,
-                lattice_tol=settings.lattice_tol,
+                w, material, alpha, crystal, truncation
             )
         except (NearEmptyResonanceError, NonConvergenceError, ValueError):
             return False
         scaled, _ = _equilibrate(cm.entries)
         spectrum = np.linalg.svd(scaled, compute_uv=False)
         last["indicator"] = float(spectrum[-1])
-        return spectrum[-1] <= settings.indicator_tol * spectrum[0]
+        return spectrum[-1] <= _INDICATOR_TOL * spectrum[0]
 
     result = muller_refine(
-        determinant,
-        complex(lo),
-        complex(hi),
-        complex(mid),
-        tol=settings.muller_tol,
-        max_iter=settings.muller_max_iter,
-        accept=accept,
+        determinant, complex(lo), complex(hi), complex(mid), accept=accept
     )
     return float(result.root.real), RootDiagnostics(
         indicator=last["indicator"], iterations=result.iterations
@@ -454,7 +405,6 @@ def _accepted_roots(
     truncation: int,
     omega_range: tuple[float, float],
     count: int | None,
-    settings: ScanSettings,
 ) -> list[tuple[float, RootDiagnostics]]:
     """Accepted roots in ``omega_range``, lowest first, at most ``count``.
 
@@ -462,16 +412,14 @@ def _accepted_roots(
     root.  A root within ``1e-7 (1 + omega)`` of the previous one was reached
     again from a neighbouring bracket and is dropped.
     """
-    scan = scan_and_bracket(
-        alpha, material, crystal, truncation, omega_range, settings=settings
-    )
+    scan = scan_and_bracket(alpha, material, crystal, truncation, omega_range)
     roots: list[tuple[float, RootDiagnostics]] = []
     for bracket in scan.brackets:
         if len(roots) == count:
             break
         try:
             omega, diag = _refine_bracket(
-                bracket, alpha, material, crystal, truncation, settings
+                bracket, alpha, material, crystal, truncation
             )
         except (RootNotConvergedError, RejectedRootError):
             continue
@@ -488,26 +436,26 @@ def bands_at(
     truncation: int,
     omega_max: float,
     band_count: int = 2,
-    *,
-    settings: ScanSettings = ScanSettings(),
 ) -> tuple[tuple[float, ...], tuple[RootDiagnostics, ...]]:
     """The ``band_count`` lowest band frequencies at one Bloch vector.
 
     Returns the frequencies and their acceptance diagnostics.  At the zone
     centre the first band passes through zero frequency analytically
     (uniform translation mode), so it is reported as exactly 0 and only the
-    bands above it are searched for.  Raises :class:`BandNotFoundError` when
-    fewer bands lie below ``omega_max``.
+    bands above it are searched for; with none above it, nothing is
+    scanned.  Raises :class:`BandNotFoundError` when fewer bands lie below
+    ``omega_max``.
     """
     if band_count < 1:
         raise ValueError("band_count must be at least 1")
     alpha = as_bloch(alpha)
     at_centre = float(np.hypot(alpha[0], alpha[1])) == 0.0
     needed = band_count - 1 if at_centre else band_count
-    roots = _accepted_roots(
-        alpha, material, crystal, truncation, (0.0, omega_max), needed,
-        settings,
-    )
+    roots: list[tuple[float, RootDiagnostics]] = []
+    if needed:
+        roots = _accepted_roots(
+            alpha, material, crystal, truncation, (0.0, omega_max), needed
+        )
     if len(roots) < needed:
         raise BandNotFoundError(
             f"found {len(roots)} of {needed} bands below omega={omega_max}"
@@ -525,7 +473,6 @@ def resonance_near(
     truncation: int,
     *,
     window: float = 0.4,
-    settings: ScanSettings = ScanSettings(),
 ) -> float:
     """Accepted characteristic frequency closest to an analytic prediction.
 
@@ -542,7 +489,7 @@ def resonance_near(
     roots = _accepted_roots(
         as_bloch(alpha), material, crystal, truncation,
         ((1.0 - window) * omega_guess, (1.0 + window) * omega_guess),
-        None, settings,
+        None,
     )
     if not roots:
         raise BandNotFoundError(
@@ -558,11 +505,8 @@ def retruncated_root(
     material: MaterialParams,
     crystal: DiskCrystal,
     truncation: int,
-    *,
-    increment: int = 2,
-    settings: ScanSettings = ScanSettings(),
 ) -> float:
-    """Re-refine an accepted root with the harmonic truncation increased.
+    """Re-refine an accepted root with the harmonic truncation raised by two.
 
     Seeds Muller at the known root and polishes against the larger matrix;
     used to verify that reported band frequencies are stable under
@@ -571,9 +515,7 @@ def retruncated_root(
     alpha = as_bloch(alpha)
     spread = 1e-5 * (1.0 + abs(omega))
     bracket = (omega - spread, float(omega), omega + spread)
-    root, _ = _refine_bracket(
-        bracket, alpha, material, crystal, truncation + increment, settings
-    )
+    root, _ = _refine_bracket(bracket, alpha, material, crystal, truncation + 2)
     return root
 
 
@@ -662,8 +604,6 @@ def band_structure(
     resolution: int = 30,
     band_count: int = 2,
     omega_max: float = 0.5,
-    *,
-    settings: ScanSettings = ScanSettings(),
 ) -> BandStructure:
     """Sweep the closed zone-boundary path and assemble the band structure.
 
@@ -678,8 +618,7 @@ def band_structure(
     for s, alpha in _path_samples(resolution):
         try:
             omegas, diagnostics = bands_at(
-                alpha, material, crystal, truncation, omega_max, band_count,
-                settings=settings,
+                alpha, material, crystal, truncation, omega_max, band_count
             )
         except (BandNotFoundError, NonConvergenceError) as exc:
             failures.append((s, (float(alpha[0]), float(alpha[1])), str(exc)))

@@ -33,12 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import (
-    BandNotFoundError,
-    ScanSettings,
-    band_structure,
-    resonance_near,
-)
+from .bands import BandNotFoundError, band_structure, resonance_near
 from .capacity import (
     SingularSystemError,
     capacity_disk,
@@ -74,8 +69,8 @@ class RunConfig:
     """Validated experiment parameters, JSON-loadable with flag overrides.
 
     Defaults describe the dilute reference crystal (small bubble, contrast
-    5000).  ``scan_step`` is the fine frequency step used below the
-    crossover at 0.5; above it the scan widens to five times this step.
+    5000).  The root-search grid and tolerances are fixed module constants
+    of ``bands`` and ``lattice``, not configuration.
     """
 
     radius: float = 0.05
@@ -86,13 +81,10 @@ class RunConfig:
     truncation_N: int = 7
     path_resolution: int = 30
     omega_max: float = 5.0
-    scan_step: float = 2e-3
-    lattice_tol: float = 1e-8
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        numeric = ("radius", "rho", "kappa", "rho_b", "kappa_b", "omega_max",
-                   "scan_step", "lattice_tol")
+        numeric = ("radius", "rho", "kappa", "rho_b", "kappa_b", "omega_max")
         for name in numeric:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -117,12 +109,6 @@ class RunConfig:
     def crystal(self) -> DiskCrystal:
         return DiskCrystal(radius=self.radius)
 
-    @property
-    def scan_settings(self) -> ScanSettings:
-        return ScanSettings(step_low=self.scan_step,
-                            step_high=5.0 * self.scan_step,
-                            lattice_tol=self.lattice_tol)
-
 
 def load_config(path: str | None, **overrides) -> RunConfig:
     """Build a RunConfig from defaults, an optional JSON file, and overrides."""
@@ -142,8 +128,7 @@ def load_config(path: str | None, **overrides) -> RunConfig:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    float_fields = ("radius", "rho", "kappa", "rho_b", "kappa_b", "omega_max",
-                    "scan_step", "lattice_tol")
+    float_fields = ("radius", "rho", "kappa", "rho_b", "kappa_b", "omega_max")
     for name in float_fields:
         if name in values:
             value = values[name]
@@ -175,7 +160,7 @@ def run_bands(config: RunConfig) -> Path:
         structure = band_structure(
             config.material, config.crystal, config.truncation_N,
             resolution=config.path_resolution, band_count=2,
-            omega_max=config.omega_max, settings=config.scan_settings,
+            omega_max=config.omega_max,
         )
     except (BandNotFoundError, NonConvergenceError, NearEmptyResonanceError) as exc:
         raise ComputationError(str(exc)) from exc
@@ -238,8 +223,7 @@ def run_compare(config: RunConfig, contrast_list, alpha=None) -> Path:
                                     crystal.area)
         try:
             exact = resonance_near(approx, bloch, material, crystal,
-                                   config.truncation_N,
-                                   settings=config.scan_settings)
+                                   config.truncation_N)
         except (BandNotFoundError, NonConvergenceError,
                 NearEmptyResonanceError) as exc:
             warnings.append(f"contrast {contrast:g}: {exc}")
@@ -278,7 +262,7 @@ def run_dilute(config: RunConfig, radius_list, *,
             structure = band_structure(
                 material, crystal, config.truncation_N,
                 resolution=config.path_resolution, band_count=1,
-                omega_max=config.omega_max, settings=config.scan_settings,
+                omega_max=config.omega_max,
             )
         except (BandNotFoundError, NonConvergenceError,
                 NearEmptyResonanceError) as exc:

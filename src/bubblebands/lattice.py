@@ -8,7 +8,7 @@ Computes, for Bloch vector ``alpha`` and wavenumber ``k``,
 the quantity coupling a scatterer to its periodic images in the
 cylindrical-harmonic basis.  The defining series converges only
 conditionally; production evaluation uses an Ewald split with splitting
-parameter ``eta``:
+parameter ``eta = sqrt(pi)``:
 
 * a reciprocal (spectral) part over ``p = 2 pi nu + alpha`` with Gaussian
   factors ``exp((k^2 - |p|^2)/(4 eta^2)) / (k^2 - |p|^2)`` -- this carries
@@ -20,7 +20,7 @@ parameter ``eta``:
 Both parts decay super-exponentially, so small fixed windows (|.|_inf <= 5)
 deliver ~1e-12 absolute accuracy for the wavenumbers used here; the windows
 are widened once automatically if the internal error estimate misses the
-requested tolerance.  Evaluation is organised around per-``alpha`` engines
+tolerance ``_TABLE_TOL``.  Evaluation is organised around per-``alpha`` engines
 that precompute every k-independent quantity, making a full table of
 Q_{-order_max}..Q_{order_max} an O(10^5)-flop operation -- cheap enough to
 sit inside frequency scans.  Valid also slightly off the real k axis
@@ -51,18 +51,22 @@ GAMMA_POINT = np.zeros(2)
 X_POINT = np.array([np.pi, 0.0])
 M_POINT = np.array([np.pi, np.pi])
 
-#: Default Ewald splitting parameter; balances the Gaussian decay of the
-#: spectral part (exp(-pi nu^2)) and the spatial part (exp(-pi r^2)).
-DEFAULT_ETA = math.sqrt(math.pi)
+#: Ewald splitting parameter; balances the Gaussian decay of the spectral
+#: part (exp(-pi nu^2)) and the spatial part (exp(-pi r^2)).
+_ETA = math.sqrt(math.pi)
+#: Largest admissible truncation tail of a table (see ``table``).
+_TABLE_TOL = 1e-8
+#: Smallest admissible distance of Re k from an empty-lattice resonance.
+_GUARD = 0.01
 
 _SPATIAL_RANGE = 5     # direct-lattice window |m|_inf <= range, m != 0
 _SPECTRAL_RANGE = 5    # reciprocal window |nu|_inf <= range
 _J_CAP = 40            # series depth of the spatial radial functions
-_RANGE_BUMP = 3        # widening applied when the error estimate misses tol
+_RANGE_BUMP = 3        # widening applied when a tail misses _TABLE_TOL
 
 
 class NonConvergenceError(RuntimeError):
-    """Lattice-sum error estimate exceeded the requested tolerance."""
+    """Lattice-sum error estimate exceeded the table tolerance."""
 
 
 class NearEmptyResonanceError(RuntimeError):
@@ -180,7 +184,7 @@ def _upper_gamma_block(t_max: int, t_min: int, x: np.ndarray) -> np.ndarray:
 _coeff_cache: dict = {}
 
 
-def _spatial_coefficients(order_max: int, spatial_range: int, eta: float):
+def _spatial_coefficients(order_max: int, spatial_range: int):
     """k-independent spatial data: lattice points and the coefficient tensor.
 
     Returns ``(mx, my, r, unit_pow, coeff)`` where ``coeff[s, j, pt]`` equals
@@ -188,7 +192,7 @@ def _spatial_coefficients(order_max: int, spatial_range: int, eta: float):
     ``radial_s(pt; k) = sum_j (k/2)^{2j-s} coeff[s, j, pt]``, and
     ``unit_pow[s, pt] = e^{i s phi_pt}``.
     """
-    key = (order_max, spatial_range, round(eta, 12))
+    key = (order_max, spatial_range)
     hit = _coeff_cache.get(key)
     if hit is not None:
         return hit
@@ -201,7 +205,7 @@ def _spatial_coefficients(order_max: int, spatial_range: int, eta: float):
     mx, my = mx[keep], my[keep]
     r = np.hypot(mx, my)
 
-    gam = _upper_gamma_block(order_max, -_J_CAP, eta * eta * r * r)
+    gam = _upper_gamma_block(order_max, -_J_CAP, _ETA * _ETA * r * r)
 
     j_fact = np.cumprod(np.concatenate([[1.0], np.arange(1.0, _J_CAP + 1)]))
     log_r = np.log(r)
@@ -233,9 +237,7 @@ class LatticeSumEngine:
     One engine caches everything that does not depend on ``k``: reciprocal
     points and their complex powers, direct-lattice phases, and the (shared,
     module-level) incomplete-gamma coefficient tensor.  ``table`` then costs
-    only a few matrix-vector products per wavenumber.  Engines are plain
-    per-process objects; sweeps parallelised over processes each build their
-    own.
+    only a few matrix-vector products per wavenumber.
     """
 
     def __init__(
@@ -243,7 +245,6 @@ class LatticeSumEngine:
         alpha,
         order_max: int,
         *,
-        eta: float = DEFAULT_ETA,
         spatial_range: int = _SPATIAL_RANGE,
         spectral_range: int = _SPECTRAL_RANGE,
     ):
@@ -251,7 +252,6 @@ class LatticeSumEngine:
             raise ValueError("order_max must be in 0..30")
         self.alpha = as_bloch(alpha)
         self.order_max = order_max
-        self.eta = float(eta)
 
         # reciprocal points p = 2 pi nu + alpha over |nu|_inf <= range
         rng = np.arange(-spectral_range, spectral_range + 1)
@@ -273,7 +273,7 @@ class LatticeSumEngine:
 
         # direct-lattice data (shared cache) plus alpha phases
         mx, my, r, unit_pow, coeff = _spatial_coefficients(
-            order_max, spatial_range, self.eta
+            order_max, spatial_range
         )
         self._spat_ring = (
             np.maximum(np.abs(mx), np.abs(my)) == spatial_range
@@ -298,15 +298,15 @@ class LatticeSumEngine:
 
     # -- main entry ---------------------------------------------------------
 
-    def table(self, k, tol: float = 1e-8, guard: float = 0.05) -> LatticeSumTable:
+    def table(self, k) -> LatticeSumTable:
         """All Q_n for |n| <= order_max at wavenumber ``k``.
 
         Raises
         ------
         NearEmptyResonanceError
-            If Re k is within ``guard`` of an empty-lattice resonance.
+            If Re k is within ``_GUARD`` of an empty-lattice resonance.
         NonConvergenceError
-            If any order's error estimate exceeds ``tol`` -- measured
+            If any order's error estimate exceeds ``_TABLE_TOL`` -- measured
             absolutely for sums of magnitude <= 1 and relative to the sum's
             own size for larger ones (after the caller has had a chance to
             widen the windows; see ``lattice_sum_table``).
@@ -316,9 +316,9 @@ class LatticeSumEngine:
             raise ValueError("Re k must be positive")
         if abs(kc.imag) > 1.0:
             raise ValueError("lattice sums support |Im k| <= 1")
-        if self.margin(kc.real) <= guard:
+        if self.margin(kc.real) <= _GUARD:
             raise NearEmptyResonanceError(
-                f"k={kc.real:.6g} is within {guard:.3g} of an empty-lattice "
+                f"k={kc.real:.6g} is within {_GUARD:.3g} of an empty-lattice "
                 f"resonance at alpha={tuple(self.alpha)}"
             )
         is_real = kc.imag == 0.0
@@ -326,7 +326,7 @@ class LatticeSumEngine:
 
         # ---- spectral part ------------------------------------------------
         k2 = kc * kc
-        w = np.exp((k2 - self._p_norm2) / (4.0 * self.eta * self.eta)) / (
+        w = np.exp((k2 - self._p_norm2) / (4.0 * _ETA * _ETA)) / (
             k2 - self._p_norm2
         )
         k_pow = kc ** (-np.arange(S + 1.0))
@@ -347,7 +347,7 @@ class LatticeSumEngine:
 
         # ---- central correction (order 0) ---------------------------------
         # series sum_{j>=1} zc^j / (j * j!) with zc = (k / (2 eta))^2
-        zc = (half_k / self.eta) ** 2
+        zc = (half_k / _ETA) ** 2
         term = zc
         acc = term
         fact = 1.0
@@ -359,7 +359,7 @@ class LatticeSumEngine:
             if abs(inc) < 1e-18 * max(1.0, abs(acc)):
                 break
         central = -1.0 - (1j / np.pi) * (
-            2.0 * np.log(half_k / self.eta) + EULER_GAMMA + acc
+            2.0 * np.log(half_k / _ETA) + EULER_GAMMA + acc
         )
 
         # ---- assembly and error estimate ----------------------------------
@@ -381,23 +381,23 @@ class LatticeSumEngine:
         floors = 32.0 * np.finfo(float).eps * (gross_spec + gross_spat + 2.0)
         tails = spec_tail + spat_tail + 2.0 * j_tail
         # Convergence is judged per order on the truncation tails alone:
-        # absolute against ``tol`` for sums of magnitude <= 1, relative for
-        # larger ones.  High orders at small k are intrinsically enormous
-        # (the dominant near shell grows like (2/k)^s (s-1)!), so an absolute
-        # criterion there is meaningless -- and harmless to relax, because
-        # every downstream use multiplies the sum by J-factors that shrink
-        # faster than it grows.  The roundoff floor is excluded from the
-        # decision: widening windows cannot reduce cancellation noise (odd
-        # orders at corner Bloch vectors are exact zeros formed from huge
-        # terms), so it is only *reported*, through ``est_error``.
+        # absolute against ``_TABLE_TOL`` for sums of magnitude <= 1,
+        # relative for larger ones.  High orders at small k are intrinsically
+        # enormous (the dominant near shell grows like (2/k)^s (s-1)!), so an
+        # absolute criterion there is meaningless -- and harmless to relax,
+        # because every downstream use multiplies the sum by J-factors that
+        # shrink faster than it grows.  The roundoff floor is excluded from
+        # the decision: widening windows cannot reduce cancellation noise
+        # (odd orders at corner Bloch vectors are exact zeros formed from
+        # huge terms), so it is only *reported*, through ``est_error``.
         scales = np.maximum(
             1.0, np.maximum(np.abs(values[S:]), np.abs(values[S::-1]))
         )
-        if np.any(tails > tol * scales):
+        if np.any(tails > _TABLE_TOL * scales):
             worst = float(np.max(tails / scales))
             raise NonConvergenceError(
                 f"lattice-sum truncation tail {worst:.3e} (worst order, "
-                f"relative to the sum's own size) exceeds tol={tol:.3e} "
+                f"relative to the sum's own size) exceeds tol={_TABLE_TOL:.3e} "
                 f"at k={kc:.6g}"
             )
         est = float(np.max(tails + floors))
@@ -426,11 +426,11 @@ class LatticeSumEngine:
         if np.any(self._p_norm2 == 0.0):
             raise ValueError("k -> 0 limits need a nonzero Bloch vector")
         S = self.order_max
-        w = -np.exp(-self._p_norm2 / (4.0 * self.eta * self.eta)) / self._p_norm2
+        w = -np.exp(-self._p_norm2 / (4.0 * _ETA * _ETA)) / self._p_norm2
         limits = self._sum_orders(
             w, 2.0 ** -np.arange(S + 1.0), self._coeff[:, 0, :]
         )
-        limits[S] += -1.0 - (1j / np.pi) * (EULER_GAMMA - 2.0 * np.log(self.eta))
+        limits[S] += -1.0 - (1j / np.pi) * (EULER_GAMMA - 2.0 * np.log(_ETA))
         return limits
 
     def _sum_orders(self, w, k_pow, radial) -> np.ndarray:
@@ -478,26 +478,21 @@ def _engine_for(alpha_key: bytes, order_max: int, widen: int = 0) -> LatticeSumE
     )
 
 
-def lattice_sum_table(
-    order_max: int, k, alpha, tol: float = 1e-8, guard: float = 0.05
-) -> LatticeSumTable:
+def lattice_sum_table(order_max: int, k, alpha) -> LatticeSumTable:
     """Table of Q_n, |n| <= order_max, with automatic window widening.
 
-    If the default Ewald windows miss ``tol`` the computation is retried once
-    with windows widened by 3 before giving up with ``NonConvergenceError``.
+    If the default Ewald windows miss ``_TABLE_TOL`` the computation is
+    retried once with windows widened by 3 before giving up with
+    ``NonConvergenceError``.
     """
     alpha = as_bloch(alpha)
     try:
-        return _engine_for(alpha.tobytes(), order_max).table(
-            k, tol=tol, guard=guard
-        )
+        return _engine_for(alpha.tobytes(), order_max).table(k)
     except NonConvergenceError:
         logger.info(
             "widening Ewald windows at k=%s, alpha=%s", k, tuple(alpha)
         )
-        return _engine_for(alpha.tobytes(), order_max, widen=_RANGE_BUMP).table(
-            k, tol=tol, guard=guard
-        )
+        return _engine_for(alpha.tobytes(), order_max, widen=_RANGE_BUMP).table(k)
 
 
 def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:

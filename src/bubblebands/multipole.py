@@ -340,9 +340,6 @@ def assemble_characteristic_matrix(
     alpha,
     crystal: DiskCrystal,
     truncation: int,
-    *,
-    lattice_tol: float = 1e-8,
-    guard: float = 0.05,
 ) -> CharacteristicMatrix:
     """Full transmission matrix at frequency ``omega`` and Bloch vector ``alpha``.
 
@@ -351,8 +348,8 @@ def assemble_characteristic_matrix(
     band frequencies.  ``omega`` may sit slightly off the real axis (the
     complex root refinement needs this); its real part must be positive.
     The lattice-sum table of order 2N is built internally at
-    ``k = omega / v``, with ``guard`` the minimum admissible distance to
-    the empty-lattice resonances.
+    ``k = omega / v``; it raises ``NearEmptyResonanceError`` within
+    ``lattice._GUARD`` of an empty-lattice resonance.
     """
     omega_c = complex(omega)
     if omega_c.real <= 0.0:
@@ -365,9 +362,7 @@ def assemble_characteristic_matrix(
 
     k = omega_c / material.v
     k_b = omega_c / material.v_b
-    table = lattice_sum_table(
-        max(2 * truncation, 1), k, alpha, tol=lattice_tol, guard=guard
-    )
+    table = lattice_sum_table(max(2 * truncation, 1), k, alpha)
     s_outer, ds_outer = _outer_block_matrices(
         k, crystal.radius, table, truncation
     )

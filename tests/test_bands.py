@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bubblebands import bands
 from bubblebands.bands import (
     BandNotFoundError,
     BandPoint,
@@ -12,7 +13,7 @@ from bubblebands.bands import (
     RejectedRootError,
     RootDiagnostics,
     RootNotConvergedError,
-    ScanSettings,
+    ScanResult,
     band_structure,
     bands_at,
     muller_refine,
@@ -96,10 +97,11 @@ def test_muller_flat_function_raises_not_converged():
         muller_refine(lambda x: 1.0 + 0.0 * x, 0.0, 1.0, 2.0)
 
 
-def test_muller_iteration_budget_exhaustion_carries_best_iterate():
+def test_muller_iteration_budget_exhaustion_carries_best_iterate(monkeypatch):
     # a root only reachable slowly: |x|^0.1-like kink slows the quadratic model
+    monkeypatch.setattr(bands, "_MULLER_MAX_ITER", 4)
     with pytest.raises(RootNotConvergedError) as info:
-        muller_refine(lambda x: 1.0 + abs(x) ** 2, 0.3, 1.0, 2.0, max_iter=4)
+        muller_refine(lambda x: 1.0 + abs(x) ** 2, 0.3, 1.0, 2.0)
     assert info.value.iterations == 4
     assert np.isfinite(info.value.best.real)
 
@@ -121,12 +123,6 @@ def test_scan_empty_range_yields_no_brackets():
     assert result.brackets == ()
 
 
-def test_scan_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3),
-                         step=-1e-3)
-
-
 def test_scan_dilute_corner_has_exactly_one_subwavelength_bracket():
     result = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
     assert len(result.brackets) == 1
@@ -136,8 +132,7 @@ def test_scan_dilute_corner_has_exactly_one_subwavelength_bracket():
 
 
 def test_scan_brackets_iterate_in_ascending_order():
-    result = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0),
-                              step=1e-2)
+    result = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0))
     mids = [mid for _, mid, _ in result]
     assert mids == sorted(mids)
     assert len(mids) >= 2  # resonance band plus the folded band above
@@ -152,11 +147,11 @@ def test_scan_flags_zone_centre_low_frequency_resonance():
     assert lo < 0.06 and hi <= 0.06
 
 
-def test_scan_step_halving_preserves_the_refined_root():
+def test_scan_step_halving_preserves_the_refined_root(monkeypatch):
+    fine = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
+    monkeypatch.setattr(bands, "_STEP_LOW", 2.0 * bands._STEP_LOW)
     coarse = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3,
-                              (0.2, 0.3), step=4e-3)
-    fine = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3,
-                            (0.2, 0.3), step=2e-3)
+                              (0.2, 0.3))
     assert len(coarse) == len(fine) == 1
     # both brackets must contain the frozen root
     for lo, _, hi in (coarse.brackets[0], fine.brackets[0]):
@@ -185,6 +180,40 @@ def test_first_two_bands_raises_when_ceiling_is_too_low():
         bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.1)
 
 
+def test_zone_centre_single_band_assembles_no_matrix(monkeypatch):
+    calls = []
+    real = bands.assemble_characteristic_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bands, "assemble_characteristic_matrix", counted)
+    omegas, _ = bands_at((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.4,
+                         band_count=1)
+    assert omegas == (0.0,)
+    assert len(calls) == 0
+
+
+def test_muller_iterate_inside_the_guard_skips_only_its_bracket(monkeypatch):
+    # All three starts lie at least 0.0101 from the fourfold line
+    # pi sqrt(2) = 4.442883 at M, but Muller steps to k = 4.4373, inside the
+    # lattice-sum guard.  The bracket must count as unconverged, not end the
+    # search at this Bloch vector.
+    real_scan = bands.scan_and_bracket
+
+    def with_guard_bracket(*args, **kwargs):
+        scan = real_scan(*args, **kwargs)
+        brackets = sorted((*scan.brackets, (4.453, 4.455, 4.457)),
+                          key=lambda b: b[1])
+        return ScanResult(brackets=tuple(brackets), flagged=scan.flagged)
+
+    monkeypatch.setattr(bands, "scan_and_bracket", with_guard_bracket)
+    (w1, w2), _ = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
+    assert w1 == pytest.approx(DILUTE_M_BAND1, abs=1e-9)
+    assert w2 == pytest.approx(4.5107, abs=5e-3)
+
+
 def test_refined_corner_root_lies_inside_its_scan_bracket():
     scan = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
     lo, _, hi = scan.brackets[0]
@@ -208,15 +237,6 @@ def test_resonance_near_validates_arguments():
         resonance_near(0.0, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
     with pytest.raises(ValueError):
         resonance_near(0.2, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, window=1.5)
-
-
-def test_scan_settings_validation():
-    with pytest.raises(ValueError):
-        ScanSettings(step_low=0.0)
-    with pytest.raises(ValueError):
-        ScanSettings(refine_guard=0.1, guard=0.05)
-    with pytest.raises(ValueError):
-        ScanSettings(muller_max_iter=0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ def test_default_config_is_valid_and_dilute():
 def test_config_rejects_nonpositive_numbers():
     with pytest.raises(UsageError):
         RunConfig(radius=-0.1)
-    with pytest.raises(UsageError):
-        RunConfig(scan_step=0.0)
 
 
 def test_config_rejects_oversized_truncation_and_radius():
@@ -46,10 +44,12 @@ def test_config_requires_minimum_path_resolution_and_drops_cutoff_key(
     with pytest.raises(UsageError):
         RunConfig(path_resolution=2)
     # A key the program does not read is rejected, not silently ignored.
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"spectral_cutoff": 120}))
-    assert main(["capacity", "--config", str(path)]) == 2
-    assert "spectral_cutoff" in capsys.readouterr().err
+    for key, value in (("spectral_cutoff", 120), ("scan_step", 2e-3),
+                       ("lattice_tol", 1e-8)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: value}))
+        assert main(["capacity", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_load_config_merges_file_and_overrides(tmp_path):

@@ -63,7 +63,7 @@ def test_odd_orders_vanish_at_corner_bloch_vectors():
 
 
 def test_odd_orders_within_default_tolerance_at_corner():
-    table = lat.lattice_sum_table(6, 0.9, lat.M_POINT, tol=1e-8)
+    table = lat.lattice_sum_table(6, 0.9, lat.M_POINT)
     assert max(abs(table.value(n)) for n in (-5, -3, -1, 1, 3, 5)) <= 1e-8
 
 
@@ -145,21 +145,24 @@ def test_default_tolerance_has_wide_headroom():
 # guards and failure modes
 # ---------------------------------------------------------------------------
 
-def test_near_resonance_guard_raises():
+def test_near_resonance_guard_raises(monkeypatch):
     with pytest.raises(lat.NearEmptyResonanceError):
         lat.lattice_sum_table(2, np.pi - 0.01, lat.X_POINT)
-    # wider guard catches points the default would accept
-    with pytest.raises(lat.NearEmptyResonanceError):
-        lat.lattice_sum_table(2, np.pi - 0.2, lat.X_POINT, guard=0.5)
-    # same wavenumber passes at the default guard
+    # wider guard catches points the production guard accepts
+    with monkeypatch.context() as patch:
+        patch.setattr(lat, "_GUARD", 0.5)
+        with pytest.raises(lat.NearEmptyResonanceError):
+            lat.lattice_sum_table(2, np.pi - 0.2, lat.X_POINT)
+    # same wavenumber passes at the production guard
     lat.lattice_sum_table(2, np.pi - 0.2, lat.X_POINT)
 
 
-def test_unreachable_tolerance_raises_after_widening():
+def test_unreachable_tolerance_raises_after_widening(monkeypatch):
     # Gaussian window damping reaches ~1e-85 truncation tails after the
     # automatic widening retry; below that the request cannot be met.
+    monkeypatch.setattr(lat, "_TABLE_TOL", 1e-90)
     with pytest.raises(lat.NonConvergenceError):
-        lat.lattice_sum_table(2, 1.1, (0.6, 0.6), tol=1e-90)
+        lat.lattice_sum_table(2, 1.1, (0.6, 0.6))
 
 
 def test_wavenumber_domain_checks():
