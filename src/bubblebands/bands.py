@@ -16,6 +16,16 @@ bands.  The scan subdivides and flags such guard zones instead of silently
 skipping them, and evaluates inside them with a tighter guard so that a band
 squeezed against a resonance is still found.
 
+The scan builds its whole frequency grid first (the zone margins come from
+one sorted list of empty-lattice lines per scan) and then evaluates it in
+batches of ``_CHUNK_ENTRIES // size**2`` frequencies for matrices of
+``size``: per batch one lattice-sum batch, one stack of matrices
+(``multipole.characteristic_entries``) and one stacked equilibration and
+SVD.  A frequency inside the lattice-sum guard, with unconverged lattice
+sums or with a non-finite entry gets an infinite indicator without
+affecting the rest of its batch.  Muller and the acceptance test stay
+per frequency, through the same code as batches of one.
+
 The path sweep walks the closed polyline through the zone corners
 (0,0) -> (pi,0) -> (pi,pi) -> (0,0), collects the lowest bands at each
 sample, and reports the maximum of the first band, where it is attained, and
@@ -39,13 +49,14 @@ from .lattice import (
     NearEmptyResonanceError,
     NonConvergenceError,
     as_bloch,
-    empty_lattice_margin,
+    nearest_margin,
+    resonance_norms,
 )
 from .multipole import (
-    CharacteristicMatrix,
     DiskCrystal,
     MaterialParams,
     assemble_characteristic_matrix,
+    characteristic_entries,
 )
 
 __all__ = [
@@ -102,17 +113,36 @@ _IMAG_TOL = 1e-8
 #: Muller stopping rule: relative step size and iteration budget.
 _MULLER_TOL = 1e-10
 _MULLER_MAX_ITER = 50
+#: Matrix entries per batch of scan frequencies.  The scan evaluates its grid
+#: in batches of ``_CHUNK_ENTRIES // size**2`` frequencies for matrices of
+#: ``size``: 16 at N = 7, 73 at N = 3.  It bounds the memory a batch holds.
+_CHUNK_ENTRIES = 14_400
 
 
 # ---------------------------------------------------------------------------
 # singularity indicator and determinant
 # ---------------------------------------------------------------------------
 
-def _equilibrate(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row to unit max-norm; zero rows keep scale one."""
-    scale = np.max(np.abs(entries), axis=1)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return entries / scale[:, None], scale
+def _row_scales(entries: np.ndarray) -> np.ndarray:
+    """Max-norm of each row (last axis); zero rows keep scale one."""
+    scale = np.max(np.abs(entries), axis=-1)
+    return np.where(scale == 0.0, 1.0, scale)
+
+
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values, largest first, of each row-equilibrated matrix of a stack.
+
+    ``stack`` is ``(K, n, n)`` and is equilibrated in place: each row is
+    scaled to unit max-norm.  A matrix with a non-finite entry gets a row of
+    ``inf`` and is left out of the SVD.
+    """
+    finite = np.all(np.isfinite(stack), axis=(-2, -1))
+    part = stack if finite.all() else stack[finite]
+    part /= _row_scales(part)[..., None]
+    values = np.full(stack.shape[:-1], math.inf)
+    if part.size:
+        values[finite] = np.linalg.svd(part, compute_uv=False)
+    return values
 
 
 def singular_value_indicator(matrix) -> float:
@@ -123,11 +153,10 @@ def singular_value_indicator(matrix) -> float:
     value near zero is a genuine rank deficiency rather than a scaling
     artifact.  Accepts an assembled characteristic matrix or a bare array.
     """
-    entries = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
+    entries = np.array(getattr(matrix, "entries", matrix), dtype=complex)
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix entries must be finite")
-    scaled, _ = _equilibrate(entries)
-    return float(np.linalg.svd(scaled, compute_uv=False)[-1])
+    return float(_singular_values(entries[None])[0, -1])
 
 
 def _scaled_log_determinant(entries: np.ndarray, row_scale: np.ndarray) -> complex:
@@ -243,6 +272,47 @@ class ScanResult:
         return len(self.brackets)
 
 
+def _scan_grid(
+    alpha: np.ndarray,
+    material: MaterialParams,
+    omega_range: tuple[float, float],
+) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
+    """The scan's (guard-aware) frequency grid and its flagged zones.
+
+    Steps ``_STEP_LOW`` below ``_STEP_SPLIT`` and ``_STEP_HIGH`` above,
+    halved where the empty-lattice margin is within ``_ZONE_MARGIN``.  A
+    step that would end within half a step of the top goes to the top
+    instead, so the grid never ends with a roundoff-sized step.
+    """
+    lo, hi = (float(omega_range[0]), float(omega_range[1]))
+    norms = resonance_norms(alpha, hi / material.v)
+
+    def in_zone(w: float) -> bool:
+        return nearest_margin(norms, w / material.v) <= _ZONE_MARGIN
+
+    omegas: list[float] = []
+    flagged: list[tuple[float, float]] = []
+    flag_start: float | None = None
+    w = max(lo, 0.0)
+    zone = in_zone(w)
+    while w < hi - 1e-15:
+        base = _STEP_LOW if w < _STEP_SPLIT else _STEP_HIGH
+        # half-step through flagged zones so a band squeezed against an
+        # empty-lattice resonance still produces a bracketable minimum
+        step = 0.5 * base if zone else base
+        w = hi if hi - (w + step) < 0.5 * step else w + step
+        zone = in_zone(w)
+        if zone and flag_start is None:
+            flag_start = w
+        elif not zone and flag_start is not None:
+            flagged.append((flag_start, omegas[-1] if omegas else flag_start))
+            flag_start = None
+        omegas.append(w)
+    if flag_start is not None:
+        flagged.append((flag_start, hi))
+    return np.asarray(omegas), tuple(flagged)
+
+
 def _indicator_profile(
     alpha: np.ndarray,
     material: MaterialParams,
@@ -250,36 +320,23 @@ def _indicator_profile(
     truncation: int,
     omega_range: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
-    """Indicator values on the (guard-aware) frequency grid."""
-    lo, hi = (float(omega_range[0]), float(omega_range[1]))
-    omegas: list[float] = []
-    values: list[float] = []
-    flagged: list[tuple[float, float]] = []
-    flag_start: float | None = None
-    w = max(lo, 0.0)
-    in_zone = empty_lattice_margin(w / material.v, alpha) <= _ZONE_MARGIN
-    while w < hi - 1e-15:
-        base = _STEP_LOW if w < _STEP_SPLIT else _STEP_HIGH
-        # half-step through flagged zones so a band squeezed against an
-        # empty-lattice resonance still produces a bracketable minimum
-        w = min(w + (0.5 * base if in_zone else base), hi)
-        in_zone = empty_lattice_margin(w / material.v, alpha) <= _ZONE_MARGIN
-        if in_zone and flag_start is None:
-            flag_start = w
-        elif not in_zone and flag_start is not None:
-            flagged.append((flag_start, omegas[-1] if omegas else flag_start))
-            flag_start = None
-        try:
-            cm = assemble_characteristic_matrix(
-                w, material, alpha, crystal, truncation
-            )
-            values.append(singular_value_indicator(cm))
-        except (NearEmptyResonanceError, NonConvergenceError, ValueError):
-            values.append(math.inf)
-        omegas.append(w)
-    if flag_start is not None:
-        flagged.append((flag_start, hi))
-    return np.asarray(omegas), np.asarray(values), tuple(flagged)
+    """Indicator values on the scan grid, evaluated in batches.
+
+    Each batch of frequencies costs one lattice-sum batch (plus one on
+    widened windows for its misses), one stack of matrices and one SVD
+    call.  A frequency inside the lattice-sum guard, with unconverged
+    lattice sums or with a non-finite matrix entry gets ``inf``.
+    """
+    omegas, flagged = _scan_grid(alpha, material, omega_range)
+    size = 2 * (2 * truncation + 1)
+    chunk = max(1, _CHUNK_ENTRIES // (size * size))
+    values = np.empty(omegas.size)
+    for start in range(0, omegas.size, chunk):
+        stack = characteristic_entries(
+            omegas[start : start + chunk], material, alpha, crystal, truncation
+        )
+        values[start : start + chunk] = _singular_values(stack)[:, -1]
+    return omegas, values, flagged
 
 
 def scan_and_bracket(
@@ -367,7 +424,7 @@ def _refine_bracket(
                 iterations=0,
             ) from exc
         if row_scale is None:
-            _, row_scale = _equilibrate(cm.entries)
+            row_scale = _row_scales(cm.entries)
         log_det = _scaled_log_determinant(cm.entries, row_scale)
         if ref_mag is None:
             ref_mag = log_det.real
@@ -385,10 +442,11 @@ def _refine_bracket(
             )
         except (NearEmptyResonanceError, NonConvergenceError, ValueError):
             return False
-        scaled, _ = _equilibrate(cm.entries)
-        spectrum = np.linalg.svd(scaled, compute_uv=False)
+        spectrum = _singular_values(cm.entries[None])[0]
         last["indicator"] = float(spectrum[-1])
-        return spectrum[-1] <= _INDICATOR_TOL * spectrum[0]
+        return math.isfinite(spectrum[0]) and (
+            spectrum[-1] <= _INDICATOR_TOL * spectrum[0]
+        )
 
     result = muller_refine(
         determinant, complex(lo), complex(hi), complex(mid), accept=accept

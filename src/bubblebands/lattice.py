@@ -26,6 +26,18 @@ Q_{-order_max}..Q_{order_max} an O(10^5)-flop operation -- cheap enough to
 sit inside frequency scans.  Valid also slightly off the real k axis
 (Re k > 0), which the complex root refinement relies on.
 
+A table is computed for a 1-D array of wavenumbers in one pass (a batch);
+a single wavenumber is the batch of one.  The spectral and spatial sums
+are contractions over the lattice points that keep the wavenumber as a
+stack axis, so a wavenumber gets bitwise the same table in a batch of any
+size.  (A batch with no complex wavenumber runs in real arithmetic where
+it can, so a real wavenumber gets that table in such batches only.)  The
+guard and the tail test act per wavenumber: in a batch, a
+wavenumber that fails either is marked and gets NaN values, and the misses
+of the tail test are recomputed together on the widened windows.  The
+band scan (``bands``) evaluates its frequency grid this way, one batch of
+``bands._CHUNK_ENTRIES`` matrix entries at a time.
+
 All conventions (phases, prefactors, the n < 0 continuation) are pinned by
 the test suite against an independent brute-force summation and against
 exact identities (Re Q_0 = -1, parity in alpha, odd orders vanishing at the
@@ -34,6 +46,7 @@ corner points).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
@@ -63,6 +76,8 @@ _SPATIAL_RANGE = 5     # direct-lattice window |m|_inf <= range, m != 0
 _SPECTRAL_RANGE = 5    # reciprocal window |nu|_inf <= range
 _J_CAP = 40            # series depth of the spatial radial functions
 _RANGE_BUMP = 3        # widening applied when a tail misses _TABLE_TOL
+#: j * j! for j = 1..59, the divisors of the central series (see ``table``)
+_CENTRAL_DIV = np.cumprod(np.arange(1.0, 60.0)) * np.arange(1.0, 60.0)
 
 
 class NonConvergenceError(RuntimeError):
@@ -87,6 +102,16 @@ def as_bloch(alpha) -> np.ndarray:
     return arr.copy()
 
 
+def _reciprocal_norms(alpha: np.ndarray, k: float) -> np.ndarray:
+    """``|q|`` of the reciprocal points ``q = 2 pi nu + alpha`` with ``|q| <= k + 2 pi``."""
+    reach = int(np.ceil((k + 2.0 * np.pi + np.pi * np.sqrt(2.0)) / (2.0 * np.pi))) + 1
+    ii = 2.0 * np.pi * np.arange(-reach, reach + 1)
+    qx = ii + alpha[0]
+    qy = ii + alpha[1]
+    qn = np.sqrt(qx[:, None] ** 2 + qy[None, :] ** 2).ravel()
+    return qn[qn <= k + 2.0 * np.pi]
+
+
 def empty_lattice_margin(k: float, alpha) -> float:
     """Distance from ``k`` to the nearest empty-lattice resonance ``|q|``.
 
@@ -96,15 +121,31 @@ def empty_lattice_margin(k: float, alpha) -> float:
     """
     alpha = as_bloch(alpha)
     k = float(k)
-    reach = int(np.ceil((k + 2.0 * np.pi + np.pi * np.sqrt(2.0)) / (2.0 * np.pi))) + 1
-    ii = 2.0 * np.pi * np.arange(-reach, reach + 1)
-    qx = ii + alpha[0]
-    qy = ii + alpha[1]
-    qn = np.sqrt(qx[:, None] ** 2 + qy[None, :] ** 2).ravel()
-    qn = qn[qn <= k + 2.0 * np.pi]
+    qn = _reciprocal_norms(alpha, k)
     if qn.size == 0:
         return k + 2.0 * np.pi
     return float(np.min(np.abs(k - qn)))
+
+
+def resonance_norms(alpha, k_max: float) -> list[float]:
+    """Sorted ``|q|`` of the reciprocal points with ``|q| <= k_max + 2 pi``.
+
+    Every point of the plane lies within pi sqrt(2) of a reciprocal point,
+    so the ``|q|`` nearest any ``0 <= k <= k_max`` is among them.  Built
+    once per frequency scan, for ``nearest_margin``.
+    """
+    return sorted(_reciprocal_norms(as_bloch(alpha), float(k_max)).tolist())
+
+
+def nearest_margin(norms: list[float], k: float) -> float:
+    """``empty_lattice_margin(k, alpha)`` from ``norms = resonance_norms(alpha, k_max)``.
+
+    Needs ``0 <= k <= k_max``.  Bisection finds the two ``|q|`` that
+    bracket ``k``; the nearer one gives the same floating-point distance
+    that ``empty_lattice_margin`` finds by its full minimum.
+    """
+    i = bisect.bisect_left(norms, k)
+    return min(abs(k - q) for q in norms[max(i - 1, 0): i + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -115,29 +156,43 @@ def empty_lattice_margin(k: float, alpha) -> float:
 class LatticeSumTable:
     """Lattice sums Q_n for all |n| <= order_max at one (k, alpha).
 
+    A batch table holds the sums at each wavenumber of a 1-D array ``k``
+    (see ``LatticeSumEngine.table``): ``values`` then has one row per
+    wavenumber and ``est_error``, ``in_guard`` and ``converged`` one entry.
+
     Attributes
     ----------
-    k : complex
-        Wavenumber (real on the physical axis; complex during refinement).
+    k : complex or ndarray
+        Wavenumber (real on the physical axis; complex during refinement),
+        or the 1-D array of wavenumbers of a batch.
     alpha : ndarray
         Bloch vector, shape (2,).
     order_max : int
         Largest stored order.
     values : ndarray
-        ``Q_{-order_max} .. Q_{order_max}``, length ``2 * order_max + 1``.
-    est_error : float
+        ``Q_{-order_max} .. Q_{order_max}``, length ``2 * order_max + 1``;
+        shape ``(K, 2 * order_max + 1)`` for a batch of K wavenumbers, with
+        a row of NaN wherever ``in_guard`` is set or ``converged`` is not.
+    est_error : float or ndarray
         Internal absolute error estimate (max over orders): window-tail
         bound plus a roundoff floor proportional to the gross magnitude of
         the summed terms.  May exceed the requested tolerance when the
         high-order sums are intrinsically large (small-k tables); those
         orders are converged relative to their own size instead.
+    in_guard, converged : bool or ndarray
+        Whether Re k lies within ``_GUARD`` of an empty-lattice resonance,
+        and whether every order's truncation tail met ``_TABLE_TOL``.  A
+        table at one wavenumber always has ``False`` and ``True``: the
+        engine raises instead.
     """
 
-    k: complex
+    k: complex | np.ndarray
     alpha: np.ndarray = field(repr=False)
     order_max: int
     values: np.ndarray = field(repr=False)
-    est_error: float
+    est_error: float | np.ndarray
+    in_guard: bool | np.ndarray = False
+    converged: bool | np.ndarray = True
 
     def value(self, n: int) -> complex:
         if abs(n) > self.order_max:
@@ -264,12 +319,14 @@ class LatticeSumEngine:
         self._p_norm2 = px * px + py * py
         self._p_norm = np.sqrt(self._p_norm2)
         pc = px + 1j * py
-        self._p_pow = np.empty((order_max + 1, pc.size), dtype=complex)
-        self._p_pow[0] = 1.0
+        # powers (px + i py)^s, laid out (point, order) for the contractions
+        p_pow = np.empty((pc.size, order_max + 1), dtype=complex)
+        p_pow[:, 0] = 1.0
         for s in range(1, order_max + 1):
-            self._p_pow[s] = self._p_pow[s - 1] * pc
-        self._p_pow_abs = np.abs(self._p_pow)
-        self._ring_p_abs = self._p_pow_abs[:, self._spec_ring]
+            p_pow[:, s] = p_pow[:, s - 1] * pc
+        self._p_pow = p_pow
+        self._p_pow_abs = np.abs(p_pow)
+        self._ring_p_abs = self._p_pow_abs[self._spec_ring]
 
         # direct-lattice data (shared cache) plus alpha phases
         mx, my, r, unit_pow, coeff = _spatial_coefficients(
@@ -277,13 +334,24 @@ class LatticeSumEngine:
         )
         self._spat_ring = (
             np.maximum(np.abs(mx), np.abs(my)) == spatial_range
-        )
-        self._r = r
-        self._unit_pow = unit_pow
-        self._unit_pow_conj = np.conj(unit_pow)
+        ).astype(float)
         self._coeff = coeff
         self._j_cap_abs = np.sum(np.abs(coeff[:, _J_CAP, :]), axis=1)
-        self._spat_phase = np.exp(-1j * (mx * self.alpha[0] + my * self.alpha[1]))
+        # The spatial sums contract the real radial functions with the real
+        # and imaginary parts of e^{-i alpha.m} e^{+i s phi} and
+        # e^{-i alpha.m} e^{-i s phi}, stacked as the last axis, so that no
+        # complex copy of the radial tensor is formed.
+        phase = np.exp(-1j * (mx * self.alpha[0] + my * self.alpha[1]))
+        pos = phase * unit_pow
+        neg = phase * np.conj(unit_pow)
+        self._spat_kernel = np.stack(
+            [pos.real, pos.imag, neg.real, neg.imag], axis=-1
+        )
+        # exponents 2j - s of the powers (k/2)^(2j - s) of the radial series
+        self._povs_expo = (
+            2.0 * np.arange(_J_CAP + 1.0)[None, :]
+            - np.arange(order_max + 1.0)[:, None]
+        )
 
         self._pref_pos = np.array(
             [4.0 * 1j ** (s + 1) for s in range(order_max + 1)]
@@ -292,92 +360,138 @@ class LatticeSumEngine:
 
     # -- helpers ------------------------------------------------------------
 
-    def margin(self, k: float) -> float:
-        """Distance of (the real part of) k to the nearest |p| in the grid."""
-        return float(np.min(np.abs(float(np.real(k)) - self._p_norm)))
+    def margin(self, k):
+        """Distance of (the real part of) k to the nearest |p| in the grid.
+
+        Elementwise over an array of wavenumbers.
+        """
+        kr = np.asarray(np.real(k), dtype=float)
+        return np.min(np.abs(kr[..., None] - self._p_norm), axis=-1)
 
     # -- main entry ---------------------------------------------------------
 
     def table(self, k) -> LatticeSumTable:
-        """All Q_n for |n| <= order_max at wavenumber ``k``.
+        """All Q_n for |n| <= order_max at wavenumber ``k``, or at each k of a 1-D array.
+
+        A 1-D array is evaluated in one pass and returns a batch table: the
+        guard and the convergence test act per wavenumber, and a wavenumber
+        that fails either is marked in ``in_guard`` or ``converged`` and
+        gets a row of NaN, without affecting the others.  A single ``k`` is
+        the batch of one and raises instead.
 
         Raises
         ------
+        ValueError
+            If any Re k <= 0 or |Im k| > 1.
         NearEmptyResonanceError
-            If Re k is within ``_GUARD`` of an empty-lattice resonance.
+            If a single ``k`` has Re k within ``_GUARD`` of an empty-lattice
+            resonance.
         NonConvergenceError
-            If any order's error estimate exceeds ``_TABLE_TOL`` -- measured
-            absolutely for sums of magnitude <= 1 and relative to the sum's
-            own size for larger ones (after the caller has had a chance to
-            widen the windows; see ``lattice_sum_table``).
+            If, for a single ``k``, any order's error estimate exceeds
+            ``_TABLE_TOL`` -- measured absolutely for sums of magnitude <= 1
+            and relative to the sum's own size for larger ones (after the
+            caller has had a chance to widen the windows; see
+            ``lattice_sum_table``).
         """
-        kc = complex(k)
-        if kc.real <= 0.0:
+        ks = np.asarray(k, dtype=complex)
+        if ks.ndim > 1:
+            raise ValueError("k must be a scalar or a 1-D array")
+        if np.any(ks.real <= 0.0):
             raise ValueError("Re k must be positive")
-        if abs(kc.imag) > 1.0:
+        if np.any(np.abs(ks.imag) > 1.0):
             raise ValueError("lattice sums support |Im k| <= 1")
-        if self.margin(kc.real) <= _GUARD:
+        batch, worst = self._evaluate(ks.reshape(-1))
+        if ks.ndim == 1:
+            return batch
+        kc = complex(ks)
+        if batch.in_guard[0]:
             raise NearEmptyResonanceError(
                 f"k={kc.real:.6g} is within {_GUARD:.3g} of an empty-lattice "
                 f"resonance at alpha={tuple(self.alpha)}"
             )
-        is_real = kc.imag == 0.0
+        if not batch.converged[0]:
+            raise NonConvergenceError(
+                f"lattice-sum truncation tail {worst[0]:.3e} (worst order, "
+                f"relative to the sum's own size) exceeds tol={_TABLE_TOL:.3e} "
+                f"at k={kc:.6g}"
+            )
+        return LatticeSumTable(
+            k=kc if kc.imag else complex(kc.real),
+            alpha=self.alpha,
+            order_max=self.order_max,
+            values=batch.values[0],
+            est_error=float(batch.est_error[0]),
+        )
+
+    def _evaluate(self, ks: np.ndarray) -> tuple[LatticeSumTable, np.ndarray]:
+        """Batch table at the 1-D complex array ``ks``, and the worst tail ratio per k."""
         S = self.order_max
+        in_guard = self.margin(ks) <= _GUARD
+        is_real = not np.any(ks.imag)
 
         # ---- spectral part ------------------------------------------------
-        k2 = kc * kc
-        w = np.exp((k2 - self._p_norm2) / (4.0 * _ETA * _ETA)) / (
-            k2 - self._p_norm2
-        )
-        k_pow = kc ** (-np.arange(S + 1.0))
+        k2 = (ks * ks)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.exp((k2 - self._p_norm2) / (4.0 * _ETA * _ETA)) / (
+                k2 - self._p_norm2
+            )
+        k_pow = ks[:, None] ** (-np.arange(S + 1.0))
 
         # ---- spatial part -------------------------------------------------
-        half_k = 0.5 * kc
-        log_half_k = np.log(half_k)
-        jj = np.arange(_J_CAP + 1)
-        # povs[s, j] = (k/2)^(2j - s)
-        expo = 2.0 * jj[None, :] - np.arange(S + 1.0)[:, None]
-        povs = np.exp(expo * log_half_k)
-        # radial[s, pt] = sum_j povs[s, j] coeff[s, j, pt], as one real
-        # batched matmul per part of povs (its imaginary part is exactly 0
-        # for real k)
-        radial = (povs.real[:, None, :] @ self._coeff)[:, 0]
-        if not is_real:
-            radial = radial + 1j * (povs.imag[:, None, :] @ self._coeff)[:, 0]
+        # povs[k, s, 0, j] = (k/2)^(2j - s); radial[k, s, 0, pt] = sum_j
+        # povs[k, s, 0, j] coeff[s, j, pt], real for real k.  Every
+        # contraction keeps k as a stack axis of one-row products, so a
+        # wavenumber's sums take the same floating-point steps in a batch of
+        # any size: the odd orders at the corner Bloch vectors are roundoff
+        # of huge terms, and a batch must reproduce them exactly.
+        half_k = 0.5 * ks
+        log_half_k = np.log(half_k.real if is_real else half_k)
+        povs = np.exp(log_half_k[:, None, None, None] * self._povs_expo[:, None, :])
+        if is_real:
+            radial, radial_imag = povs @ self._coeff, None
+        else:
+            radial = np.ascontiguousarray(povs.real) @ self._coeff
+            radial_imag = np.ascontiguousarray(povs.imag) @ self._coeff
 
         # ---- central correction (order 0) ---------------------------------
-        # series sum_{j>=1} zc^j / (j * j!) with zc = (k / (2 eta))^2
+        # series sum_{j>=1} zc^j / (j * j!) with zc = (k / (2 eta))^2, summed
+        # term by term and stopped at each k's first term below 1e-18 of the
+        # partial sum (or of 1)
         zc = (half_k / _ETA) ** 2
-        term = zc
-        acc = term
-        fact = 1.0
-        for j in range(2, 60):
-            fact *= j
-            term = term * zc
-            inc = term / (j * fact)
-            acc = acc + inc
-            if abs(inc) < 1e-18 * max(1.0, abs(acc)):
-                break
+        terms = np.cumprod(
+            np.broadcast_to(zc[:, None], (ks.size, _CENTRAL_DIV.size)), axis=1
+        ) / _CENTRAL_DIV
+        partial = np.cumsum(terms, axis=1)
+        small = np.abs(terms[:, 1:]) < 1e-18 * np.maximum(
+            1.0, np.abs(partial[:, 1:])
+        )
+        stop = np.where(small.any(axis=1), np.argmax(small, axis=1) + 1, -1)
+        acc = partial[np.arange(ks.size), stop]
         central = -1.0 - (1j / np.pi) * (
             2.0 * np.log(half_k / _ETA) + EULER_GAMMA + acc
         )
 
         # ---- assembly and error estimate ----------------------------------
-        values = self._sum_orders(w, k_pow, radial)
-        values[S] += central
+        values = self._sum_orders(w, k_pow, radial, radial_imag)
+        values[:, S] += central
 
-        ring_w = np.abs(w[self._spec_ring])
-        spec_tail = 4.0 * np.abs(k_pow) * (self._ring_p_abs @ ring_w)
-        ring_r = np.abs(radial[:, self._spat_ring])
-        spat_tail = np.sum(ring_r, axis=1) / np.pi
-        j_tail = np.abs(povs[:, _J_CAP]) * self._j_cap_abs / np.pi
+        abs_k_pow = np.abs(k_pow)
+        ring_w = np.abs(w[:, None, self._spec_ring])
+        spec_tail = 4.0 * abs_k_pow * (ring_w @ self._ring_p_abs)[:, 0]
+        # |radial|, in place: the radial tensor is no longer needed
+        if radial_imag is None:
+            abs_radial = np.abs(radial, out=radial)[:, :, 0]
+        else:
+            abs_radial = np.hypot(radial, radial_imag, out=radial)[:, :, 0]
+        spat_tail = (abs_radial @ self._spat_ring) / np.pi
+        j_tail = np.abs(povs[:, :, 0, _J_CAP]) * self._j_cap_abs / np.pi
         # Roundoff floor: the windows truncate far below machine precision,
         # so the estimate must also cover cancellation noise, proportional to
         # the gross (unsigned) magnitude of the summed terms.  Without it,
         # exact zeros (odd orders at the corner Bloch vectors) would sit above
         # a pure tail estimate.
-        gross_spec = 4.0 * np.abs(k_pow) * (self._p_pow_abs @ np.abs(w))
-        gross_spat = np.sum(np.abs(radial), axis=1) / np.pi
+        gross_spec = 4.0 * abs_k_pow * (np.abs(w)[:, None] @ self._p_pow_abs)[:, 0]
+        gross_spat = np.sum(abs_radial, axis=-1) / np.pi
         floors = 32.0 * np.finfo(float).eps * (gross_spec + gross_spat + 2.0)
         tails = spec_tail + spat_tail + 2.0 * j_tail
         # Convergence is judged per order on the truncation tails alone:
@@ -391,23 +505,20 @@ class LatticeSumEngine:
         # (odd orders at corner Bloch vectors are exact zeros formed from
         # huge terms), so it is only *reported*, through ``est_error``.
         scales = np.maximum(
-            1.0, np.maximum(np.abs(values[S:]), np.abs(values[S::-1]))
+            1.0, np.maximum(np.abs(values[:, S:]), np.abs(values[:, S::-1]))
         )
-        if np.any(tails > _TABLE_TOL * scales):
-            worst = float(np.max(tails / scales))
-            raise NonConvergenceError(
-                f"lattice-sum truncation tail {worst:.3e} (worst order, "
-                f"relative to the sum's own size) exceeds tol={_TABLE_TOL:.3e} "
-                f"at k={kc:.6g}"
-            )
-        est = float(np.max(tails + floors))
-        return LatticeSumTable(
-            k=kc if not is_real else complex(kc.real),
+        converged = ~np.any(tails > _TABLE_TOL * scales, axis=1)
+        values[in_guard | ~converged] = np.nan
+        batch = LatticeSumTable(
+            k=ks,
             alpha=self.alpha,
             order_max=S,
             values=values,
-            est_error=est,
+            est_error=np.max(tails + floors, axis=1),
+            in_guard=in_guard,
+            converged=converged,
         )
+        return batch, np.max(tails / scales, axis=1)
 
     def zero_k_limits(self) -> np.ndarray:
         """Scaled k -> 0 limits of the lattice sums, |n| <= order_max.
@@ -428,31 +539,40 @@ class LatticeSumEngine:
         S = self.order_max
         w = -np.exp(-self._p_norm2 / (4.0 * _ETA * _ETA)) / self._p_norm2
         limits = self._sum_orders(
-            w, 2.0 ** -np.arange(S + 1.0), self._coeff[:, 0, :]
-        )
+            w[None, :], 2.0 ** -np.arange(S + 1.0)[None, :],
+            self._coeff[None, :, None, 0, :],
+        )[0]
         limits[S] += -1.0 - (1j / np.pi) * (EULER_GAMMA - 2.0 * np.log(_ETA))
         return limits
 
-    def _sum_orders(self, w, k_pow, radial) -> np.ndarray:
+    def _sum_orders(self, w, k_pow, radial, radial_imag=None) -> np.ndarray:
         """Orders -order_max..order_max of the spectral plus spatial sums.
 
-        ``w`` holds the spectral weights per reciprocal point, ``k_pow`` the
-        factors ``k^-s`` and ``radial[s, pt]`` the radial functions per
-        lattice point; the order-0 central term is left to the caller.
+        ``w[k, p]`` holds the spectral weights per wavenumber and reciprocal
+        point, ``k_pow[k, s]`` the factors ``k^-s`` and ``radial[k, s, 0, pt]``
+        the (real part of the) radial functions per lattice point, with
+        ``radial_imag`` their imaginary part, ``None`` where it is zero.
+        Returns one row of orders per wavenumber; the order-0 central term
+        is left to the caller.
         """
         S = self.order_max
         # sum_p (px + i py)^s W_p and its conjugate-power twin
-        spec_pos = self._pref_pos * k_pow * (self._p_pow @ w)
+        spec_pos = self._pref_pos * k_pow * (w[:, None] @ self._p_pow)[:, 0]
         spec_neg = self._pref_pos * self._parity * k_pow * (
-            np.conj(self._p_pow) @ w
-        )
-        ws = self._spat_phase * radial
+            w[:, None] @ np.conj(self._p_pow)
+        )[:, 0]
+        # sums[k, s, 0 | 1]: radial against the + and - angular kernels
+        parts = (radial @ self._spat_kernel)[:, :, 0]
+        sums = parts[..., 0::2] + 1j * parts[..., 1::2]
+        if radial_imag is not None:
+            parts = (radial_imag @ self._spat_kernel)[:, :, 0]
+            sums = sums + 1j * (parts[..., 0::2] + 1j * parts[..., 1::2])
         base = -1j / np.pi
-        spat_pos = base * self._parity * np.sum(ws * self._unit_pow, axis=1)
-        spat_neg = base * np.sum(ws * self._unit_pow_conj, axis=1)
-        values = np.empty(2 * S + 1, dtype=complex)
-        values[S::-1] = spec_neg + spat_neg
-        values[S:] = spec_pos + spat_pos
+        spat_pos = base * self._parity * sums[..., 0]
+        spat_neg = base * sums[..., 1]
+        values = np.empty((w.shape[0], 2 * S + 1), dtype=complex)
+        values[:, S::-1] = spec_neg + spat_neg
+        values[:, S:] = spec_pos + spat_pos
         return values
 
 
@@ -481,18 +601,35 @@ def _engine_for(alpha_key: bytes, order_max: int, widen: int = 0) -> LatticeSumE
 def lattice_sum_table(order_max: int, k, alpha) -> LatticeSumTable:
     """Table of Q_n, |n| <= order_max, with automatic window widening.
 
-    If the default Ewald windows miss ``_TABLE_TOL`` the computation is
-    retried once with windows widened by 3 before giving up with
-    ``NonConvergenceError``.
+    ``k`` is one wavenumber or a 1-D array of them.  If the default Ewald
+    windows miss ``_TABLE_TOL`` the computation is retried once with
+    windows widened by 3.  A single ``k`` that misses again raises
+    ``NonConvergenceError``; a batch recomputes all its misses as one batch
+    on the widened engine, and what misses there stays marked in
+    ``converged`` (see ``LatticeSumEngine.table``).
     """
     alpha = as_bloch(alpha)
-    try:
-        return _engine_for(alpha.tobytes(), order_max).table(k)
-    except NonConvergenceError:
+    key = alpha.tobytes()
+    if np.ndim(k) == 0:
+        try:
+            return _engine_for(key, order_max).table(k)
+        except NonConvergenceError:
+            logger.info(
+                "widening Ewald windows at k=%s, alpha=%s", k, tuple(alpha)
+            )
+            return _engine_for(key, order_max, widen=_RANGE_BUMP).table(k)
+    batch = _engine_for(key, order_max).table(k)
+    miss = ~batch.converged & ~batch.in_guard
+    if miss.any():
         logger.info(
-            "widening Ewald windows at k=%s, alpha=%s", k, tuple(alpha)
+            "widening Ewald windows at %d of %d wavenumbers, alpha=%s",
+            np.count_nonzero(miss), miss.size, tuple(alpha),
         )
-        return _engine_for(alpha.tobytes(), order_max, widen=_RANGE_BUMP).table(k)
+        wide = _engine_for(key, order_max, widen=_RANGE_BUMP).table(batch.k[miss])
+        # the batch's arrays are its own: patch the misses' rows in place
+        for name in ("values", "est_error", "in_guard", "converged"):
+            getattr(batch, name)[miss] = getattr(wide, name)
+    return batch
 
 
 def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:

@@ -60,6 +60,7 @@ __all__ = [
     "outer_block_entries",
     "outer_block_limit",
     "assemble_characteristic_matrix",
+    "characteristic_entries",
     "quasistatic_matrix",
 ]
 
@@ -170,28 +171,30 @@ class CharacteristicMatrix:
 def _cyl_tables(order_hi: int, z):
     """``J, J', H1, H1'`` for orders 0..order_hi at real or complex ``z``.
 
-    ``scipy.special.jv`` and ``hankel1`` (AMOS, Amos 1986) evaluate orders
-    0..order_hi+1 in one call each, on the real axis and off it (root
-    refinement at complex frequencies) alike; ``Re z`` must be positive.
-    ``J`` is computed on its own rather than as ``Re H1``, which would lose
-    it under the dominant ``Y`` at small ``z``.  Derivatives use
-    ``C_n' = (C_{n-1} - C_{n+1}) / 2`` and ``C_0' = -C_1``.
+    ``z`` may also be an array: each table then gains its axes in front,
+    shaped ``z.shape + (order_hi + 1,)``.  ``scipy.special.jv`` and
+    ``hankel1`` (AMOS, Amos 1986) evaluate orders 0..order_hi+1 in one call
+    each, on the real axis and off it (root refinement at complex
+    frequencies) alike; ``Re z`` must be positive.  ``J`` is computed on its
+    own rather than as ``Re H1``, which would lose it under the dominant
+    ``Y`` at small ``z``.  Derivatives use ``C_n' = (C_{n-1} - C_{n+1}) / 2``
+    and ``C_0' = -C_1``.
     """
-    zc = complex(z)
-    if zc.real <= 0.0:
+    zc = np.asarray(z, dtype=complex)
+    if np.any(zc.real <= 0.0):
         raise ValueError("argument must have positive real part")
-    arg = zc.real if zc.imag == 0.0 else zc
+    arg = zc if np.any(zc.imag) else zc.real
     orders = np.arange(order_hi + 2)
-    j = sp.jv(orders, arg)
-    h = sp.hankel1(orders, arg)
-    jp = np.empty(order_hi + 1, dtype=complex)
-    hp = np.empty(order_hi + 1, dtype=complex)
-    jp[0] = -j[1]
-    hp[0] = -h[1]
+    j = sp.jv(orders, arg[..., None])
+    h = sp.hankel1(orders, arg[..., None])
+    jp = np.empty(zc.shape + (order_hi + 1,), dtype=complex)
+    hp = np.empty_like(jp)
+    jp[..., 0] = -j[..., 1]
+    hp[..., 0] = -h[..., 1]
     if order_hi >= 1:
-        jp[1:] = 0.5 * (j[:order_hi] - j[2:])
-        hp[1:] = 0.5 * (h[:order_hi] - h[2:])
-    return j[: order_hi + 1], jp, h[: order_hi + 1], hp
+        jp[..., 1:] = 0.5 * (j[..., :order_hi] - j[..., 2:])
+        hp[..., 1:] = 0.5 * (h[..., :order_hi] - h[..., 2:])
+    return j[..., : order_hi + 1], jp, h[..., : order_hi + 1], hp
 
 
 def _parity_signs(orders: np.ndarray) -> np.ndarray:
@@ -265,30 +268,35 @@ def outer_block_entries(
 
 
 def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: int):
-    """Dense ``(S, dS)`` blocks for all row/column orders ``-order_max..order_max``."""
+    """Dense ``(S, dS)`` blocks for all row/column orders ``-order_max..order_max``.
+
+    For an array of wavenumbers with a batch ``table`` at them, the blocks
+    gain the same leading axes.
+    """
     if table.order_max < 2 * order_max:
         raise MissingLatticeOrderError(
             f"blocks of order {order_max} need lattice sums up to "
             f"{2 * order_max}; table holds {table.order_max}"
         )
+    k = np.asarray(k)
     orders = np.arange(-order_max, order_max + 1)
     signs = _parity_signs(orders)
     j, jp, h, hp = _cyl_tables(order_max, k * radius)
     idx = np.abs(orders)
-    j_s = signs * j[idx]
-    jp_s = signs * jp[idx]
+    j_s = signs * j[..., idx]
+    jp_s = signs * jp[..., idx]
 
     diff = orders[None, :] - orders[:, None]          # n - m
-    q_vals = np.asarray(table.values)[diff + table.order_max]
-    coupling = (-1.0) ** diff * q_vals * j_s[None, :]  # row m, column n
+    q_vals = table.values[..., diff + table.order_max]
+    coupling = (-1.0) ** diff * q_vals * j_s[..., None, :]  # row m, column n
 
     c = -0.5j * math.pi * radius
-    s_mat = c * (coupling * j_s[:, None])
-    ds_mat = c * k * (coupling * jp_s[:, None])
+    s_mat = c * (coupling * j_s[..., :, None])
+    ds_mat = c * k[..., None, None] * (coupling * jp_s[..., :, None])
     # Parity signs cancel pairwise on the diagonal: J_n H_n = J_|n| H_|n|.
     diag = np.arange(orders.size)
-    s_mat[diag, diag] += c * j[idx] * h[idx]
-    ds_mat[diag, diag] += c * k * j[idx] * hp[idx]
+    s_mat[..., diag, diag] += c * j[..., idx] * h[..., idx]
+    ds_mat[..., diag, diag] += c * k[..., None] * j[..., idx] * hp[..., idx]
     return s_mat, ds_mat
 
 
@@ -349,7 +357,8 @@ def assemble_characteristic_matrix(
     complex root refinement needs this); its real part must be positive.
     The lattice-sum table of order 2N is built internally at
     ``k = omega / v``; it raises ``NearEmptyResonanceError`` within
-    ``lattice._GUARD`` of an empty-lattice resonance.
+    ``lattice._GUARD`` of an empty-lattice resonance.  This is
+    ``characteristic_entries`` at one frequency.
     """
     omega_c = complex(omega)
     if omega_c.real <= 0.0:
@@ -359,9 +368,29 @@ def assemble_characteristic_matrix(
     alpha = as_bloch(alpha)
     if omega_c.imag == 0.0:
         omega_c = omega_c.real
+    entries = characteristic_entries(omega_c, material, alpha, crystal, truncation)
+    return CharacteristicMatrix(omega_c, alpha, truncation, entries)
 
-    k = omega_c / material.v
-    k_b = omega_c / material.v_b
+
+def characteristic_entries(
+    omega,
+    material: MaterialParams,
+    alpha,
+    crystal: DiskCrystal,
+    truncation: int,
+) -> np.ndarray:
+    """Entries of the characteristic matrix at ``omega``, or at each frequency of a 1-D array.
+
+    Returns the ``2(2N+1)``-square matrix, or for an array of K frequencies
+    (positive real part) a ``(K, 2(2N+1), 2(2N+1))`` stack built from one
+    lattice-sum batch (``lattice_sum_table``).  A frequency whose lattice
+    sums fail the guard or the tail test gets a matrix of NaN, leaving the
+    rest of the stack intact; a single frequency raises instead, as in
+    ``assemble_characteristic_matrix``, which also validates the inputs.
+    """
+    omega = np.asarray(omega)
+    k = omega / material.v
+    k_b = omega / material.v_b
     table = lattice_sum_table(max(2 * truncation, 1), k, alpha)
     s_outer, ds_outer = _outer_block_matrices(
         k, crystal.radius, table, truncation
@@ -371,16 +400,17 @@ def assemble_characteristic_matrix(
     idx = np.abs(orders)
     j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * crystal.radius)
     c = -0.5j * math.pi * crystal.radius
-    inner_value = c * j_b[idx] * h_b[idx]
-    inner_deriv = c * k_b * jp_b[idx] * h_b[idx]
 
     width = orders.size
-    entries = np.zeros((2 * width, 2 * width), dtype=complex)
-    entries[:width, :width] = np.diag(inner_value)
-    entries[:width, width:] = -s_outer
-    entries[width:, :width] = np.diag(inner_deriv)
-    entries[width:, width:] = -material.delta * ds_outer
-    return CharacteristicMatrix(omega_c, alpha, truncation, entries)
+    diag = np.arange(width)
+    entries = np.zeros(omega.shape + (2 * width, 2 * width), dtype=complex)
+    entries[..., diag, diag] = c * j_b[..., idx] * h_b[..., idx]
+    entries[..., :width, width:] = -s_outer
+    entries[..., width + diag, diag] = (
+        c * k_b[..., None] * jp_b[..., idx] * h_b[..., idx]
+    )
+    entries[..., width:, width:] = -material.delta * ds_outer
+    return entries
 
 
 # ---------------------------------------------------------------------------

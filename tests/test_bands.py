@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bubblebands import bands
+from bubblebands import bands, lattice
 from bubblebands.bands import (
     BandNotFoundError,
     BandPoint,
@@ -22,9 +22,15 @@ from bubblebands.bands import (
     scan_and_bracket,
     singular_value_indicator,
 )
-from bubblebands.multipole import DiskCrystal, MaterialParams
+from bubblebands.multipole import (
+    DiskCrystal,
+    MaterialParams,
+    assemble_characteristic_matrix,
+    characteristic_entries,
+)
 
 DILUTE_MAT = MaterialParams(rho=5000.0, kappa=5000.0, rho_b=1.0, kappa_b=1.0)
+NONDILUTE_MAT = MaterialParams(rho=1000.0, kappa=1000.0, rho_b=1.0, kappa_b=1.0)
 DILUTE_CRYSTAL = DiskCrystal(radius=0.05)
 M_ALPHA = (np.pi, np.pi)
 
@@ -158,6 +164,70 @@ def test_scan_step_halving_preserves_the_refined_root(monkeypatch):
         assert lo <= DILUTE_M_BAND1 <= hi
 
 
+@pytest.mark.parametrize("alpha", [(0.0, 0.0), (np.pi / 15, 0.0), (np.pi, 0.0),
+                                   M_ALPHA, (np.pi, 0.7 * np.pi)])
+def test_scan_grid_ends_without_a_roundoff_step(alpha):
+    # Half-stepping makes steps of exactly half; no step may be shorter.  At
+    # (pi/15, 0) the walk reaches 4.999999999999938 and used to take a final
+    # step of 6e-14 to 5.0.
+    for material, omega_max in ((DILUTE_MAT, 5.0), (NONDILUTE_MAT, 5.2)):
+        for omega_range in ((0.0, omega_max), (0.9, 1.7)):
+            omegas, _ = bands._scan_grid(np.asarray(alpha, dtype=float),
+                                         material, omega_range)
+            assert omegas[-1] == omega_range[1]
+            assert np.min(np.diff(omegas)) >= 0.25 * bands._STEP_LOW
+
+
+def test_scan_evaluates_the_grid_in_batches(monkeypatch):
+    # One lattice-sum batch per chunk of the grid on the default windows,
+    # plus at most one more per chunk for the misses on widened windows:
+    # tens of table calls where a call per frequency makes about 720.
+    calls = []
+    real = lattice.LatticeSumEngine.table
+
+    def counted(self, k):
+        calls.append((self, np.size(k)))
+        return real(self, k)
+
+    monkeypatch.setattr(lattice.LatticeSumEngine, "table", counted)
+    scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
+    omegas, _ = bands._scan_grid(np.asarray(M_ALPHA), DILUTE_MAT, (0.0, 5.0))
+    chunk = bands._CHUNK_ENTRIES // 30**2
+    chunks = -(-omegas.size // chunk)
+    wide = lattice._engine_for(np.asarray(M_ALPHA, dtype=float).tobytes(), 14,
+                               widen=lattice._RANGE_BUMP)
+    default = [size for engine, size in calls if engine is not wide]
+    assert len(default) == chunks
+    assert sum(default) == omegas.size
+    assert len(calls) - len(default) <= chunks
+    assert len(calls) < 100
+
+
+def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
+    # 2.1253 lies 0.004 above the empty-lattice line |alpha| = 2.12132, inside
+    # the guard.  With the table tolerance at 1e-50 the widened windows leave
+    # a tail of 3e-46 at k = 4 but below 2e-55 up to k = 3, so 4.0 fails the
+    # tail test after widening.  Both get inf; the others match the
+    # single-frequency path exactly.
+    monkeypatch.setattr(lattice, "_TABLE_TOL", 1e-50)
+    alpha = np.array([0.3, 2.1])
+    omegas = np.array([0.5, 1.0, 2.1253, 3.0, 4.0])
+    values = bands._singular_values(
+        characteristic_entries(omegas, DILUTE_MAT, alpha, DILUTE_CRYSTAL, 3)
+    )[:, -1]
+    assert np.all(np.isinf(values[[2, 4]]))
+    for omega, value in zip(omegas[[0, 1, 3]], values[[0, 1, 3]]):
+        matrix = assemble_characteristic_matrix(omega, DILUTE_MAT, alpha,
+                                                DILUTE_CRYSTAL, 3)
+        assert value == singular_value_indicator(matrix)
+    with pytest.raises(lattice.NearEmptyResonanceError):
+        assemble_characteristic_matrix(2.1253, DILUTE_MAT, alpha,
+                                       DILUTE_CRYSTAL, 3)
+    with pytest.raises(lattice.NonConvergenceError):
+        assemble_characteristic_matrix(4.0, DILUTE_MAT, alpha,
+                                       DILUTE_CRYSTAL, 3)
+
+
 # ---------------------------------------------------------------------------
 # bands_at / resonance_near / retruncated_root
 # ---------------------------------------------------------------------------
@@ -182,13 +252,14 @@ def test_first_two_bands_raises_when_ceiling_is_too_low():
 
 def test_zone_centre_single_band_assembles_no_matrix(monkeypatch):
     calls = []
-    real = bands.assemble_characteristic_matrix
+    for name in ("assemble_characteristic_matrix", "characteristic_entries"):
+        real = getattr(bands, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args[0])
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(bands, "assemble_characteristic_matrix", counted)
+        monkeypatch.setattr(bands, name, counted)
     omegas, _ = bands_at((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.4,
                          band_count=1)
     assert omegas == (0.0,)

@@ -254,3 +254,74 @@ def test_revisited_bloch_vector_matches_a_fresh_engine():
     fresh = lat.LatticeSumEngine(alpha, 4).table(0.3)
     assert revisited.values.tobytes() == fresh.values.tobytes()
     assert revisited.est_error == fresh.est_error
+
+
+# ---------------------------------------------------------------------------
+# resonance margins by bisection
+# ---------------------------------------------------------------------------
+
+def test_nearest_margin_by_bisection_equals_empty_lattice_margin():
+    rng = np.random.default_rng(7)
+    cases = [(rng.uniform(-np.pi, np.pi, 2), rng.uniform(0.0, 6.0))
+             for _ in range(300)]
+    # k on an empty-lattice line, and in the zone near 0 at the zone centre
+    for alpha in (lat.X_POINT, lat.M_POINT, (0.3, 2.1)):
+        cases += [(alpha, q) for q in lat.resonance_norms(alpha, 6.0)[:12]]
+    cases += [(lat.GAMMA_POINT, k) for k in (0.0, 1e-4, 0.01, 0.049, 0.05)]
+    for alpha, k in cases:
+        norms = lat.resonance_norms(alpha, 6.0)
+        assert lat.nearest_margin(norms, k) == lat.empty_lattice_margin(k, alpha)
+
+
+# ---------------------------------------------------------------------------
+# batched tables
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [6, 14])
+@pytest.mark.parametrize("alpha", [lat.M_POINT, (np.pi, 0.7 * np.pi), (0.3, 2.1)])
+def test_batched_table_matches_per_wavenumber_calls(order, alpha):
+    # Real k across the scan range plus k 0.004 inside the guard of every
+    # empty-lattice line below 5.  At M, order 14, the low-k tables miss the
+    # tolerance on the default windows and converge on the widened ones.
+    # A batch of complex k (off the real axis, as Muller's iterates are) is
+    # compared with single complex calls.
+    guard = [q - 0.004 for q in lat.resonance_norms(alpha, 5.0) if 0.1 < q < 5.0]
+    ks = np.unique(np.concatenate([np.linspace(0.02, 0.5, 9),
+                                   np.linspace(0.6, 5.0, 23), guard]))
+    engine = lat.LatticeSumEngine(alpha, order)
+    default = engine.table(ks)
+    widened = lat.lattice_sum_table(order, ks, alpha)
+    assert default.in_guard.sum() == widened.in_guard.sum() >= 1
+    if order == 14 and alpha is lat.M_POINT:
+        assert not default.converged.all()
+    assert widened.converged.all()
+    complex_ks = np.array([0.3 + 0.05j, 1.3 + 0.2j, 2.2 - 0.1j, 4.1 + 0.3j])
+    for points, batch, single in (
+        (ks, default, engine.table),
+        (ks, widened, lambda k: lat.lattice_sum_table(order, k, alpha)),
+        (complex_ks, lat.lattice_sum_table(order, complex_ks, alpha),
+         lambda k: lat.lattice_sum_table(order, k, alpha)),
+    ):
+        for i, k in enumerate(points):
+            try:
+                table = single(k)
+            except lat.NearEmptyResonanceError:
+                assert batch.in_guard[i]
+                assert np.all(np.isnan(batch.values[i]))
+                continue
+            except lat.NonConvergenceError:
+                assert not batch.converged[i] and not batch.in_guard[i]
+                assert np.all(np.isnan(batch.values[i]))
+                continue
+            assert batch.converged[i] and not batch.in_guard[i]
+            scale = np.maximum(1.0, np.abs(table.values))
+            assert np.max(np.abs(batch.values[i] - table.values) / scale) <= 1e-13
+            assert batch.est_error[i] == pytest.approx(table.est_error, rel=1e-13)
+
+
+def test_batched_table_validates_wavenumbers():
+    engine = lat.LatticeSumEngine((0.5, 0.5), 2)
+    with pytest.raises(ValueError):
+        engine.table(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        engine.table(np.ones((2, 2)))
