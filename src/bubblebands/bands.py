@@ -16,20 +16,25 @@ bands.  The scan subdivides and flags such guard zones instead of silently
 skipping them, and evaluates inside them with a tighter guard so that a band
 squeezed against a resonance is still found.
 
-The scan builds its whole frequency grid first (the zone margins come from
+The scan lays out its frequency grid first (the zone margins come from
 one sorted list of empty-lattice lines per scan) and then evaluates it in
-batches of ``_CHUNK_ENTRIES // size**2`` frequencies for matrices of
-``size``: per batch one lattice-sum batch, one stack of matrices
+ascending batches of ``_CHUNK_ENTRIES // size**2`` frequencies for matrices
+of ``size``: per batch one lattice-sum batch, one stack of matrices
 (``multipole.characteristic_entries``) and one stacked equilibration and
 SVD.  A frequency inside the lattice-sum guard, with unconverged lattice
 sums or with a non-finite entry gets an infinite indicator without
-affecting the rest of its batch.  Muller and the acceptance test stay
-per frequency, through the same code as batches of one.
+affecting the rest of its batch.  The brackets form a stream: each is
+emitted as soon as the value to the right of its minimum is known, and the
+root search refines them as they arrive.  It stops evaluating the grid once
+it has accepted the bands it was asked for, so a search for the lowest
+bands never builds the matrices above them.  Muller and the acceptance
+test stay per frequency, through the same code as batches of one.
 
 The path sweep walks the closed polyline through the zone corners
 (0,0) -> (pi,0) -> (pi,pi) -> (0,0), collects the lowest bands at each
 sample, and reports the maximum of the first band, where it is attained, and
-the gap between the first and second bands when one opens.
+the gap between the first and second bands when one opens.  The closing
+corner is the opening one, so it is solved once.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -313,30 +318,54 @@ def _scan_grid(
     return np.asarray(omegas), tuple(flagged)
 
 
-def _indicator_profile(
+def _indicator_batches(
     alpha: np.ndarray,
     material: MaterialParams,
     crystal: DiskCrystal,
     truncation: int,
-    omega_range: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
-    """Indicator values on the scan grid, evaluated in batches.
+    omegas: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The grid ``omegas`` in ascending batches, with their indicator values.
 
     Each batch of frequencies costs one lattice-sum batch (plus one on
     widened windows for its misses), one stack of matrices and one SVD
     call.  A frequency inside the lattice-sum guard, with unconverged
-    lattice sums or with a non-finite matrix entry gets ``inf``.
+    lattice sums or with a non-finite matrix entry gets ``inf``.  A batch is
+    evaluated only when it is asked for.
     """
-    omegas, flagged = _scan_grid(alpha, material, omega_range)
     size = 2 * (2 * truncation + 1)
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
-    values = np.empty(omegas.size)
     for start in range(0, omegas.size, chunk):
+        batch = omegas[start : start + chunk]
         stack = characteristic_entries(
-            omegas[start : start + chunk], material, alpha, crystal, truncation
+            batch, material, alpha, crystal, truncation
         )
-        values[start : start + chunk] = _singular_values(stack)[:, -1]
-    return omegas, values, flagged
+        yield batch, _singular_values(stack)[:, -1]
+
+
+def _brackets_at_minima(
+    profile: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> Iterator[tuple[float, float, float]]:
+    """Brackets at the local minima of an indicator profile given in pieces.
+
+    ``profile`` yields ``(omegas, values)`` pieces of one ascending grid.  A
+    bracket ``(lo, mid, hi)`` is three consecutive grid points whose values
+    are finite, with the value at ``mid`` at most both neighbours and
+    strictly below at least one.  It is yielded as soon as the value at
+    ``hi`` is known; the last two points of each piece carry over to the
+    next.
+    """
+    omegas = values = np.empty(0)
+    for piece_omegas, piece_values in profile:
+        omegas = np.concatenate((omegas[-2:], piece_omegas))
+        values = np.concatenate((values[-2:], piece_values))
+        left, mid, right = values[:-2], values[1:-1], values[2:]
+        minima = (
+            np.isfinite(left) & np.isfinite(mid) & np.isfinite(right)
+            & (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
+        )
+        for i in np.flatnonzero(minima):
+            yield omegas[i], omegas[i + 1], omegas[i + 2]
 
 
 def scan_and_bracket(
@@ -349,23 +378,16 @@ def scan_and_bracket(
     """Bracket indicator minima over a frequency range at one Bloch vector.
 
     Walks the grid (``_STEP_LOW`` below ``_STEP_SPLIT``, ``_STEP_HIGH``
-    above), evaluates the singularity indicator, and returns each interior
-    local minimum with its two neighbours as a bracket, ordered by
-    frequency.
+    above), evaluates the singularity indicator over all of it, and returns
+    each interior local minimum with its two neighbours as a bracket,
+    ordered by frequency.  These are the brackets the root search refines,
+    lowest first, before it stops.
     """
     alpha = as_bloch(alpha)
-    omegas, values, flagged = _indicator_profile(
-        alpha, material, crystal, truncation, omega_range
+    omegas, flagged = _scan_grid(alpha, material, omega_range)
+    brackets = _brackets_at_minima(
+        _indicator_batches(alpha, material, crystal, truncation, omegas)
     )
-    brackets: list[tuple[float, float, float]] = []
-    for i in range(1, len(omegas) - 1):
-        window = values[i - 1 : i + 2]
-        if not np.all(np.isfinite(window)):
-            continue
-        if values[i] <= values[i - 1] and values[i] <= values[i + 1] and (
-            values[i] < values[i - 1] or values[i] < values[i + 1]
-        ):
-            brackets.append((omegas[i - 1], omegas[i], omegas[i + 1]))
     return ScanResult(brackets=tuple(brackets), flagged=flagged)
 
 
@@ -467,14 +489,17 @@ def _accepted_roots(
     """Accepted roots in ``omega_range``, lowest first, at most ``count``.
 
     This is the one loop that scans and refines; ``count=None`` keeps every
-    root.  A root within ``1e-7 (1 + omega)`` of the previous one was reached
-    again from a neighbouring bracket and is dropped.
+    root.  Brackets are refined as the scan emits them, and the scan stops
+    with the ``count``-th accepted root, so the grid above it is never
+    evaluated.  A root within ``1e-7 (1 + omega)`` of the previous one was
+    reached again from a neighbouring bracket and is dropped.
     """
-    scan = scan_and_bracket(alpha, material, crystal, truncation, omega_range)
+    omegas, _ = _scan_grid(alpha, material, omega_range)
+    brackets = _brackets_at_minima(
+        _indicator_batches(alpha, material, crystal, truncation, omegas)
+    )
     roots: list[tuple[float, RootDiagnostics]] = []
-    for bracket in scan.brackets:
-        if len(roots) == count:
-            break
+    for bracket in brackets:
         try:
             omega, diag = _refine_bracket(
                 bracket, alpha, material, crystal, truncation
@@ -484,6 +509,8 @@ def _accepted_roots(
         if roots and abs(omega - roots[-1][0]) < 1e-7 * (1.0 + omega):
             continue
         roots.append((omega, diag))
+        if len(roots) == count:
+            break
     return roots
 
 
@@ -667,20 +694,32 @@ def band_structure(
 
     ``resolution`` samples per edge (three edges plus the repeated closing
     corner), solved one after another in path order with :func:`bands_at`.
-    Failed samples are recorded, not fatal.
+    Each distinct Bloch vector is solved once: the closing corner at
+    ``s = 1`` repeats the result at ``s = 0``, or its failure with the same
+    reason, so a sweep makes ``3 * resolution`` searches.  Failed samples
+    are recorded, not fatal.
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3 points per edge")
     points: list[BandPoint] = []
     failures: list[tuple[float, tuple[float, float], str]] = []
+    solved: dict[bytes, tuple | Exception] = {}
     for s, alpha in _path_samples(resolution):
-        try:
-            omegas, diagnostics = bands_at(
-                alpha, material, crystal, truncation, omega_max, band_count
+        key = alpha.tobytes()
+        if key not in solved:
+            try:
+                solved[key] = bands_at(
+                    alpha, material, crystal, truncation, omega_max, band_count
+                )
+            except (BandNotFoundError, NonConvergenceError) as exc:
+                solved[key] = exc
+        result = solved[key]
+        if isinstance(result, Exception):
+            failures.append(
+                (s, (float(alpha[0]), float(alpha[1])), str(result))
             )
-        except (BandNotFoundError, NonConvergenceError) as exc:
-            failures.append((s, (float(alpha[0]), float(alpha[1])), str(exc)))
             continue
+        omegas, diagnostics = result
         points.append(BandPoint(
             s=s, alpha=alpha, omegas=omegas, diagnostics=diagnostics
         ))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblebands import bands, lattice
 from bubblebands.bands import (
@@ -13,7 +15,6 @@ from bubblebands.bands import (
     RejectedRootError,
     RootDiagnostics,
     RootNotConvergedError,
-    ScanResult,
     band_structure,
     bands_at,
     muller_refine,
@@ -228,6 +229,39 @@ def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
                                        DILUTE_CRYSTAL, 3)
 
 
+def _per_point_brackets(omegas, values):
+    """The bracket rule as a loop over the whole profile: the reference."""
+    brackets = []
+    for i in range(1, len(omegas) - 1):
+        window = values[i - 1 : i + 2]
+        if not np.all(np.isfinite(window)):
+            continue
+        if values[i] <= values[i - 1] and values[i] <= values[i + 1] and (
+            values[i] < values[i - 1] or values[i] < values[i + 1]
+        ):
+            brackets.append((omegas[i - 1], omegas[i], omegas[i + 1]))
+    return brackets
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf, math.nan]),
+                       max_size=30))
+def test_bracket_rule_in_pieces_matches_the_per_point_loop(values):
+    # Few distinct values make ties and plateaus; inf marks failed
+    # frequencies.  However the profile is cut into pieces, the stream must
+    # yield the brackets of the loop over the whole profile, in order.
+    values = np.array(values)
+    omegas = 0.01 * np.arange(1, values.size + 1)
+    expected = _per_point_brackets(omegas, values)
+    for cut in range(values.size + 1):
+        pieces = [(omegas[:cut], values[:cut]), (omegas[cut:], values[cut:])]
+        assert list(bands._brackets_at_minima(pieces)) == expected
+    for chunk in range(1, values.size + 1):
+        pieces = [(omegas[i : i + chunk], values[i : i + chunk])
+                  for i in range(0, values.size, chunk)]
+        assert list(bands._brackets_at_minima(pieces)) == expected
+
+
 # ---------------------------------------------------------------------------
 # bands_at / resonance_near / retruncated_root
 # ---------------------------------------------------------------------------
@@ -269,20 +303,119 @@ def test_zone_centre_single_band_assembles_no_matrix(monkeypatch):
 def test_muller_iterate_inside_the_guard_skips_only_its_bracket(monkeypatch):
     # All three starts lie at least 0.0101 from the fourfold line
     # pi sqrt(2) = 4.442883 at M, but Muller steps to k = 4.4373, inside the
-    # lattice-sum guard.  The bracket must count as unconverged, not end the
-    # search at this Bloch vector.
-    real_scan = bands.scan_and_bracket
+    # lattice-sum guard.  The bracket is put into the stream the root search
+    # consumes, below band 2's bracket; it must be refined, count as
+    # unconverged, and not end the search at this Bloch vector.
+    guard_bracket = (4.453, 4.455, 4.457)
+    real_stream = bands._brackets_at_minima
+    real_refine = bands._refine_bracket
+    outcomes = []
 
-    def with_guard_bracket(*args, **kwargs):
-        scan = real_scan(*args, **kwargs)
-        brackets = sorted((*scan.brackets, (4.453, 4.455, 4.457)),
-                          key=lambda b: b[1])
-        return ScanResult(brackets=tuple(brackets), flagged=scan.flagged)
+    def with_guard_bracket(profile):
+        pending = [guard_bracket]
+        for bracket in real_stream(profile):
+            if pending and pending[0][1] < bracket[1]:
+                yield pending.pop()
+            yield bracket
 
-    monkeypatch.setattr(bands, "scan_and_bracket", with_guard_bracket)
+    def recorded(bracket, *args):
+        try:
+            result = real_refine(bracket, *args)
+        except RootNotConvergedError as exc:
+            outcomes.append((bracket, exc))
+            raise
+        outcomes.append((bracket, result))
+        return result
+
+    monkeypatch.setattr(bands, "_brackets_at_minima", with_guard_bracket)
+    monkeypatch.setattr(bands, "_refine_bracket", recorded)
     (w1, w2), _ = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
     assert w1 == pytest.approx(DILUTE_M_BAND1, abs=1e-9)
     assert w2 == pytest.approx(4.5107, abs=5e-3)
+    guard = [outcome for bracket, outcome in outcomes if bracket == guard_bracket]
+    assert len(guard) == 1
+    assert isinstance(guard[0], RootNotConvergedError)
+    assert "no characteristic matrix" in str(guard[0])
+    assert outcomes[-1][1][0] == w2
+
+
+STREAM_CRYSTALS = {
+    "dilute": (DILUTE_MAT, DILUTE_CRYSTAL, 5.0),
+    "nondilute": (NONDILUTE_MAT, DiskCrystal(radius=0.25), 5.2),
+}
+STREAM_ALPHAS = [(0.0, 0.0), (np.pi / 5, 0.0), (np.pi, 0.0), (np.pi, 0.5 * np.pi),
+                 M_ALPHA, (0.5 * np.pi, 0.5 * np.pi)]
+
+
+@pytest.fixture(scope="module")
+def every_accepted_root():
+    """All accepted roots of every scan bracket, by crystal and Bloch vector.
+
+    The reference for the streamed search: each bracket of the full
+    ``scan_and_bracket`` scan is refined in order, and a root within
+    ``1e-7 (1 + omega)`` of the previous accepted one is dropped.
+    """
+    roots = {}
+    for name, (material, crystal, omega_max) in STREAM_CRYSTALS.items():
+        for alpha in STREAM_ALPHAS:
+            accepted = []
+            alpha_arr = np.asarray(alpha, dtype=float)
+            for bracket in scan_and_bracket(alpha, material, crystal, 3,
+                                            (0.0, omega_max)):
+                try:
+                    omega, diag = bands._refine_bracket(bracket, alpha_arr,
+                                                        material, crystal, 3)
+                except (RootNotConvergedError, RejectedRootError):
+                    continue
+                if accepted and abs(omega - accepted[-1][0]) < 1e-7 * (1.0 + omega):
+                    continue
+                accepted.append((omega, diag))
+            roots[name, alpha] = accepted
+    return roots
+
+
+@pytest.mark.parametrize("band_count", [1, 2])
+@pytest.mark.parametrize("name", sorted(STREAM_CRYSTALS))
+def test_streamed_search_equals_refining_every_bracket(every_accepted_root, name,
+                                                       band_count):
+    material, crystal, omega_max = STREAM_CRYSTALS[name]
+    for alpha in STREAM_ALPHAS:
+        roots = list(every_accepted_root[name, alpha])
+        if alpha == (0.0, 0.0):
+            roots.insert(0, (0.0, RootDiagnostics(0.0, 0)))
+        expected = roots[:band_count]
+        assert len(expected) == band_count
+        omegas, diagnostics = bands_at(alpha, material, crystal, 3, omega_max,
+                                       band_count)
+        assert omegas == tuple(r[0] for r in expected)
+        assert diagnostics == tuple(r[1] for r in expected)
+
+
+def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
+    # At Gamma on the dilute crystal band 2 lies at 1.9038, far below
+    # omega_max = 5: the scan must stop in the chunk that completes band 2's
+    # bracket, not evaluate the grid up to 5.
+    alpha = np.zeros(2)
+    omegas, _ = bands._scan_grid(alpha, DILUTE_MAT, (0.0, 5.0))
+    chunk = bands._CHUNK_ENTRIES // 30**2
+    band_two = [bracket for bracket in scan_and_bracket(
+        alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
+        if bracket[0] <= DILUTE_GAMMA_BAND2 <= bracket[2]]
+    assert len(band_two) == 1
+    last = int(np.flatnonzero(omegas == band_two[0][2])[0])
+    evaluated = []
+    real = bands.characteristic_entries
+
+    def counted(batch, *args, **kwargs):
+        evaluated.extend(np.atleast_1d(batch))
+        return real(batch, *args, **kwargs)
+
+    monkeypatch.setattr(bands, "characteristic_entries", counted)
+    (w1, w2), _ = bands_at(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
+    assert w1 == 0.0
+    assert w2 == pytest.approx(DILUTE_GAMMA_BAND2, abs=1e-8)
+    assert evaluated == list(omegas[: len(evaluated)])
+    assert last + 1 <= len(evaluated) < last + 1 + chunk
 
 
 def test_refined_corner_root_lies_inside_its_scan_bracket():
@@ -367,6 +500,44 @@ def test_sweep_rerun_is_bitwise_deterministic(small_sweep):
                            band_count=1, omega_max=0.4)
     assert [p.omegas for p in again.points] == [p.omegas for p in small_sweep.points]
     assert again.omega_star == small_sweep.omega_star
+
+
+@pytest.mark.parametrize("resolution", [3, 5])
+def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
+    # Each search returns values unique to its call, so the closing corner
+    # shows whether it was solved again or carries the opening result.
+    calls = []
+
+    def numbered(alpha, *args):
+        calls.append(np.array(alpha))
+        n = len(calls)
+        return (0.1 * n, 0.1 * n + 1.0), (RootDiagnostics(1e-9 * n, n),
+                                           RootDiagnostics(2e-9 * n, n))
+
+    monkeypatch.setattr(bands, "bands_at", numbered)
+    structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3,
+                               resolution=resolution)
+    assert len(calls) == 3 * resolution
+    first, last = structure.points[0], structure.points[-1]
+    assert (first.s, last.s) == (0.0, 1.0)
+    assert np.array_equal(last.alpha, [0.0, 0.0])
+    assert last.omegas == first.omegas == (0.1, 1.1)
+    assert last.diagnostics == first.diagnostics
+
+    def fails_at_centre(alpha, *args):
+        if not np.any(alpha):
+            calls.append(np.array(alpha))
+            raise BandNotFoundError(f"no band at call {len(calls)}")
+        return numbered(alpha, *args)
+
+    calls.clear()
+    monkeypatch.setattr(bands, "bands_at", fails_at_centre)
+    structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3,
+                               resolution=resolution)
+    assert structure.failures == ((0.0, (0.0, 0.0), "no band at call 1"),
+                                  (1.0, (0.0, 0.0), "no band at call 1"))
+    assert len(structure.points) == 3 * resolution - 1
+    assert len(calls) == 3 * resolution
 
 
 def test_sweep_validates_resolution_and_band_count():
