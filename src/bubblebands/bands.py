@@ -2,13 +2,16 @@
 
 A frequency ``omega`` belongs to the band structure at Bloch vector ``alpha``
 when the characteristic matrix assembled there becomes singular.  Singularity
-is detected in two stages: a scan of the smallest singular value of the
-row-equilibrated matrix over a frequency grid brackets candidate roots at its
-local minima, then Muller's method polishes each bracket on the equilibrated
-determinant, evaluated through a pivoted triangular factorization in
-log-magnitude form so that neither overflow nor underflow can occur.  A
-refined root is accepted only if it stays inside its bracket, returns to the
-real axis, and drives the indicator below tolerance.
+is detected in two stages: a scan over a frequency grid ranks the
+frequencies by the least eigenvalue of the Gram matrix of the
+row-equilibrated matrix (its smallest singular value squared) and brackets
+candidate roots at the local minima, then Muller's method polishes each
+bracket on the equilibrated determinant, evaluated through a pivoted
+triangular factorization in log-magnitude form so that neither overflow nor
+underflow can occur.  A refined root is accepted only if it stays inside its
+bracket, returns to the real axis, and drives the indicator, the smallest
+singular value of the equilibrated matrix from a full SVD relative to its
+largest, below tolerance.
 
 Frequencies where the host wavenumber hits an empty-lattice resonance
 ``k = |2 pi m + alpha|`` are poles of the quasi-periodic kernel, not crystal
@@ -20,15 +23,17 @@ The scan lays out its frequency grid first (the zone margins come from
 one sorted list of empty-lattice lines per scan) and then evaluates it in
 ascending batches of ``_CHUNK_ENTRIES // size**2`` frequencies for matrices
 of ``size``: per batch one lattice-sum batch, one stack of matrices
-(``multipole.characteristic_entries``) and one stacked equilibration and
-SVD.  A frequency inside the lattice-sum guard, with unconverged lattice
-sums or with a non-finite entry gets an infinite indicator without
-affecting the rest of its batch.  The brackets form a stream: each is
-emitted as soon as the value to the right of its minimum is known, and the
-root search refines them as they arrive.  It stops evaluating the grid once
-it has accepted the bands it was asked for, so a search for the lowest
-bands never builds the matrices above them.  Muller and the acceptance
-test stay per frequency, through the same code as batches of one.
+(``multipole.characteristic_entries``), one stacked equilibration and one
+Hermitian eigenvalue call on the stack of Gram matrices.  A frequency
+inside the lattice-sum guard, with unconverged lattice sums or with a
+non-finite entry gets an infinite indicator without affecting the rest of
+its batch.  The brackets form a stream: each is emitted as soon as the
+value to the right of its minimum is known, and the root search refines
+them as they arrive.  It stops evaluating the grid once it has accepted the
+bands it was asked for, so a search for the lowest bands never builds the
+matrices above them.  Muller and the acceptance test stay per frequency,
+and acceptance keeps the SVD ratio, so the Gram values can move brackets
+but no reported band or diagnostic.
 
 The path sweep walks the closed polyline through the zone corners
 (0,0) -> (pi,0) -> (pi,pi) -> (0,0), collects the lowest bands at each
@@ -134,6 +139,19 @@ def _row_scales(entries: np.ndarray) -> np.ndarray:
     return np.where(scale == 0.0, 1.0, scale)
 
 
+def _equilibrated(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The finite matrices of a ``(K, n, n)`` stack, each row at unit max-norm.
+
+    Returns the mask of matrices without a non-finite entry and those
+    matrices equilibrated.  When every matrix is finite the stack itself is
+    equilibrated in place.
+    """
+    finite = np.all(np.isfinite(stack), axis=(-2, -1))
+    part = stack if finite.all() else stack[finite]
+    part /= _row_scales(part)[..., None]
+    return finite, part
+
+
 def _singular_values(stack: np.ndarray) -> np.ndarray:
     """Singular values, largest first, of each row-equilibrated matrix of a stack.
 
@@ -141,12 +159,30 @@ def _singular_values(stack: np.ndarray) -> np.ndarray:
     scaled to unit max-norm.  A matrix with a non-finite entry gets a row of
     ``inf`` and is left out of the SVD.
     """
-    finite = np.all(np.isfinite(stack), axis=(-2, -1))
-    part = stack if finite.all() else stack[finite]
-    part /= _row_scales(part)[..., None]
+    finite, part = _equilibrated(stack)
     values = np.full(stack.shape[:-1], math.inf)
     if part.size:
         values[finite] = np.linalg.svd(part, compute_uv=False)
+    return values
+
+
+def _least_gram_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of ``E^H E`` for each row-equilibrated matrix ``E``.
+
+    ``stack`` is ``(K, n, n)`` and is equilibrated in place, as in
+    :func:`_singular_values`.  The value is ``sigma_min(E)**2`` up to the
+    cross-product's roundoff of about ``n * eps * sigma_max**2``, so it
+    orders matrices as their smallest singular values do while those stay
+    well above that roundoff.  One Hermitian eigenvalue call per stack is
+    less LAPACK work than an SVD.  The value is not square-rooted, and not
+    clipped at zero, since clipping could create ties.  A matrix with a
+    non-finite entry gets ``inf`` and is left out of the call.
+    """
+    finite, part = _equilibrated(stack)
+    values = np.full(stack.shape[0], math.inf)
+    if part.size:
+        gram = part.conj().swapaxes(-1, -2) @ part
+        values[finite] = np.linalg.eigvalsh(gram)[:, 0]
     return values
 
 
@@ -327,11 +363,14 @@ def _indicator_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The grid ``omegas`` in ascending batches, with their indicator values.
 
-    Each batch of frequencies costs one lattice-sum batch (plus one on
-    widened windows for its misses), one stack of matrices and one SVD
-    call.  A frequency inside the lattice-sum guard, with unconverged
-    lattice sums or with a non-finite matrix entry gets ``inf``.  A batch is
-    evaluated only when it is asked for.
+    The value at a frequency is the least eigenvalue of the Gram matrix of
+    the row-equilibrated characteristic matrix, the square of its smallest
+    singular value up to roundoff; the bracket rule reads only the order of
+    the values.  Each batch of frequencies costs one lattice-sum batch (plus
+    one on widened windows for its misses), one stack of matrices and one
+    Hermitian eigenvalue call.  A frequency inside the lattice-sum guard,
+    with unconverged lattice sums or with a non-finite matrix entry gets
+    ``inf``.  A batch is evaluated only when it is asked for.
     """
     size = 2 * (2 * truncation + 1)
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
@@ -340,7 +379,7 @@ def _indicator_batches(
         stack = characteristic_entries(
             batch, material, alpha, crystal, truncation
         )
-        yield batch, _singular_values(stack)[:, -1]
+        yield batch, _least_gram_eigenvalues(stack)
 
 
 def _brackets_at_minima(

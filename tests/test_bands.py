@@ -74,6 +74,75 @@ def test_indicator_rejects_nonfinite_entries():
         singular_value_indicator(m)
 
 
+def _gram_roundoff(size, sigma_max):
+    """Absolute bound on |lambda_min(E^H E) - sigma_min(E)**2| for ``E`` of ``size``."""
+    return 64 * size * np.finfo(float).eps * sigma_max**2
+
+
+NONDILUTE_CRYSTAL = DiskCrystal(radius=0.25)
+GRAM_CRYSTALS = [(DILUTE_MAT, DILUTE_CRYSTAL), (NONDILUTE_MAT, NONDILUTE_CRYSTAL)]
+GRAM_ALPHAS = [(0.0, 0.0), (np.pi, 0.0), M_ALPHA, (0.3, 2.1)]
+
+
+def _random_stack(seed, count, size):
+    rng = np.random.default_rng(seed)
+    stack = (rng.normal(size=(count, size, size))
+             + 1j * rng.normal(size=(count, size, size)))
+    stack *= 10.0 ** rng.uniform(-30, 30, size=(count, size, 1))  # row scales
+    stack[1, 4] = 2.0 * stack[1, 7]  # exactly rank-deficient once equilibrated
+    return stack
+
+
+def _assert_gram_matches_svd(stack):
+    size = stack.shape[-1]
+    spectra = bands._singular_values(stack.copy())
+    values = bands._least_gram_eigenvalues(stack.copy())
+    for value, spectrum in zip(values, spectra):
+        assert abs(value - spectrum[-1] ** 2) <= _gram_roundoff(size, spectrum[0])
+    return values
+
+
+@pytest.mark.parametrize("alpha", GRAM_ALPHAS)
+@pytest.mark.parametrize("material, crystal", GRAM_CRYSTALS)
+def test_gram_eigenvalue_is_the_squared_smallest_singular_value(material, crystal,
+                                                                 alpha):
+    omegas = np.array([0.26, 0.9, 1.9, 3.3, 4.5])
+    stack = characteristic_entries(omegas, material, np.asarray(alpha), crystal, 3)
+    assert np.all(np.isfinite(stack))
+    _assert_gram_matches_svd(stack)
+
+
+def test_gram_eigenvalue_of_random_stacks_with_a_rank_deficient_matrix():
+    for seed, size in ((0, 14), (1, 30)):
+        stack = _random_stack(seed, 6, size)
+        values = _assert_gram_matches_svd(stack)
+        # sigma_max <= size once every entry is at most 1 in modulus
+        assert abs(values[1]) <= _gram_roundoff(size, 1.0 * size)
+        assert np.all(values[[0, 2, 3, 4, 5]] > _gram_roundoff(size, 1.0 * size))
+
+
+def test_gram_eigenvalue_marks_only_nonfinite_matrices():
+    stack = _random_stack(2, 5, 14)
+    clean = bands._least_gram_eigenvalues(stack.copy())
+    stack[1, 3, 5] = np.nan
+    stack[3, 0, 0] = np.inf
+    values = bands._least_gram_eigenvalues(stack)
+    assert np.all(np.isinf(values[[1, 3]]))
+    assert np.array_equal(values[[0, 2, 4]], clean[[0, 2, 4]])
+
+
+@pytest.mark.parametrize("alpha", GRAM_ALPHAS)
+def test_gram_eigenvalue_in_a_stack_equals_its_batch_of_one(alpha):
+    omegas = np.array([0.26, 0.9, 1.9, 3.3, 4.5])
+    stacks = [characteristic_entries(omegas, DILUTE_MAT, np.asarray(alpha),
+                                     DILUTE_CRYSTAL, 3), _random_stack(3, 5, 30)]
+    for stack in stacks:
+        values = bands._least_gram_eigenvalues(stack.copy())
+        for k, value in enumerate(values):
+            single = bands._least_gram_eigenvalues(stack[k : k + 1].copy())
+            assert single[0] == value
+
+
 # ---------------------------------------------------------------------------
 # Muller refinement on generic functions
 # ---------------------------------------------------------------------------
@@ -209,18 +278,21 @@ def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
     # the guard.  With the table tolerance at 1e-50 the widened windows leave
     # a tail of 3e-46 at k = 4 but below 2e-55 up to k = 3, so 4.0 fails the
     # tail test after widening.  Both get inf; the others match the
-    # single-frequency path exactly.
+    # single-frequency path exactly and the squared SVD indicator to roundoff.
     monkeypatch.setattr(lattice, "_TABLE_TOL", 1e-50)
     alpha = np.array([0.3, 2.1])
     omegas = np.array([0.5, 1.0, 2.1253, 3.0, 4.0])
-    values = bands._singular_values(
+    values = bands._least_gram_eigenvalues(
         characteristic_entries(omegas, DILUTE_MAT, alpha, DILUTE_CRYSTAL, 3)
-    )[:, -1]
+    )
     assert np.all(np.isinf(values[[2, 4]]))
     for omega, value in zip(omegas[[0, 1, 3]], values[[0, 1, 3]]):
         matrix = assemble_characteristic_matrix(omega, DILUTE_MAT, alpha,
                                                 DILUTE_CRYSTAL, 3)
-        assert value == singular_value_indicator(matrix)
+        assert value == bands._least_gram_eigenvalues(matrix.entries[None].copy())[0]
+        sigma_max = bands._singular_values(matrix.entries[None].copy())[0, 0]
+        assert abs(value - singular_value_indicator(matrix) ** 2) <= _gram_roundoff(
+            matrix.entries.shape[0], sigma_max)
     with pytest.raises(lattice.NearEmptyResonanceError):
         assemble_characteristic_matrix(2.1253, DILUTE_MAT, alpha,
                                        DILUTE_CRYSTAL, 3)
@@ -260,6 +332,41 @@ def test_bracket_rule_in_pieces_matches_the_per_point_loop(values):
         pieces = [(omegas[i : i + chunk], values[i : i + chunk])
                   for i in range(0, values.size, chunk)]
         assert list(bands._brackets_at_minima(pieces)) == expected
+
+
+BRACKET_ALPHAS = [(0.0, 0.0), (np.pi / 5, 0.0), (np.pi, 0.0), (np.pi, 0.5 * np.pi),
+                  M_ALPHA, (0.5 * np.pi, 0.5 * np.pi), (0.3, 2.1),
+                  (2.0 * np.pi / 3, np.pi / 3)]
+BRACKET_CASES = (
+    [("dilute", alpha, 3) for alpha in BRACKET_ALPHAS]
+    + [("nondilute", alpha, 3) for alpha in BRACKET_ALPHAS]
+    + [("dilute", (0.0, 0.0), 7), ("dilute", M_ALPHA, 7)]
+)
+
+
+@pytest.mark.parametrize("name, alpha, truncation", BRACKET_CASES)
+def test_gram_profile_brackets_equal_the_svd_profile_brackets(monkeypatch, name,
+                                                               alpha, truncation):
+    # The scan's own batches over the whole grid; each stack is also given
+    # to the SVD, before the Gram helper equilibrates it in place.
+    material, crystal, omega_max = STREAM_CRYSTALS[name]
+    alpha = np.asarray(alpha, dtype=float)
+    omegas, _ = bands._scan_grid(alpha, material, (0.0, omega_max))
+    smallest = []
+    real = bands._least_gram_eigenvalues
+
+    def with_svd(stack):
+        smallest.append(bands._singular_values(stack.copy())[:, -1])
+        return real(stack)
+
+    monkeypatch.setattr(bands, "_least_gram_eigenvalues", with_svd)
+    profile = list(bands._indicator_batches(alpha, material, crystal, truncation,
+                                            omegas))
+    assert np.array_equal(np.concatenate([batch for batch, _ in profile]), omegas)
+    gram_brackets = list(bands._brackets_at_minima(profile))
+    svd_brackets = list(bands._brackets_at_minima([(omegas, np.concatenate(smallest))]))
+    assert gram_brackets == svd_brackets
+    assert gram_brackets
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +448,7 @@ def test_muller_iterate_inside_the_guard_skips_only_its_bracket(monkeypatch):
 
 STREAM_CRYSTALS = {
     "dilute": (DILUTE_MAT, DILUTE_CRYSTAL, 5.0),
-    "nondilute": (NONDILUTE_MAT, DiskCrystal(radius=0.25), 5.2),
+    "nondilute": (NONDILUTE_MAT, NONDILUTE_CRYSTAL, 5.2),
 }
 STREAM_ALPHAS = [(0.0, 0.0), (np.pi / 5, 0.0), (np.pi, 0.0), (np.pi, 0.5 * np.pi),
                  M_ALPHA, (0.5 * np.pi, 0.5 * np.pi)]
@@ -422,6 +529,18 @@ def test_refined_corner_root_lies_inside_its_scan_bracket():
     scan = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
     lo, _, hi = scan.brackets[0]
     assert lo <= DILUTE_M_BAND1 <= hi
+
+
+@pytest.mark.parametrize("alpha", [(np.pi, 0.0), M_ALPHA])
+@pytest.mark.parametrize("name", sorted(STREAM_CRYSTALS))
+def test_acceptance_indicator_is_the_svd_indicator(name, alpha):
+    material, crystal, omega_max = STREAM_CRYSTALS[name]
+    omegas, diagnostics = bands_at(alpha, material, crystal, 3, omega_max)
+    assert len(omegas) == 2
+    for omega, diag in zip(omegas, diagnostics):
+        matrix = assemble_characteristic_matrix(omega, material, np.asarray(alpha),
+                                                crystal, 3)
+        assert diag.indicator == singular_value_indicator(matrix)
 
 
 def test_retruncated_root_is_stable_for_the_dilute_crystal():
