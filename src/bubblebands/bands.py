@@ -56,8 +56,6 @@ from .lattice import (
     GAMMA_POINT,
     M_POINT,
     X_POINT,
-    NearEmptyResonanceError,
-    NonConvergenceError,
     as_bloch,
     nearest_margin,
     resonance_norms,
@@ -453,9 +451,9 @@ def _refine_bracket(
 
     The Muller target is the determinant of the characteristic matrix with
     row scales frozen at the first evaluation, so the function stays smooth
-    while the iterates move.  An iterate where the matrix cannot be built
-    (outside the admissible region, inside the lattice-sum guard, or with
-    an unconverged lattice sum) ends the refinement as unconverged.
+    while the iterates move.  An iterate outside the admissible region, or
+    where the matrix has a non-finite entry (inside the lattice-sum guard,
+    or with an unconverged lattice sum), ends the refinement as unconverged.
     Acceptance requires the iterate to come back to the real axis, stay
     inside its bracket, and push the (freshly equilibrated) indicator below
     ``_INDICATOR_TOL``.
@@ -474,16 +472,15 @@ def _refine_bracket(
                 best=om,
                 iterations=0,
             )
-        try:
-            cm = assemble_characteristic_matrix(
-                om, material, alpha, crystal, truncation
-            )
-        except (NearEmptyResonanceError, NonConvergenceError) as exc:
+        cm = assemble_characteristic_matrix(
+            om, material, alpha, crystal, truncation
+        )
+        if not np.all(np.isfinite(cm.entries)):
             raise RootNotConvergedError(
-                f"no characteristic matrix at iterate {om}: {exc}",
+                f"no characteristic matrix at iterate {om}",
                 best=om,
                 iterations=0,
-            ) from exc
+            )
         if row_scale is None:
             row_scale = _row_scales(cm.entries)
         log_det = _scaled_log_determinant(cm.entries, row_scale)
@@ -497,12 +494,9 @@ def _refine_bracket(
         w = float(root.real)
         if not lo <= w <= hi:
             return False
-        try:
-            cm = assemble_characteristic_matrix(
-                w, material, alpha, crystal, truncation
-            )
-        except (NearEmptyResonanceError, NonConvergenceError, ValueError):
-            return False
+        cm = assemble_characteristic_matrix(
+            w, material, alpha, crystal, truncation
+        )
         spectrum = _singular_values(cm.entries[None])[0]
         last["indicator"] = float(spectrum[-1])
         return math.isfinite(spectrum[0]) and (
@@ -750,7 +744,7 @@ def band_structure(
                 solved[key] = bands_at(
                     alpha, material, crystal, truncation, omega_max, band_count
                 )
-            except (BandNotFoundError, NonConvergenceError) as exc:
+            except BandNotFoundError as exc:
                 solved[key] = exc
         result = solved[key]
         if isinstance(result, Exception):

@@ -40,7 +40,7 @@ from .capacity import (
     capacity_quasi,
     minnaert_frequency,
 )
-from .lattice import M_POINT, NearEmptyResonanceError, NonConvergenceError, as_bloch
+from .lattice import M_POINT, as_bloch
 from .multipole import DiskCrystal, MaterialParams
 
 __all__ = [
@@ -162,7 +162,7 @@ def run_bands(config: RunConfig) -> Path:
             resolution=config.path_resolution, band_count=2,
             omega_max=config.omega_max,
         )
-    except (BandNotFoundError, NonConvergenceError, NearEmptyResonanceError) as exc:
+    except BandNotFoundError as exc:
         raise ComputationError(str(exc)) from exc
     if structure.failures:
         s, alpha, reason = structure.failures[0]
@@ -224,8 +224,7 @@ def run_compare(config: RunConfig, contrast_list, alpha=None) -> Path:
         try:
             exact = resonance_near(approx, bloch, material, crystal,
                                    config.truncation_N)
-        except (BandNotFoundError, NonConvergenceError,
-                NearEmptyResonanceError) as exc:
+        except BandNotFoundError as exc:
             warnings.append(f"contrast {contrast:g}: {exc}")
             lines.append(f"{contrast:g},{_fmt(delta)},,{_fmt(approx)},")
             continue
@@ -264,8 +263,7 @@ def run_dilute(config: RunConfig, radius_list, *,
                 resolution=config.path_resolution, band_count=1,
                 omega_max=config.omega_max,
             )
-        except (BandNotFoundError, NonConvergenceError,
-                NearEmptyResonanceError) as exc:
+        except BandNotFoundError as exc:
             raise ComputationError(f"radius {radius:g}: {exc}") from exc
         if structure.failures:
             s, alpha, reason = structure.failures[0]

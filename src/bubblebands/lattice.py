@@ -32,10 +32,10 @@ are contractions over the lattice points that keep the wavenumber as a
 stack axis, so a wavenumber gets bitwise the same table in a batch of any
 size.  (A batch with no complex wavenumber runs in real arithmetic where
 it can, so a real wavenumber gets that table in such batches only.)  The
-guard and the tail test act per wavenumber: in a batch, a
-wavenumber that fails either is marked and gets NaN values, and the misses
-of the tail test are recomputed together on the widened windows.  The
-band scan (``bands``) evaluates its frequency grid this way, one batch of
+guard and the tail test act per wavenumber: a wavenumber that fails either
+is marked and gets NaN values, alone as in a batch, and the misses of the
+tail test are recomputed together on the widened windows.  The band scan
+(``bands``) evaluates its frequency grid this way, one batch of
 ``bands._CHUNK_ENTRIES`` matrix entries at a time.
 
 All conventions (phases, prefactors, the n < 0 continuation) are pinned by
@@ -78,14 +78,6 @@ _J_CAP = 40            # series depth of the spatial radial functions
 _RANGE_BUMP = 3        # widening applied when a tail misses _TABLE_TOL
 #: j * j! for j = 1..59, the divisors of the central series (see ``table``)
 _CENTRAL_DIV = np.cumprod(np.arange(1.0, 60.0)) * np.arange(1.0, 60.0)
-
-
-class NonConvergenceError(RuntimeError):
-    """Lattice-sum error estimate exceeded the table tolerance."""
-
-
-class NearEmptyResonanceError(RuntimeError):
-    """Wavenumber within the guard margin of an empty-lattice resonance."""
 
 
 def as_bloch(alpha) -> np.ndarray:
@@ -171,8 +163,8 @@ class LatticeSumTable:
         Largest stored order.
     values : ndarray
         ``Q_{-order_max} .. Q_{order_max}``, length ``2 * order_max + 1``;
-        shape ``(K, 2 * order_max + 1)`` for a batch of K wavenumbers, with
-        a row of NaN wherever ``in_guard`` is set or ``converged`` is not.
+        shape ``(K, 2 * order_max + 1)`` for a batch of K wavenumbers.  A
+        row is NaN wherever ``in_guard`` is set or ``converged`` is not.
     est_error : float or ndarray
         Internal absolute error estimate (max over orders): window-tail
         bound plus a roundoff floor proportional to the gross magnitude of
@@ -181,9 +173,9 @@ class LatticeSumTable:
         orders are converged relative to their own size instead.
     in_guard, converged : bool or ndarray
         Whether Re k lies within ``_GUARD`` of an empty-lattice resonance,
-        and whether every order's truncation tail met ``_TABLE_TOL``.  A
-        table at one wavenumber always has ``False`` and ``True``: the
-        engine raises instead.
+        and whether every order's truncation tail met ``_TABLE_TOL``.
+        ``values`` is NaN wherever either flag marks a failure, at one
+        wavenumber as in a batch.
     """
 
     k: complex | np.ndarray
@@ -373,25 +365,20 @@ class LatticeSumEngine:
     def table(self, k) -> LatticeSumTable:
         """All Q_n for |n| <= order_max at wavenumber ``k``, or at each k of a 1-D array.
 
-        A 1-D array is evaluated in one pass and returns a batch table: the
-        guard and the convergence test act per wavenumber, and a wavenumber
-        that fails either is marked in ``in_guard`` or ``converged`` and
-        gets a row of NaN, without affecting the others.  A single ``k`` is
-        the batch of one and raises instead.
+        A 1-D array is evaluated in one pass and returns a batch table; a
+        single ``k`` is the batch of one.  The guard and the convergence
+        test act per wavenumber.  A wavenumber with Re k within ``_GUARD``
+        of an empty-lattice resonance is marked in ``in_guard``; one where
+        any order's truncation tail exceeds ``_TABLE_TOL`` -- measured
+        absolutely for sums of magnitude <= 1 and relative to the sum's own
+        size for larger ones -- is marked ``converged = False``.  Either
+        gives it NaN values, without affecting the others.  Widening the
+        windows is left to the caller (see ``lattice_sum_table``).
 
         Raises
         ------
         ValueError
             If any Re k <= 0 or |Im k| > 1.
-        NearEmptyResonanceError
-            If a single ``k`` has Re k within ``_GUARD`` of an empty-lattice
-            resonance.
-        NonConvergenceError
-            If, for a single ``k``, any order's error estimate exceeds
-            ``_TABLE_TOL`` -- measured absolutely for sums of magnitude <= 1
-            and relative to the sum's own size for larger ones (after the
-            caller has had a chance to widen the windows; see
-            ``lattice_sum_table``).
         """
         ks = np.asarray(k, dtype=complex)
         if ks.ndim > 1:
@@ -400,31 +387,22 @@ class LatticeSumEngine:
             raise ValueError("Re k must be positive")
         if np.any(np.abs(ks.imag) > 1.0):
             raise ValueError("lattice sums support |Im k| <= 1")
-        batch, worst = self._evaluate(ks.reshape(-1))
+        batch = self._evaluate(ks.reshape(-1))
         if ks.ndim == 1:
             return batch
         kc = complex(ks)
-        if batch.in_guard[0]:
-            raise NearEmptyResonanceError(
-                f"k={kc.real:.6g} is within {_GUARD:.3g} of an empty-lattice "
-                f"resonance at alpha={tuple(self.alpha)}"
-            )
-        if not batch.converged[0]:
-            raise NonConvergenceError(
-                f"lattice-sum truncation tail {worst[0]:.3e} (worst order, "
-                f"relative to the sum's own size) exceeds tol={_TABLE_TOL:.3e} "
-                f"at k={kc:.6g}"
-            )
         return LatticeSumTable(
             k=kc if kc.imag else complex(kc.real),
             alpha=self.alpha,
             order_max=self.order_max,
             values=batch.values[0],
             est_error=float(batch.est_error[0]),
+            in_guard=bool(batch.in_guard[0]),
+            converged=bool(batch.converged[0]),
         )
 
-    def _evaluate(self, ks: np.ndarray) -> tuple[LatticeSumTable, np.ndarray]:
-        """Batch table at the 1-D complex array ``ks``, and the worst tail ratio per k."""
+    def _evaluate(self, ks: np.ndarray) -> LatticeSumTable:
+        """Batch table at the 1-D complex array ``ks``."""
         S = self.order_max
         in_guard = self.margin(ks) <= _GUARD
         is_real = not np.any(ks.imag)
@@ -509,7 +487,7 @@ class LatticeSumEngine:
         )
         converged = ~np.any(tails > _TABLE_TOL * scales, axis=1)
         values[in_guard | ~converged] = np.nan
-        batch = LatticeSumTable(
+        return LatticeSumTable(
             k=ks,
             alpha=self.alpha,
             order_max=S,
@@ -518,7 +496,6 @@ class LatticeSumEngine:
             in_guard=in_guard,
             converged=converged,
         )
-        return batch, np.max(tails / scales, axis=1)
 
     def zero_k_limits(self) -> np.ndarray:
         """Scaled k -> 0 limits of the lattice sums, |n| <= order_max.
@@ -601,35 +578,31 @@ def _engine_for(alpha_key: bytes, order_max: int, widen: int = 0) -> LatticeSumE
 def lattice_sum_table(order_max: int, k, alpha) -> LatticeSumTable:
     """Table of Q_n, |n| <= order_max, with automatic window widening.
 
-    ``k`` is one wavenumber or a 1-D array of them.  If the default Ewald
-    windows miss ``_TABLE_TOL`` the computation is retried once with
-    windows widened by 3.  A single ``k`` that misses again raises
-    ``NonConvergenceError``; a batch recomputes all its misses as one batch
-    on the widened engine, and what misses there stays marked in
-    ``converged`` (see ``LatticeSumEngine.table``).
+    ``k`` is one wavenumber or a 1-D array of them.  Wavenumbers that miss
+    ``_TABLE_TOL`` on the default Ewald windows, outside the guard, are
+    recomputed once, as one batch, with windows widened by 3; a single
+    ``k`` gets the widened table, a batch has its missed rows replaced.
+    What misses there stays marked in ``converged``, with NaN values (see
+    ``LatticeSumEngine.table``).
     """
     alpha = as_bloch(alpha)
     key = alpha.tobytes()
+    table = _engine_for(key, order_max).table(k)
+    miss = np.logical_not(table.converged | table.in_guard)
+    if not miss.any():
+        return table
+    logger.info(
+        "widening Ewald windows at %d of %d wavenumbers, alpha=%s",
+        np.count_nonzero(miss), miss.size, tuple(alpha),
+    )
+    wide = _engine_for(key, order_max, widen=_RANGE_BUMP)
     if np.ndim(k) == 0:
-        try:
-            return _engine_for(key, order_max).table(k)
-        except NonConvergenceError:
-            logger.info(
-                "widening Ewald windows at k=%s, alpha=%s", k, tuple(alpha)
-            )
-            return _engine_for(key, order_max, widen=_RANGE_BUMP).table(k)
-    batch = _engine_for(key, order_max).table(k)
-    miss = ~batch.converged & ~batch.in_guard
-    if miss.any():
-        logger.info(
-            "widening Ewald windows at %d of %d wavenumbers, alpha=%s",
-            np.count_nonzero(miss), miss.size, tuple(alpha),
-        )
-        wide = _engine_for(key, order_max, widen=_RANGE_BUMP).table(batch.k[miss])
-        # the batch's arrays are its own: patch the misses' rows in place
-        for name in ("values", "est_error", "in_guard", "converged"):
-            getattr(batch, name)[miss] = getattr(wide, name)
-    return batch
+        return wide.table(k)
+    patch = wide.table(table.k[miss])
+    # the batch's arrays are its own: patch the misses' rows in place
+    for name in ("values", "est_error", "in_guard", "converged"):
+        getattr(table, name)[miss] = getattr(patch, name)
+    return table
 
 
 def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:

@@ -356,9 +356,10 @@ def assemble_characteristic_matrix(
     band frequencies.  ``omega`` may sit slightly off the real axis (the
     complex root refinement needs this); its real part must be positive.
     The lattice-sum table of order 2N is built internally at
-    ``k = omega / v``; it raises ``NearEmptyResonanceError`` within
-    ``lattice._GUARD`` of an empty-lattice resonance.  This is
-    ``characteristic_entries`` at one frequency.
+    ``k = omega / v``.  Within ``lattice._GUARD`` of an empty-lattice
+    resonance, or where the lattice sums miss their tolerance, the entries
+    that need them are NaN.  This is ``characteristic_entries`` at one
+    frequency.
     """
     omega_c = complex(omega)
     if omega_c.real <= 0.0:
@@ -384,9 +385,10 @@ def characteristic_entries(
     Returns the ``2(2N+1)``-square matrix, or for an array of K frequencies
     (positive real part) a ``(K, 2(2N+1), 2(2N+1))`` stack built from one
     lattice-sum batch (``lattice_sum_table``).  A frequency whose lattice
-    sums fail the guard or the tail test gets a matrix of NaN, leaving the
-    rest of the stack intact; a single frequency raises instead, as in
-    ``assemble_characteristic_matrix``, which also validates the inputs.
+    sums fail the guard or the tail test gets NaN in every entry that needs
+    them (the columns of the outer densities), at one frequency as in a
+    stack, leaving the rest of the stack intact.
+    ``assemble_characteristic_matrix`` also validates the inputs.
     """
     omega = np.asarray(omega)
     k = omega / material.v

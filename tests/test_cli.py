@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from bubblebands import cli
+from bubblebands.bands import BandNotFoundError
 from bubblebands.capacity import capacity_disk, capacity_quasi, minnaert_frequency
 from bubblebands.cli import RunConfig, UsageError, load_config, main
 from bubblebands.multipole import DiskCrystal, ZeroAlphaError
@@ -137,6 +139,55 @@ def test_unreachable_band_ceiling_is_a_computation_error(tmp_path, capsys):
     assert main(["bands", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert "path point" in err and "s=" in err
+
+
+def _raise_band_not_found(*args, **kwargs):
+    raise BandNotFoundError("no band in reach")
+
+
+def test_dilute_band_search_failure_is_a_computation_error(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "band_structure", _raise_band_not_found)
+    out = tmp_path / "dilute.csv"
+    assert main(["dilute", "--radii", "0.05", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius 0.05: no band in reach")
+    assert not out.exists()
+
+
+def test_compare_missing_resonance_is_a_warning_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "resonance_near", _raise_band_not_found)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"radius": 0.0125, "truncation_N": 3}))
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--config", str(config), "--output", str(out),
+                 "--contrasts", "100,300"]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:3]]
+    assert [row[0] for row in rows] == ["100", "300"]
+    assert all(row[2] == "" and row[4] == "" for row in rows)
+    assert all(float(row[3]) > 0.0 for row in rows)
+    assert lines[3:] == [
+        "# warnings: contrast 100: no band in reach",
+        "# warnings: contrast 300: no band in reach",
+    ]
+
+
+@pytest.mark.parametrize("command, target", [
+    (["bands"], "band_structure"),
+    (["dilute", "--radii", "0.05"], "band_structure"),
+    (["compare", "--contrasts", "100"], "resonance_near"),
+])
+def test_other_band_search_errors_are_not_swallowed(
+        command, target, tmp_path, monkeypatch):
+    # The handlers turn only a missing band into an error report; anything
+    # else a band search raises is a fault of the program and propagates.
+    def fail(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, target, fail)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main([*command, "--output", str(tmp_path / "out.csv")])
 
 
 # ---------------------------------------------------------------------------

@@ -145,24 +145,41 @@ def test_default_tolerance_has_wide_headroom():
 # guards and failure modes
 # ---------------------------------------------------------------------------
 
-def test_near_resonance_guard_raises(monkeypatch):
-    with pytest.raises(lat.NearEmptyResonanceError):
-        lat.lattice_sum_table(2, np.pi - 0.01, lat.X_POINT)
+def _assert_guard_rejected(table):
+    assert table.in_guard is True
+    assert np.all(np.isnan(table.values))
+
+
+def test_near_resonance_guard_marks_the_table(monkeypatch):
+    _assert_guard_rejected(lat.lattice_sum_table(2, np.pi - 0.01, lat.X_POINT))
     # wider guard catches points the production guard accepts
     with monkeypatch.context() as patch:
         patch.setattr(lat, "_GUARD", 0.5)
-        with pytest.raises(lat.NearEmptyResonanceError):
+        _assert_guard_rejected(
             lat.lattice_sum_table(2, np.pi - 0.2, lat.X_POINT)
+        )
     # same wavenumber passes at the production guard
-    lat.lattice_sum_table(2, np.pi - 0.2, lat.X_POINT)
+    table = lat.lattice_sum_table(2, np.pi - 0.2, lat.X_POINT)
+    assert table.in_guard is False and table.converged is True
+    assert np.all(np.isfinite(table.values))
 
 
-def test_unreachable_tolerance_raises_after_widening(monkeypatch):
+def test_unreachable_tolerance_stays_unconverged_after_widening(monkeypatch):
     # Gaussian window damping reaches ~1e-85 truncation tails after the
     # automatic widening retry; below that the request cannot be met.
     monkeypatch.setattr(lat, "_TABLE_TOL", 1e-90)
-    with pytest.raises(lat.NonConvergenceError):
-        lat.lattice_sum_table(2, 1.1, (0.6, 0.6))
+    calls = []
+    real = lat.LatticeSumEngine.table
+
+    def counted(self, k):
+        calls.append(self)
+        return real(self, k)
+
+    monkeypatch.setattr(lat.LatticeSumEngine, "table", counted)
+    table = lat.lattice_sum_table(2, 1.1, (0.6, 0.6))
+    assert len(calls) == 2 and calls[0] is not calls[1]   # widened retry
+    assert table.converged is False and table.in_guard is False
+    assert np.all(np.isnan(table.values))
 
 
 def test_wavenumber_domain_checks():
@@ -303,17 +320,13 @@ def test_batched_table_matches_per_wavenumber_calls(order, alpha):
          lambda k: lat.lattice_sum_table(order, k, alpha)),
     ):
         for i, k in enumerate(points):
-            try:
-                table = single(k)
-            except lat.NearEmptyResonanceError:
-                assert batch.in_guard[i]
+            table = single(k)
+            assert table.in_guard is bool(batch.in_guard[i])
+            assert table.converged is bool(batch.converged[i])
+            if table.in_guard or not table.converged:
+                assert np.all(np.isnan(table.values))
                 assert np.all(np.isnan(batch.values[i]))
                 continue
-            except lat.NonConvergenceError:
-                assert not batch.converged[i] and not batch.in_guard[i]
-                assert np.all(np.isnan(batch.values[i]))
-                continue
-            assert batch.converged[i] and not batch.in_guard[i]
             scale = np.maximum(1.0, np.abs(table.values))
             assert np.max(np.abs(batch.values[i] - table.values) / scale) <= 1e-13
             assert batch.est_error[i] == pytest.approx(table.est_error, rel=1e-13)

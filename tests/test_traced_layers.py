@@ -1,0 +1,60 @@
+"""The benchmark's span tracer still finds an entry point in every layer.
+
+A traced benchmark run (``perfbench/run.py --trace 1``) times each layer
+through the entry points listed in ``perfbench/tracer.py``.  A layer none of
+whose entry points resolves is reported as absent, which changes the traced
+output while the untraced run stays the same.  These tests read the tracer's
+tables and resolve them against the package; they change nothing under
+``perfbench/``.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+#: Entry points the tracer lists that no longer exist in the package.  A
+#: change that makes another one disappear must say why and extend this.
+KNOWN_MISSING = {
+    "bubblebands.bessel.bessel_y_seq",
+    "bubblebands.bessel.hankel1_seq",
+    "bubblebands.bessel.bessel_j_seq_complex",
+    "bubblebands.bessel.bessel_y_seq_complex",
+    "bubblebands.bessel.hankel1_seq_complex",
+    "bubblebands.capacity.quasistatic_matrix",
+}
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def probe(tracer):
+    """A tracer that resolved every entry point, patched and restored them."""
+    probe = tracer.Tracer()
+    probe.install()
+    probe.uninstall()
+    return probe
+
+
+def test_every_traced_layer_keeps_an_entry_point(tracer, probe):
+    absent = set(tracer.LAYERS) - probe.present_layers()
+    assert not absent, f"traced layers with no entry point left: {absent}"
+
+
+def test_no_further_entry_point_goes_missing(probe):
+    missing = set(probe.missing)
+    assert missing <= KNOWN_MISSING, missing - KNOWN_MISSING
