@@ -1,16 +1,22 @@
 """Bessel ``J_n`` sequences on long vectors of real arguments.
 
-The plane-wave quasi-static matrix (``multipole.quasistatic_matrix``), the
-truncated-lattice check of the k -> 0 single-layer block, needs
-``J_0..J_N`` at tens of thousands of real arguments at once.  Miller's
-downward recurrence with trailing normalisation (sum rule
-``J_0 + 2*sum J_2m = 1``), stable for all n >= 0, handles the whole vector
-in one pass, several times faster there than ``scipy.special.jv`` over the
-order grid.  Nothing on the production path calls it: the capacity takes
-the k -> 0 block from the lattice-sum limits, and the per-frequency
-cylinder tables of the band assembly (J, H1 and their derivatives at one
-real or complex argument) come from ``scipy.special``; see
-``multipole._cyl_tables``.
+The plane-wave quasi-static matrix of the test oracles
+(``tests/oracles.py``), the truncated-lattice check of the k -> 0
+single-layer block, needs ``J_0..J_N`` at tens of thousands of real
+arguments at once.  Miller's downward recurrence with trailing
+normalisation (sum rule ``J_0 + 2*sum J_2m = 1``), stable for all n >= 0,
+handles the whole vector in one pass, several times faster there than
+``scipy.special.jv`` over the order grid.  Nothing on the production path
+calls it: the capacity takes the k -> 0 block from the lattice-sum limits,
+and the per-frequency cylinder tables of the band assembly (J, H1 and
+their derivatives at one real or complex argument) come from
+``scipy.special``; see ``multipole._cyl_tables``.
+
+It stays in the package because the benchmark's span tracer
+(``perfbench/tracer.py``) times its bessel layer through
+``bubblebands.bessel.bessel_j_seq``: without that entry point the layer
+would read as absent and the traced output would change.  It can move to
+the tests once the tracer drops that layer.
 """
 
 from __future__ import annotations

@@ -72,8 +72,7 @@ _TABLE_TOL = 1e-8
 #: Smallest admissible distance of Re k from an empty-lattice resonance.
 _GUARD = 0.01
 
-_SPATIAL_RANGE = 5     # direct-lattice window |m|_inf <= range, m != 0
-_SPECTRAL_RANGE = 5    # reciprocal window |nu|_inf <= range
+_WINDOW = 5            # Ewald windows |m|_inf <= window (m != 0), |nu|_inf <= window
 _J_CAP = 40            # series depth of the spatial radial functions
 _RANGE_BUMP = 3        # widening applied when a tail misses _TABLE_TOL
 #: j * j! for j = 1..59, the divisors of the central series (see ``table``)
@@ -94,47 +93,30 @@ def as_bloch(alpha) -> np.ndarray:
     return arr.copy()
 
 
-def _reciprocal_norms(alpha: np.ndarray, k: float) -> np.ndarray:
-    """``|q|`` of the reciprocal points ``q = 2 pi nu + alpha`` with ``|q| <= k + 2 pi``."""
-    reach = int(np.ceil((k + 2.0 * np.pi + np.pi * np.sqrt(2.0)) / (2.0 * np.pi))) + 1
+def resonance_norms(alpha, k_max: float) -> list[float]:
+    """Sorted ``|q|`` of the reciprocal points with ``|q| <= k_max + 2 pi``.
+
+    The points are ``q = 2 pi nu + alpha``.  Every point of the plane lies
+    within pi sqrt(2) of one, so the ``|q|`` nearest any ``0 <= k <= k_max``
+    is among them.  Built once per frequency scan, for ``nearest_margin``.
+    """
+    alpha = as_bloch(alpha)
+    top = float(k_max) + 2.0 * np.pi
+    reach = int(np.ceil((top + np.pi * np.sqrt(2.0)) / (2.0 * np.pi))) + 1
     ii = 2.0 * np.pi * np.arange(-reach, reach + 1)
     qx = ii + alpha[0]
     qy = ii + alpha[1]
     qn = np.sqrt(qx[:, None] ** 2 + qy[None, :] ** 2).ravel()
-    return qn[qn <= k + 2.0 * np.pi]
-
-
-def empty_lattice_margin(k: float, alpha) -> float:
-    """Distance from ``k`` to the nearest empty-lattice resonance ``|q|``.
-
-    Scans reciprocal points ``q = 2 pi nu + alpha`` with ``|q| <= k + 2 pi``
-    and returns ``min |k - |q||``; if no reciprocal point lies that close,
-    returns ``k + 2 pi`` as a floor.
-    """
-    alpha = as_bloch(alpha)
-    k = float(k)
-    qn = _reciprocal_norms(alpha, k)
-    if qn.size == 0:
-        return k + 2.0 * np.pi
-    return float(np.min(np.abs(k - qn)))
-
-
-def resonance_norms(alpha, k_max: float) -> list[float]:
-    """Sorted ``|q|`` of the reciprocal points with ``|q| <= k_max + 2 pi``.
-
-    Every point of the plane lies within pi sqrt(2) of a reciprocal point,
-    so the ``|q|`` nearest any ``0 <= k <= k_max`` is among them.  Built
-    once per frequency scan, for ``nearest_margin``.
-    """
-    return sorted(_reciprocal_norms(as_bloch(alpha), float(k_max)).tolist())
+    return sorted(qn[qn <= top].tolist())
 
 
 def nearest_margin(norms: list[float], k: float) -> float:
-    """``empty_lattice_margin(k, alpha)`` from ``norms = resonance_norms(alpha, k_max)``.
+    """Distance from ``k`` to the nearest empty-lattice resonance ``|q|``.
 
-    Needs ``0 <= k <= k_max``.  Bisection finds the two ``|q|`` that
-    bracket ``k``; the nearer one gives the same floating-point distance
-    that ``empty_lattice_margin`` finds by its full minimum.
+    ``norms = resonance_norms(alpha, k_max)`` and ``0 <= k <= k_max``.
+    Bisection finds the two ``|q|`` that bracket ``k``; the nearer one
+    gives the same floating-point distance as a full minimum of
+    ``|k - |q||`` over the reciprocal points.
     """
     i = bisect.bisect_left(norms, k)
     return min(abs(k - q) for q in norms[max(i - 1, 0): i + 1])
@@ -231,7 +213,7 @@ def _upper_gamma_block(t_max: int, t_min: int, x: np.ndarray) -> np.ndarray:
 _coeff_cache: dict = {}
 
 
-def _spatial_coefficients(order_max: int, spatial_range: int):
+def _spatial_coefficients(order_max: int, window: int):
     """k-independent spatial data: lattice points and the coefficient tensor.
 
     Returns ``(mx, my, r, unit_pow, coeff)`` where ``coeff[s, j, pt]`` equals
@@ -239,12 +221,12 @@ def _spatial_coefficients(order_max: int, spatial_range: int):
     ``radial_s(pt; k) = sum_j (k/2)^{2j-s} coeff[s, j, pt]``, and
     ``unit_pow[s, pt] = e^{i s phi_pt}``.
     """
-    key = (order_max, spatial_range)
+    key = (order_max, window)
     hit = _coeff_cache.get(key)
     if hit is not None:
         return hit
 
-    rng = np.arange(-spatial_range, spatial_range + 1)
+    rng = np.arange(-window, window + 1)
     mx, my = np.meshgrid(rng, rng, indexing="ij")
     mx = mx.ravel().astype(float)
     my = my.ravel().astype(float)
@@ -284,7 +266,9 @@ class LatticeSumEngine:
     One engine caches everything that does not depend on ``k``: reciprocal
     points and their complex powers, direct-lattice phases, and the (shared,
     module-level) incomplete-gamma coefficient tensor.  ``table`` then costs
-    only a few matrix-vector products per wavenumber.
+    only a few matrix-vector products per wavenumber.  ``window`` is the
+    half-width ``|.|_inf`` of both Ewald windows, the direct lattice points
+    and the reciprocal indices.
     """
 
     def __init__(
@@ -292,20 +276,17 @@ class LatticeSumEngine:
         alpha,
         order_max: int,
         *,
-        spatial_range: int = _SPATIAL_RANGE,
-        spectral_range: int = _SPECTRAL_RANGE,
+        window: int = _WINDOW,
     ):
         if order_max < 0 or order_max > 30:
             raise ValueError("order_max must be in 0..30")
         self.alpha = as_bloch(alpha)
         self.order_max = order_max
 
-        # reciprocal points p = 2 pi nu + alpha over |nu|_inf <= range
-        rng = np.arange(-spectral_range, spectral_range + 1)
+        # reciprocal points p = 2 pi nu + alpha over |nu|_inf <= window
+        rng = np.arange(-window, window + 1)
         nx, ny = np.meshgrid(rng, rng, indexing="ij")
-        self._spec_ring = (
-            (np.abs(nx) == spectral_range) | (np.abs(ny) == spectral_range)
-        ).ravel()
+        self._spec_ring = ((np.abs(nx) == window) | (np.abs(ny) == window)).ravel()
         px = (2.0 * np.pi * nx + self.alpha[0]).ravel()
         py = (2.0 * np.pi * ny + self.alpha[1]).ravel()
         self._p_norm2 = px * px + py * py
@@ -321,12 +302,8 @@ class LatticeSumEngine:
         self._ring_p_abs = self._p_pow_abs[self._spec_ring]
 
         # direct-lattice data (shared cache) plus alpha phases
-        mx, my, r, unit_pow, coeff = _spatial_coefficients(
-            order_max, spatial_range
-        )
-        self._spat_ring = (
-            np.maximum(np.abs(mx), np.abs(my)) == spatial_range
-        ).astype(float)
+        mx, my, r, unit_pow, coeff = _spatial_coefficients(order_max, window)
+        self._spat_ring = (np.maximum(np.abs(mx), np.abs(my)) == window).astype(float)
         self._coeff = coeff
         self._j_cap_abs = np.sum(np.abs(coeff[:, _J_CAP, :]), axis=1)
         # The spatial sums contract the real radial functions with the real
@@ -567,12 +544,7 @@ _ENGINE_CACHE_SIZE = 8
 @functools.lru_cache(maxsize=_ENGINE_CACHE_SIZE)
 def _engine_for(alpha_key: bytes, order_max: int, widen: int = 0) -> LatticeSumEngine:
     """The engine for the Bloch vector whose float64 bytes are ``alpha_key``."""
-    return LatticeSumEngine(
-        np.frombuffer(alpha_key),
-        order_max,
-        spatial_range=_SPATIAL_RANGE + widen,
-        spectral_range=_SPECTRAL_RANGE + widen,
-    )
+    return LatticeSumEngine(np.frombuffer(alpha_key), order_max, window=_WINDOW + widen)
 
 
 def lattice_sum_table(order_max: int, k, alpha) -> LatticeSumTable:

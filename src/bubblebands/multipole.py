@@ -28,15 +28,15 @@ whose characteristic values omega (through k = omega / v and
 k_b = omega / v_b) are the band frequencies; ``delta`` is the
 bubble-to-host density ratio.  For ``alpha != 0`` the block ``S`` has an
 exact k -> 0 limit, formed from the k -> 0 limits of the lattice sums
-(``outer_block_limit``); it feeds the quasi-periodic capacity.  The
-plane-wave quasi-static matrix (``quasistatic_matrix``) is the same limit
-summed over a truncated reciprocal lattice; it converges only like
-1/cutoff and serves as an independent check.
+(``outer_block_limit``); it feeds the quasi-periodic capacity.
 
 Derivative diagonals come from differentiating the one-sided interior /
 exterior expansions directly, which reproduces the unit jump to machine
-precision; sign and phase conventions are pinned by the test suite against
-Nystrom quadrature and spectral-sum references.
+precision.  The blocks are built for all orders at once; sign and phase
+conventions are pinned by the test suite against per-entry closed forms,
+Nystrom quadrature, plane-wave sums and the plane-wave quasi-static
+matrix, which sums the k -> 0 limit over a truncated reciprocal lattice
+(the oracles of ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special as sp
 
-from . import bessel
 from .lattice import EULER_GAMMA, LatticeSumTable, as_bloch, lattice_sum_table
 
 __all__ = [
@@ -56,16 +55,10 @@ __all__ = [
     "CharacteristicMatrix",
     "MissingLatticeOrderError",
     "ZeroAlphaError",
-    "inner_block_diag",
-    "outer_block_entries",
     "outer_block_limit",
     "assemble_characteristic_matrix",
     "characteristic_entries",
-    "quasistatic_matrix",
 ]
-
-#: Chunk size (reciprocal-lattice points per batch) for the quasi-static sum.
-_Q_CHUNK = 1 << 16
 
 
 class MissingLatticeOrderError(LookupError):
@@ -203,69 +196,8 @@ def _parity_signs(orders: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# free-space (single bubble) blocks
-# ---------------------------------------------------------------------------
-
-def inner_block_diag(n: int, wavenumber, radius: float):
-    """Diagonal single-layer pair ``(value, interior derivative)`` at order n.
-
-    ``value = c J_n(z) H_n^(1)(z)`` and
-    ``d_value = c k J_n'(z) H_n^(1)(z)`` with ``z = wavenumber * radius``
-    and ``c = -i pi radius / 2``; the derivative is the interior one-sided
-    normal derivative.  Orders enter through ``|n|`` only
-    (``J_{-n} H_{-n} = J_n H_n``).
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    order = abs(int(n))
-    z = wavenumber * radius
-    j, jp, h, _ = _cyl_tables(order, z)
-    c = -0.5j * math.pi * radius
-    return c * j[order] * h[order], c * wavenumber * jp[order] * h[order]
-
-
-# ---------------------------------------------------------------------------
 # quasi-periodic blocks
 # ---------------------------------------------------------------------------
-
-def outer_block_entries(
-    m: int, n: int, k, alpha, radius: float, table: LatticeSumTable
-):
-    """Entry ``(value, exterior derivative)`` of the quasi-periodic layer.
-
-    Row order ``m`` (projection), column order ``n`` (density); ``table``
-    must hold the lattice sum of order ``n - m`` and must have been built
-    at the same ``(k, alpha)``.
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    alpha = as_bloch(alpha)
-    if abs(complex(k) - complex(table.k)) > 1e-12 * max(1.0, abs(complex(k))):
-        raise ValueError("table was built at a different wavenumber")
-    if not np.allclose(alpha, table.alpha, atol=1e-12):
-        raise ValueError("table was built at a different Bloch vector")
-    if abs(n - m) > table.order_max:
-        raise MissingLatticeOrderError(
-            f"coupling order {n - m} exceeds table order_max={table.order_max}"
-        )
-
-    order_hi = max(abs(m), abs(n))
-    z = k * radius
-    j, jp, h, hp = _cyl_tables(order_hi, z)
-    sg_m = 1.0 if m >= 0 or m % 2 == 0 else -1.0
-    sg_n = 1.0 if n >= 0 or n % 2 == 0 else -1.0
-    j_m, jp_m = sg_m * j[abs(m)], sg_m * jp[abs(m)]
-    j_n, h_n, hp_n = sg_n * j[abs(n)], sg_n * h[abs(n)], sg_n * hp[abs(n)]
-
-    c = -0.5j * math.pi * radius
-    coupling = c * j_n * (-1.0) ** (n - m) * table.value(n - m)
-    s = coupling * j_m
-    ds = coupling * k * jp_m
-    if m == n:
-        s += c * j_n * h_n
-        ds += c * k * j_n * hp_n
-    return s, ds
-
 
 def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: int):
     """Dense ``(S, dS)`` blocks for all row/column orders ``-order_max..order_max``.
@@ -413,62 +345,3 @@ def characteristic_entries(
     )
     entries[..., width:, width:] = -material.delta * ds_outer
     return entries
-
-
-# ---------------------------------------------------------------------------
-# quasi-static (zero-wavenumber) limit
-# ---------------------------------------------------------------------------
-
-def quasistatic_matrix(
-    alpha, radius: float, order_max: int, cutoff: int
-) -> np.ndarray:
-    """Zero-wavenumber quasi-periodic single-layer matrix, harmonic basis.
-
-    Entry ``(m, n)``, orders ``-order_max..order_max``, is
-
-        -2 pi R sum_q i^m (-i)^n J_m(|q|R) J_n(|q|R) e^{i(n-m) arg q} / |q|^2
-
-    over reciprocal points ``q = 2 pi nu + alpha`` with
-    ``|q|_inf <= 2 pi cutoff``.  The summand is a negative-weighted Gram
-    term ``B B^H``, so the matrix is Hermitian negative definite by
-    construction.  Convergence is absolute (``|q|^{-3}`` after angular
-    averaging); no zero-wavenumber log divergence appears because
-    ``alpha != 0`` keeps every denominator away from zero.
-    """
-    alpha = as_bloch(alpha)
-    if float(np.hypot(alpha[0], alpha[1])) == 0.0:
-        raise ZeroAlphaError("quasi-static matrix requires alpha != 0")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if order_max < 0:
-        raise ValueError("order_max must be >= 0")
-    if cutoff < 20:
-        raise ValueError("cutoff must be >= 20")
-
-    reach = cutoff + 1
-    nu = np.arange(-reach, reach + 1)
-    qx = (2.0 * math.pi * nu + alpha[0])[:, None]
-    qy = (2.0 * math.pi * nu + alpha[1])[None, :]
-    keep = np.maximum(np.abs(qx), np.abs(qy)) <= 2.0 * math.pi * cutoff
-    qx, qy = np.broadcast_arrays(qx, qy)
-    qx, qy = qx[keep], qy[keep]
-    qnorm = np.hypot(qx, qy)
-    qarg = np.arctan2(qy, qx)
-
-    orders = np.arange(-order_max, order_max + 1)
-    signs = _parity_signs(orders)
-    idx = np.abs(orders)
-    i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[orders % 4]
-
-    width = orders.size
-    result = np.zeros((width, width), dtype=complex)
-    for start in range(0, qnorm.size, _Q_CHUNK):
-        sl = slice(start, start + _Q_CHUNK)
-        j_tab = bessel.bessel_j_seq(order_max, qnorm[sl] * radius)
-        basis = (
-            (signs * i_pow)[:, None]
-            * j_tab[idx, :]
-            * np.exp(-1j * orders[:, None] * qarg[None, sl])
-        )
-        result += (basis / qnorm[None, sl] ** 2) @ basis.conj().T
-    return -2.0 * math.pi * radius * result

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from bubblebands.lattice import empty_lattice_margin
+from oracles import empty_lattice_margin
 
 
 def draw_admissible_points(seed, count, *, order_span=3, k_low=0.5, k_high=3.0,

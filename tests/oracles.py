@@ -1,6 +1,9 @@
-"""Slow, transparent reference computations used only by the test suite.
+"""Slow, transparent oracles that the tests check the package against.
 
-Three independent routes cross-check the production solver:
+Nothing in ``bubblebands`` calls these; they live with the tests so that
+the installed package holds only the production pipeline.
+
+Independent routes that cross-check the production solver:
 
 * ``nystrom_free_space`` -- literal quadrature of the free-space single-layer
   kernel on the circle, with the logarithmic singularity handled by a
@@ -10,27 +13,63 @@ Three independent routes cross-check the production solver:
   quasi-periodic kernel, with the circle integrals done by plain trapezoid
   quadrature of complex exponentials.  No Bessel functions anywhere, so it is
   independent of both the multipole formulas and the cylinder-function code.
+* ``quasistatic_matrix`` -- the k -> 0 single-layer block summed over a
+  truncated reciprocal lattice with Bessel functions
+  (``bubblebands.bessel.bessel_j_seq``); it converges like 1/cutoff, so a
+  Neville ladder (``neville_to_zero``) over the cutoff checks the exact
+  limit ``multipole.outer_block_limit``.
 * ``brute_lattice_sum`` -- direct summation of the Hankel lattice sum over a
   large disk of lattice points, tamed by a smooth radial window plus
   Richardson extrapolation in the window radius.  Independent of the fast
   (Ewald) evaluation in :mod:`bubblebands.lattice`.
+* ``inner_block_diag`` and ``outer_block_entries`` -- the single-layer
+  blocks one entry at a time, from the closed forms, against which the
+  vectorised assembly of the characteristic matrix is checked.
+* ``empty_lattice_margin`` -- the distance to the nearest empty-lattice
+  resonance by a full minimum over the reciprocal points.
 
-Everything here values clarity over speed and relies on :mod:`scipy.special`
-so that the special functions, too, come from an independent implementation.
+The quadrature, plane-wave and brute-force routes value clarity over speed
+and rely on :mod:`scipy.special` so that the special functions, too, come
+from an independent implementation.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special as sp
 
+from bubblebands import bessel
+from bubblebands.lattice import LatticeSumTable, as_bloch
+from bubblebands.multipole import (
+    MissingLatticeOrderError,
+    ZeroAlphaError,
+    _cyl_tables,
+    _parity_signs,
+)
+
 EULER_GAMMA = 0.5772156649015329
 
-logger = logging.getLogger(__name__)
+#: Chunk size (reciprocal-lattice points per batch) for the quasi-static sum.
+_Q_CHUNK = 1 << 16
+
+
+def neville_to_zero(steps, values):
+    """Neville extrapolation to ``1/step -> 0`` of a polynomial in ``1/step``.
+
+    ``values`` may be numbers or arrays of one shape (elementwise).
+    """
+    h = [1.0 / s for s in steps]
+    tab = list(values)
+    for level in range(1, len(tab)):
+        tab = [
+            tab[i + 1] + (tab[i + 1] - tab[i]) * h[i + level] / (h[i] - h[i + level])
+            for i in range(len(tab) - 1)
+        ]
+    return tab[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +204,7 @@ def spectral_reference_entry(
     trapezoid sums.  Normalisation matches the operator-module convention
     (densities ``e^{i n theta}``, arc element ``R dtheta``, output coefficient
     of ``e^{i m theta_x} / (2 pi)``).  The truncation window is the same
-    ``|q|_inf`` ball the production quasi-static matrix uses, so same-cutoff
+    ``|q|_inf`` ball ``quasistatic_matrix`` uses, so same-cutoff
     comparisons cancel the truncation tail exactly.
     """
     alpha = np.asarray(alpha, dtype=float)
@@ -198,6 +237,126 @@ def spectral_reference_entry(
         A_n = ew @ phase_n if n != m else A_m
         total += np.sum(A_m * np.conj(A_n) / (k * k - q_norm2[lo:lo + chunk]))
     return complex(2.0 * np.pi * R / P**2 * total)
+
+
+# ---------------------------------------------------------------------------
+# quasi-static (zero-wavenumber) matrix over a truncated reciprocal lattice
+# ---------------------------------------------------------------------------
+
+def quasistatic_matrix(
+    alpha, radius: float, order_max: int, cutoff: int
+) -> np.ndarray:
+    """Zero-wavenumber quasi-periodic single-layer matrix, harmonic basis.
+
+    Entry ``(m, n)``, orders ``-order_max..order_max``, is
+
+        -2 pi R sum_q i^m (-i)^n J_m(|q|R) J_n(|q|R) e^{i(n-m) arg q} / |q|^2
+
+    over reciprocal points ``q = 2 pi nu + alpha`` with
+    ``|q|_inf <= 2 pi cutoff``.  The summand is a negative-weighted Gram
+    term ``B B^H``, so the matrix is Hermitian negative definite by
+    construction.  Convergence is absolute (``|q|^{-3}`` after angular
+    averaging); no zero-wavenumber log divergence appears because
+    ``alpha != 0`` keeps every denominator away from zero.
+    """
+    alpha = as_bloch(alpha)
+    if float(np.hypot(alpha[0], alpha[1])) == 0.0:
+        raise ZeroAlphaError("quasi-static matrix requires alpha != 0")
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    if order_max < 0:
+        raise ValueError("order_max must be >= 0")
+    if cutoff < 20:
+        raise ValueError("cutoff must be >= 20")
+
+    reach = cutoff + 1
+    nu = np.arange(-reach, reach + 1)
+    qx = (2.0 * math.pi * nu + alpha[0])[:, None]
+    qy = (2.0 * math.pi * nu + alpha[1])[None, :]
+    keep = np.maximum(np.abs(qx), np.abs(qy)) <= 2.0 * math.pi * cutoff
+    qx, qy = np.broadcast_arrays(qx, qy)
+    qx, qy = qx[keep], qy[keep]
+    qnorm = np.hypot(qx, qy)
+    qarg = np.arctan2(qy, qx)
+
+    orders = np.arange(-order_max, order_max + 1)
+    signs = _parity_signs(orders)
+    idx = np.abs(orders)
+    i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[orders % 4]
+
+    width = orders.size
+    result = np.zeros((width, width), dtype=complex)
+    for start in range(0, qnorm.size, _Q_CHUNK):
+        sl = slice(start, start + _Q_CHUNK)
+        j_tab = bessel.bessel_j_seq(order_max, qnorm[sl] * radius)
+        basis = (
+            (signs * i_pow)[:, None]
+            * j_tab[idx, :]
+            * np.exp(-1j * orders[:, None] * qarg[None, sl])
+        )
+        result += (basis / qnorm[None, sl] ** 2) @ basis.conj().T
+    return -2.0 * math.pi * radius * result
+
+
+# ---------------------------------------------------------------------------
+# single-layer blocks one entry at a time
+# ---------------------------------------------------------------------------
+
+def inner_block_diag(n: int, wavenumber, radius: float):
+    """Diagonal single-layer pair ``(value, interior derivative)`` at order n.
+
+    ``value = c J_n(z) H_n^(1)(z)`` and
+    ``d_value = c k J_n'(z) H_n^(1)(z)`` with ``z = wavenumber * radius``
+    and ``c = -i pi radius / 2``; the derivative is the interior one-sided
+    normal derivative.  Orders enter through ``|n|`` only
+    (``J_{-n} H_{-n} = J_n H_n``).
+    """
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    order = abs(int(n))
+    z = wavenumber * radius
+    j, jp, h, _ = _cyl_tables(order, z)
+    c = -0.5j * math.pi * radius
+    return c * j[order] * h[order], c * wavenumber * jp[order] * h[order]
+
+
+def outer_block_entries(
+    m: int, n: int, k, alpha, radius: float, table: LatticeSumTable
+):
+    """Entry ``(value, exterior derivative)`` of the quasi-periodic layer.
+
+    Row order ``m`` (projection), column order ``n`` (density); ``table``
+    must hold the lattice sum of order ``n - m`` and must have been built
+    at the same ``(k, alpha)``.
+    """
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    alpha = as_bloch(alpha)
+    if abs(complex(k) - complex(table.k)) > 1e-12 * max(1.0, abs(complex(k))):
+        raise ValueError("table was built at a different wavenumber")
+    if not np.allclose(alpha, table.alpha, atol=1e-12):
+        raise ValueError("table was built at a different Bloch vector")
+    if abs(n - m) > table.order_max:
+        raise MissingLatticeOrderError(
+            f"coupling order {n - m} exceeds table order_max={table.order_max}"
+        )
+
+    order_hi = max(abs(m), abs(n))
+    z = k * radius
+    j, jp, h, hp = _cyl_tables(order_hi, z)
+    sg_m = 1.0 if m >= 0 or m % 2 == 0 else -1.0
+    sg_n = 1.0 if n >= 0 or n % 2 == 0 else -1.0
+    j_m, jp_m = sg_m * j[abs(m)], sg_m * jp[abs(m)]
+    j_n, h_n, hp_n = sg_n * j[abs(n)], sg_n * h[abs(n)], sg_n * hp[abs(n)]
+
+    c = -0.5j * math.pi * radius
+    coupling = c * j_n * (-1.0) ** (n - m) * table.value(n - m)
+    s = coupling * j_m
+    ds = coupling * k * jp_m
+    if m == n:
+        s += c * j_n * h_n
+        ds += c * k * j_n * hp_n
+    return s, ds
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +419,29 @@ def brute_lattice_sum(
         complex(np.sum(terms * np.clip(1.0 - r / J, 0.0, None) ** smoothing))
         for J in radii
     ]
-    value = _neville_in_inverse_radius(radii, windowed)
-    without_finest = _neville_in_inverse_radius(radii[:-1], windowed[:-1])
+    value = complex(neville_to_zero(radii, windowed))
+    without_finest = complex(neville_to_zero(radii[:-1], windowed[:-1]))
     dispersion = abs(value - without_finest) + 1e-13 * (1.0 + abs(value))
     return BruteSumResult(value, dispersion)
 
 
-def _neville_in_inverse_radius(radii, values) -> complex:
-    """Polynomial extrapolation of window values to 1/J -> 0."""
-    h = [1.0 / J for J in radii]
-    tab = list(values)
-    for level in range(1, len(tab)):
-        tab = [
-            tab[i + 1] + (tab[i + 1] - tab[i]) * h[i + level] / (h[i] - h[i + level])
-            for i in range(len(tab) - 1)
-        ]
-    return complex(tab[0])
+# ---------------------------------------------------------------------------
+# empty-lattice resonances
+# ---------------------------------------------------------------------------
+
+def empty_lattice_margin(k: float, alpha) -> float:
+    """Distance from ``k`` to the nearest empty-lattice resonance ``|q|``.
+
+    Scans reciprocal points ``q = 2 pi nu + alpha`` with ``|q| <= k + 2 pi``
+    and returns ``min |k - |q||``; if no reciprocal point lies that close,
+    returns ``k + 2 pi`` as a floor.
+    """
+    alpha = as_bloch(alpha)
+    k = float(k)
+    reach = int(np.ceil((k + 2.0 * np.pi + np.pi * np.sqrt(2.0)) / (2.0 * np.pi))) + 1
+    ii = 2.0 * np.pi * np.arange(-reach, reach + 1)
+    qn = np.sqrt((ii + alpha[0])[:, None] ** 2 + (ii + alpha[1])[None, :] ** 2).ravel()
+    qn = qn[qn <= k + 2.0 * np.pi]
+    if qn.size == 0:
+        return k + 2.0 * np.pi
+    return float(np.min(np.abs(k - qn)))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bubblebands import capacity as cap
-from bubblebands import reference
 from bubblebands.lattice import M_POINT, X_POINT
-from bubblebands.multipole import DiskCrystal, MaterialParams, quasistatic_matrix
+from bubblebands.multipole import DiskCrystal, MaterialParams
+
+import oracles
 
 DILUTE_MAT = MaterialParams(rho=5000.0, kappa=5000.0, rho_b=1.0, kappa_b=1.0)
 
@@ -26,7 +27,7 @@ def test_disk_capacity_matches_boundary_quadrature():
     # a circle of radius R equals R ln R on the boundary; inverting that
     # relation reproduces the closed-form capacity.  Exercises the singular
     # (log) quadrature weights end to end.
-    rule = reference.QuadratureRule.with_node_count(64)
+    rule = oracles.QuadratureRule.with_node_count(64)
     for radius in (0.05, 0.25, 0.45):
         smooth = np.sum(rule.weights) * radius * np.log(radius) / (2.0 * np.pi)
         log_part = np.sum(rule.log_weights) * radius / (4.0 * np.pi)
@@ -87,19 +88,6 @@ def test_quasi_capacity_ratio_approaches_free_value_for_small_disks():
     assert deviations[0] > deviations[1] > deviations[2]
 
 
-def _neville_inverse_cutoff(cutoffs, values):
-    """Neville extrapolation to zero of a polynomial in 1/cutoff."""
-    h = [1.0 / c for c in cutoffs]
-    tab = list(values)
-    for level in range(1, len(tab)):
-        tab = [
-            tab[i + 1]
-            + (tab[i + 1] - tab[i]) * h[i + level] / (h[i] - h[i + level])
-            for i in range(len(tab) - 1)
-        ]
-    return tab[0]
-
-
 def test_quasi_capacity_raw_truncation_monotone_extrapolation_stable():
     # Capacities from the plane-wave quasi-static matrix at one cutoff
     # decrease monotonically with a clean 1/cutoff signature (they move at
@@ -108,7 +96,7 @@ def test_quasi_capacity_raw_truncation_monotone_extrapolation_stable():
     # under each doubling of the base c.
     raws = {}
     for cutoff in (30, 60, 120, 240, 480):
-        matrix = quasistatic_matrix(np.asarray(M_POINT), 0.05, 3, cutoff)
+        matrix = oracles.quasistatic_matrix(np.asarray(M_POINT), 0.05, 3, cutoff)
         rhs = np.zeros(7, dtype=complex)
         rhs[3] = 1.0
         solution = np.linalg.solve(matrix, rhs)
@@ -122,7 +110,7 @@ def test_quasi_capacity_raw_truncation_monotone_extrapolation_stable():
     for base in (30, 60, 120):
         ladder = (base, 2 * base, 4 * base)
         errors.append(abs(
-            _neville_inverse_cutoff(ladder, [raws[c] for c in ladder]) - exact
+            oracles.neville_to_zero(ladder, [raws[c] for c in ladder]) - exact
         ))
     assert errors[0] > 5.0 * errors[1] > 25.0 * errors[2]
     assert errors[2] < 2e-6

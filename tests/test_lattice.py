@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bubblebands import lattice as lat
-from bubblebands.reference import brute_lattice_sum
+from oracles import brute_lattice_sum, empty_lattice_margin
 
 
 # ---------------------------------------------------------------------------
@@ -27,9 +27,9 @@ def test_bloch_vector_validation():
 
 def test_margin_arithmetic_examples():
     # resonance sitting exactly on k
-    assert lat.empty_lattice_margin(np.pi, lat.X_POINT) == pytest.approx(0.0, abs=1e-12)
+    assert empty_lattice_margin(np.pi, lat.X_POINT) == pytest.approx(0.0, abs=1e-12)
     # nearest reciprocal point at the corner Bloch vector is |(pi, pi)|
-    assert lat.empty_lattice_margin(0.1, lat.M_POINT) == pytest.approx(
+    assert empty_lattice_margin(0.1, lat.M_POINT) == pytest.approx(
         np.pi * np.sqrt(2.0) - 0.1, abs=1e-12
     )
 
@@ -37,7 +37,7 @@ def test_margin_arithmetic_examples():
 def test_margin_picks_global_minimum_over_reciprocal_points():
     # several |q| candidates cluster near k = 6.3 for alpha = (0.01, 0);
     # the winner is |q| = 2 pi + 0.01, giving 6.3 - 6.2931853... = 0.0068147
-    assert lat.empty_lattice_margin(6.3, (0.01, 0.0)) == pytest.approx(
+    assert empty_lattice_margin(6.3, (0.01, 0.0)) == pytest.approx(
         6.3 - (2.0 * np.pi + 0.01), abs=1e-10
     )
 
@@ -85,7 +85,7 @@ def test_alpha_reflection_parity():
 )
 def test_parity_and_static_identity_property(ax, ay, k):
     alpha = np.array([ax, ay])
-    assume(lat.empty_lattice_margin(k, alpha) > 0.2)
+    assume(empty_lattice_margin(k, alpha) > 0.2)
     plus = lat.lattice_sum_table(3, k, alpha)
     minus = lat.lattice_sum_table(3, k, -alpha)
     assert plus.value(0).real == pytest.approx(-1.0, abs=1e-9)
@@ -213,9 +213,7 @@ def test_zero_k_limits_are_window_independent(alpha):
     bump = lat._RANGE_BUMP
     default = lat.LatticeSumEngine(alpha, order).zero_k_limits()
     widened = lat.LatticeSumEngine(
-        alpha, order,
-        spatial_range=lat._SPATIAL_RANGE + bump,
-        spectral_range=lat._SPECTRAL_RANGE + bump,
+        alpha, order, window=lat._WINDOW + bump
     ).zero_k_limits()
     orders = np.abs(np.arange(-order, order + 1))
     scale = np.maximum(np.abs(widened), sp.factorial(np.maximum(orders - 1, 0)))
@@ -287,7 +285,7 @@ def test_nearest_margin_by_bisection_equals_empty_lattice_margin():
     cases += [(lat.GAMMA_POINT, k) for k in (0.0, 1e-4, 0.01, 0.049, 0.05)]
     for alpha, k in cases:
         norms = lat.resonance_norms(alpha, 6.0)
-        assert lat.nearest_margin(norms, k) == lat.empty_lattice_margin(k, alpha)
+        assert lat.nearest_margin(norms, k) == empty_lattice_margin(k, alpha)
 
 
 # ---------------------------------------------------------------------------

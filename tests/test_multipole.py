@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblebands import multipole as mp
-from bubblebands import reference
 from bubblebands.lattice import (
     M_POINT,
     LatticeSumTable,
     lattice_sum_limits,
     lattice_sum_table,
 )
+
+import oracles
 
 
 def zero_sum_table(k: float, alpha, order_max: int) -> LatticeSumTable:
@@ -76,29 +77,29 @@ def test_characteristic_matrix_shape_validation():
 # ---------------------------------------------------------------------------
 
 def test_inner_diagonal_frozen_value():
-    s, _ = mp.inner_block_diag(0, 1.0, 1.0)
+    s, _ = oracles.inner_block_diag(0, 1.0, 1.0)
     assert s == pytest.approx(0.106082198153078 - 0.919744445473464j, abs=1e-12)
 
 
 def test_inner_diagonal_matches_boundary_quadrature():
-    rule = reference.QuadratureRule.with_node_count(256)
+    rule = oracles.QuadratureRule.with_node_count(256)
     for n, k, radius in [(0, 1.0, 1.0), (2, 1.3, 0.3), (5, 0.7, 0.25)]:
-        s, _ = mp.inner_block_diag(n, k, radius)
-        assert abs(reference.nystrom_free_space(n, k, radius, rule) - s) < 1e-6
+        s, _ = oracles.inner_block_diag(n, k, radius)
+        assert abs(oracles.nystrom_free_space(n, k, radius, rule) - s) < 1e-6
 
 
 def test_inner_diagonal_order_reflection():
     for n, k, radius in [(3, 1.1, 0.3), (4, 0.6, 0.45), (1, 2.5, 0.1)]:
-        assert mp.inner_block_diag(n, k, radius) == mp.inner_block_diag(-n, k, radius)
+        assert oracles.inner_block_diag(n, k, radius) == oracles.inner_block_diag(-n, k, radius)
 
 
 def test_inner_diagonal_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        mp.inner_block_diag(0, 1.0, 0.0)
+        oracles.inner_block_diag(0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        mp.inner_block_diag(0, 0.0, 0.3)
+        oracles.inner_block_diag(0, 0.0, 0.3)
     with pytest.raises(ValueError):
-        mp.inner_block_diag(0, -2.0, 0.3)
+        oracles.inner_block_diag(0, -2.0, 0.3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -112,16 +113,16 @@ def test_normal_derivative_jump_is_one(n, k, radius):
     # exactly the density: the defining jump relation.
     alpha = (0.4, 0.7)
     table = zero_sum_table(k, alpha, 0)
-    _, ds_out = mp.outer_block_entries(n, n, k, alpha, radius, table)
-    _, ds_in = mp.inner_block_diag(n, k, radius)
+    _, ds_out = oracles.outer_block_entries(n, n, k, alpha, radius, table)
+    _, ds_in = oracles.inner_block_diag(n, k, radius)
     assert abs((ds_out - ds_in) - 1.0) < 1e-10
 
 
 def test_jump_identity_tight_at_moderate_arguments():
     for n in range(9):
         table = zero_sum_table(1.0, (0.4, 0.7), 0)
-        _, ds_out = mp.outer_block_entries(n, n, 1.0, (0.4, 0.7), 0.3, table)
-        _, ds_in = mp.inner_block_diag(n, 1.0, 0.3)
+        _, ds_out = oracles.outer_block_entries(n, n, 1.0, (0.4, 0.7), 0.3, table)
+        _, ds_in = oracles.inner_block_diag(n, 1.0, 0.3)
         assert abs((ds_out - ds_in) - 1.0) < 1e-12
 
 
@@ -132,11 +133,11 @@ def test_jump_identity_tight_at_moderate_arguments():
 def test_free_space_reduction_with_zero_lattice_sums():
     table = zero_sum_table(1.3, (0.4, 0.7), 8)
     for n in range(-4, 5):
-        s, _ = mp.outer_block_entries(n, n, 1.3, (0.4, 0.7), 0.3, table)
-        inner_s, _ = mp.inner_block_diag(n, 1.3, 0.3)
+        s, _ = oracles.outer_block_entries(n, n, 1.3, (0.4, 0.7), 0.3, table)
+        inner_s, _ = oracles.inner_block_diag(n, 1.3, 0.3)
         assert s == inner_s
     for m, n in [(0, 1), (2, -2), (-3, 4)]:
-        s, ds = mp.outer_block_entries(m, n, 1.3, (0.4, 0.7), 0.3, table)
+        s, ds = oracles.outer_block_entries(m, n, 1.3, (0.4, 0.7), 0.3, table)
         assert s == 0.0 and ds == 0.0
 
 
@@ -145,7 +146,7 @@ def test_odd_transfer_couplings_vanish_at_corner_point():
     # off-diagonal entry with odd n - m loses its lattice contribution.
     table = lattice_sum_table(6, 0.9, M_POINT)
     for m, n in [(0, 1), (1, 2), (-2, 1), (3, 0), (-1, 2)]:
-        s, ds = mp.outer_block_entries(m, n, 0.9, M_POINT, 0.25, table)
+        s, ds = oracles.outer_block_entries(m, n, 0.9, M_POINT, 0.25, table)
         assert abs(s) < 1e-8
         assert abs(ds) < 1e-8
 
@@ -153,11 +154,11 @@ def test_odd_transfer_couplings_vanish_at_corner_point():
 def test_lattice_order_and_table_mismatch_errors():
     table = lattice_sum_table(2, 1.0, (0.5, 0.5))
     with pytest.raises(mp.MissingLatticeOrderError):
-        mp.outer_block_entries(-2, 1, 1.0, (0.5, 0.5), 0.1, table)
+        oracles.outer_block_entries(-2, 1, 1.0, (0.5, 0.5), 0.1, table)
     with pytest.raises(ValueError):
-        mp.outer_block_entries(0, 1, 1.1, (0.5, 0.5), 0.1, table)
+        oracles.outer_block_entries(0, 1, 1.1, (0.5, 0.5), 0.1, table)
     with pytest.raises(ValueError):
-        mp.outer_block_entries(0, 1, 1.0, (0.5, 0.6), 0.1, table)
+        oracles.outer_block_entries(0, 1, 1.0, (0.5, 0.6), 0.1, table)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +190,8 @@ def test_assembly_matches_entrywise_construction():
     orders = range(-trunc, trunc + 1)
     for i, m in enumerate(orders):
         for j, n in enumerate(orders):
-            s_in, ds_in = mp.inner_block_diag(n, k_b, radius)
-            s_out, ds_out = mp.outer_block_entries(m, n, k, alpha, radius, table)
+            s_in, ds_in = oracles.inner_block_diag(n, k_b, radius)
+            s_out, ds_out = oracles.outer_block_entries(m, n, k, alpha, radius, table)
             expect_tl = s_in if m == n else 0.0
             expect_bl = ds_in if m == n else 0.0
             assert cm.entries[i, j] == pytest.approx(expect_tl, abs=1e-14)
@@ -275,7 +276,7 @@ def test_assemble_rejects_bad_frequency_and_truncation():
 # ---------------------------------------------------------------------------
 
 def test_quasistatic_matrix_hermitian_negative_definite():
-    m = mp.quasistatic_matrix(np.array([0.9, -2.0]), 0.05, 3, 40)
+    m = oracles.quasistatic_matrix(np.array([0.9, -2.0]), 0.05, 3, 40)
     assert np.max(np.abs(m - m.conj().T)) < 1e-10
     eigenvalues = np.linalg.eigvalsh(m)
     assert np.all(eigenvalues < 0.0)
@@ -286,7 +287,7 @@ def test_quasistatic_entry_truncation_decays_like_inverse_cutoff():
     # differences shrink by a factor ~2, and the two-point extrapolants of
     # adjacent ladder rungs agree far beyond the raw values.
     vals = {
-        c: mp.quasistatic_matrix(np.array([np.pi, np.pi]), 0.05, 0, c)[0, 0]
+        c: oracles.quasistatic_matrix(np.array([np.pi, np.pi]), 0.05, 0, c)[0, 0]
         for c in (60, 120, 240)
     }
     d1 = abs(vals[60] - vals[120])
@@ -299,13 +300,13 @@ def test_quasistatic_entry_truncation_decays_like_inverse_cutoff():
 
 def test_quasistatic_matrix_validation():
     with pytest.raises(mp.ZeroAlphaError):
-        mp.quasistatic_matrix(np.array([0.0, 0.0]), 0.05, 2, 40)
+        oracles.quasistatic_matrix(np.array([0.0, 0.0]), 0.05, 2, 40)
     with pytest.raises(ValueError):
-        mp.quasistatic_matrix(np.array([0.5, 0.5]), 0.05, 2, 19)
+        oracles.quasistatic_matrix(np.array([0.5, 0.5]), 0.05, 2, 19)
     with pytest.raises(ValueError):
-        mp.quasistatic_matrix(np.array([0.5, 0.5]), 0.05, -1, 40)
+        oracles.quasistatic_matrix(np.array([0.5, 0.5]), 0.05, -1, 40)
     with pytest.raises(ValueError):
-        mp.quasistatic_matrix(np.array([0.5, 0.5]), -0.05, 2, 40)
+        oracles.quasistatic_matrix(np.array([0.5, 0.5]), -0.05, 2, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +336,22 @@ def test_outer_block_limit_hermitian_negative_definite(alpha, radius, order):
     s0 = mp.outer_block_limit(lattice_sum_limits(2 * order, alpha), radius, order)
     assert np.max(np.abs(s0 - s0.conj().T)) < 1e-14 * np.max(np.abs(s0))
     assert np.all(np.linalg.eigvalsh(s0) < 0.0)
+
+
+@pytest.mark.parametrize("alpha, radius, order", [
+    ((np.pi, np.pi), 0.05, 3), ((1.1, 0.4), 0.1, 2), ((np.pi / 8, 0.0), 0.05, 3),
+])
+def test_outer_block_limit_matches_plane_wave_ladder(alpha, radius, order):
+    # The plane-wave quasi-static matrix approaches the exact k -> 0 block
+    # like 1/cutoff; a Neville ladder in 1/cutoff over three doublings
+    # removes that tail, so every entry of the two constructions compares.
+    s0 = mp.outer_block_limit(lattice_sum_limits(2 * order, alpha), radius, order)
+    cutoffs = (60, 120, 240)
+    ladder = oracles.neville_to_zero(
+        cutoffs,
+        [oracles.quasistatic_matrix(alpha, radius, order, c) for c in cutoffs],
+    )
+    assert np.max(np.abs(ladder - s0)) < 1e-5 * np.max(np.abs(s0))
 
 
 def test_outer_block_limit_validation():

@@ -1,4 +1,4 @@
-"""The three brute-force references, checked against analytic forms and each other."""
+"""The test oracles, checked against analytic forms and each other."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import scipy.special as sp
 
 from bubblebands import bessel as bs
 from bubblebands import lattice as lat
-from bubblebands import multipole as mp
-from bubblebands import reference as ref
+
+import oracles as ref
 from conftest import draw_admissible_points
 
 
@@ -107,7 +107,7 @@ def test_spectral_entry_guards():
 
 def test_spectral_entry_matches_quasistatic_matrix_same_cutoff():
     cutoff = 40
-    matrix = mp.quasistatic_matrix((np.pi, np.pi), 0.05, 1, cutoff)
+    matrix = ref.quasistatic_matrix((np.pi, np.pi), 0.05, 1, cutoff)
     for mi, m in enumerate((-1, 0, 1)):
         for ni, n in enumerate((-1, 0, 1)):
             entry = ref.spectral_reference_entry(m, n, 0.0, (np.pi, np.pi), 0.05, cutoff)
@@ -120,7 +120,7 @@ def test_spectral_entry_matches_quasiperiodic_blocks(k):
     # doubling ladder and extrapolate the tail away before comparing
     alpha = (np.pi / 2, np.pi / 3)
     table = lat.lattice_sum_table(1, k, alpha)
-    exact, _ = mp.outer_block_entries(0, 0, k, alpha, 0.05, table)
+    exact, _ = ref.outer_block_entries(0, 0, k, alpha, 0.05, table)
     coarse = ref.spectral_reference_entry(0, 0, k, alpha, 0.05, 100)
     fine = ref.spectral_reference_entry(0, 0, k, alpha, 0.05, 200)
     assert abs(2.0 * fine - coarse - exact) <= 1e-5
