@@ -15,9 +15,10 @@ largest, below tolerance.
 
 Frequencies where the host wavenumber hits an empty-lattice resonance
 ``k = |2 pi m + alpha|`` are poles of the quasi-periodic kernel, not crystal
-bands.  The scan subdivides and flags such guard zones instead of silently
-skipping them, and evaluates inside them with a tighter guard so that a band
-squeezed against a resonance is still found.
+bands.  The scan half-steps through such zones instead of skipping them,
+and evaluates inside them with a tighter guard so that a band squeezed
+against a resonance is still found.  ``_scan_grid`` also lists the zones
+it half-stepped; no run reports them yet.
 
 The scan lays out its frequency grid first (the zone margins come from
 one sorted list of empty-lattice lines per scan) and then evaluates it in
@@ -75,14 +76,11 @@ __all__ = [
     "RejectedRootError",
     "RootDiagnostics",
     "RootNotConvergedError",
-    "ScanResult",
     "band_structure",
     "bands_at",
     "muller_refine",
     "resonance_near",
     "retruncated_root",
-    "scan_and_bracket",
-    "singular_value_indicator",
 ]
 
 
@@ -184,20 +182,6 @@ def _least_gram_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return values
 
 
-def singular_value_indicator(matrix) -> float:
-    """Smallest singular value of the row-equilibrated matrix.
-
-    Row equilibration removes the wild row-scale disparities of the
-    high-order blocks (Bessel factors spanning hundreds of decades), so a
-    value near zero is a genuine rank deficiency rather than a scaling
-    artifact.  Accepts an assembled characteristic matrix or a bare array.
-    """
-    entries = np.array(getattr(matrix, "entries", matrix), dtype=complex)
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("matrix entries must be finite")
-    return float(_singular_values(entries[None])[0, -1])
-
-
 def _scaled_log_determinant(entries: np.ndarray, row_scale: np.ndarray) -> complex:
     """``log det`` of ``entries / row_scale`` as ``log|det| + i arg det``."""
     lu, piv = scipy.linalg.lu_factor(
@@ -289,27 +273,6 @@ def muller_refine(
 # ---------------------------------------------------------------------------
 # indicator scan and bracketing
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Brackets at indicator minima, plus flagged resonance subintervals.
-
-    Iterating the result yields the brackets, each a frequency triple
-    ``(lo, mid, hi)`` of consecutive grid points with a local indicator
-    minimum at ``mid``.  ``flagged`` lists the ``(lo, hi)`` frequency
-    subintervals whose empty-lattice margin fell below ``_ZONE_MARGIN``; the
-    grid is subdivided there, never silently thinned.
-    """
-
-    brackets: tuple[tuple[float, float, float], ...]
-    flagged: tuple[tuple[float, float], ...]
-
-    def __iter__(self):
-        return iter(self.brackets)
-
-    def __len__(self) -> int:
-        return len(self.brackets)
-
 
 def _scan_grid(
     alpha: np.ndarray,
@@ -405,29 +368,6 @@ def _brackets_at_minima(
             yield omegas[i], omegas[i + 1], omegas[i + 2]
 
 
-def scan_and_bracket(
-    alpha,
-    material: MaterialParams,
-    crystal: DiskCrystal,
-    truncation: int,
-    omega_range: tuple[float, float],
-) -> ScanResult:
-    """Bracket indicator minima over a frequency range at one Bloch vector.
-
-    Walks the grid (``_STEP_LOW`` below ``_STEP_SPLIT``, ``_STEP_HIGH``
-    above), evaluates the singularity indicator over all of it, and returns
-    each interior local minimum with its two neighbours as a bracket,
-    ordered by frequency.  These are the brackets the root search refines,
-    lowest first, before it stops.
-    """
-    alpha = as_bloch(alpha)
-    omegas, flagged = _scan_grid(alpha, material, omega_range)
-    brackets = _brackets_at_minima(
-        _indicator_batches(alpha, material, crystal, truncation, omegas)
-    )
-    return ScanResult(brackets=tuple(brackets), flagged=flagged)
-
-
 # ---------------------------------------------------------------------------
 # root refinement against the characteristic matrix
 # ---------------------------------------------------------------------------
@@ -472,18 +412,18 @@ def _refine_bracket(
                 best=om,
                 iterations=0,
             )
-        cm = assemble_characteristic_matrix(
+        entries = assemble_characteristic_matrix(
             om, material, alpha, crystal, truncation
         )
-        if not np.all(np.isfinite(cm.entries)):
+        if not np.all(np.isfinite(entries)):
             raise RootNotConvergedError(
                 f"no characteristic matrix at iterate {om}",
                 best=om,
                 iterations=0,
             )
         if row_scale is None:
-            row_scale = _row_scales(cm.entries)
-        log_det = _scaled_log_determinant(cm.entries, row_scale)
+            row_scale = _row_scales(entries)
+        log_det = _scaled_log_determinant(entries, row_scale)
         if ref_mag is None:
             ref_mag = log_det.real
         return cmath.exp(complex(log_det.real - ref_mag, log_det.imag))
@@ -494,10 +434,10 @@ def _refine_bracket(
         w = float(root.real)
         if not lo <= w <= hi:
             return False
-        cm = assemble_characteristic_matrix(
+        entries = assemble_characteristic_matrix(
             w, material, alpha, crystal, truncation
         )
-        spectrum = _singular_values(cm.entries[None])[0]
+        spectrum = _singular_values(entries[None])[0]
         last["indicator"] = float(spectrum[-1])
         return math.isfinite(spectrum[0]) and (
             spectrum[-1] <= _INDICATOR_TOL * spectrum[0]

@@ -201,12 +201,27 @@ def _nonzero_bloch(alpha, command: str) -> np.ndarray:
     return bloch
 
 
+def _contrast_material(config: RunConfig, contrast: float) -> MaterialParams:
+    """The bubble fluid of ``config`` in a host ``contrast`` times denser and stiffer.
+
+    A contrast whose host density or stiffness is not finite is a usage
+    error.
+    """
+    try:
+        return MaterialParams(rho=contrast * config.rho_b,
+                              kappa=contrast * config.kappa_b,
+                              rho_b=config.rho_b, kappa_b=config.kappa_b)
+    except ValueError as exc:
+        raise UsageError(f"contrast {contrast:g}: {exc}") from exc
+
+
 def run_compare(config: RunConfig, contrast_list, alpha=None) -> Path:
     """Compare predicted vs refined resonance over a contrast list."""
     bloch = _nonzero_bloch(M_POINT if alpha is None else alpha, "compare")
     contrasts = [float(c) for c in contrast_list]
     if not contrasts or any(not c > 1.0 for c in contrasts):
         raise UsageError("contrasts must all exceed 1")
+    materials = [_contrast_material(config, c) for c in contrasts]
     try:
         cap = capacity_quasi(bloch, config.radius, config.truncation_N)
     except SingularSystemError as exc:
@@ -214,11 +229,8 @@ def run_compare(config: RunConfig, contrast_list, alpha=None) -> Path:
     crystal = config.crystal
     lines = ["contrast,delta,omega_exact,omega_approx,rel_error"]
     warnings: list[str] = []
-    for contrast in contrasts:
+    for contrast, material in zip(contrasts, materials):
         delta = 1.0 / contrast
-        material = MaterialParams(rho=contrast * config.rho_b,
-                                  kappa=contrast * config.kappa_b,
-                                  rho_b=config.rho_b, kappa_b=config.kappa_b)
         approx = minnaert_frequency(material.delta, material.v_b, cap.cap,
                                     crystal.area)
         try:
@@ -250,9 +262,7 @@ def run_dilute(config: RunConfig, radius_list, *,
         raise UsageError("radii must lie in (0, 0.5)")
     if not contrast > 1.0:
         raise UsageError("contrast must exceed 1")
-    material = MaterialParams(rho=contrast * config.rho_b,
-                              kappa=contrast * config.kappa_b,
-                              rho_b=config.rho_b, kappa_b=config.kappa_b)
+    material = _contrast_material(config, contrast)
     lines = ["radius,omega_star,omega_M,ratio"]
     warnings: list[str] = []
     for radius in radii:

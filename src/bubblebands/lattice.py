@@ -210,22 +210,17 @@ def _upper_gamma_block(t_max: int, t_min: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-_coeff_cache: dict = {}
-
-
+@functools.cache
 def _spatial_coefficients(order_max: int, window: int):
     """k-independent spatial data: lattice points and the coefficient tensor.
 
     Returns ``(mx, my, r, unit_pow, coeff)`` where ``coeff[s, j, pt]`` equals
     ``r^{2j-s} Gamma(s - j, eta^2 r^2) / j!`` so that the radial function is
     ``radial_s(pt; k) = sum_j (k/2)^{2j-s} coeff[s, j, pt]``, and
-    ``unit_pow[s, pt] = e^{i s phi_pt}``.
+    ``unit_pow[s, pt] = e^{i s phi_pt}``.  Cached without eviction, which
+    stays bounded: the key is an order of at most 30 and one of the two
+    windows, ``_WINDOW`` or the widened ``_WINDOW + _RANGE_BUMP``.
     """
-    key = (order_max, window)
-    hit = _coeff_cache.get(key)
-    if hit is not None:
-        return hit
-
     rng = np.arange(-window, window + 1)
     mx, my = np.meshgrid(rng, rng, indexing="ij")
     mx = mx.ravel().astype(float)
@@ -251,9 +246,7 @@ def _spatial_coefficients(order_max: int, window: int):
     for s in range(1, order_max + 1):
         unit_pow[s] = unit_pow[s - 1] * unit
 
-    data = (mx, my, r, unit_pow, coeff)
-    _coeff_cache[key] = data
-    return data
+    return mx, my, r, unit_pow, coeff
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ matrix, which sums the k -> 0 limit over a truncated reciprocal lattice
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
@@ -52,7 +52,6 @@ from .lattice import EULER_GAMMA, LatticeSumTable, as_bloch, lattice_sum_table
 __all__ = [
     "MaterialParams",
     "DiskCrystal",
-    "CharacteristicMatrix",
     "MissingLatticeOrderError",
     "ZeroAlphaError",
     "outer_block_limit",
@@ -128,33 +127,6 @@ class DiskCrystal:
     def area(self) -> float:
         """Area of the disk (the bubble volume per cell in 2D)."""
         return math.pi * self.radius**2
-
-
-@dataclass(frozen=True)
-class CharacteristicMatrix:
-    """Assembled transmission matrix at one (omega, alpha, truncation).
-
-    ``entries`` is the dense ``2(2N+1) x 2(2N+1)`` complex block matrix
-    with ``N = truncation``; row blocks are [pressure continuity; flux
-    continuity], column blocks are [inner density coefficients; outer
-    density coefficients], each ordered ``n = -N .. N``.
-    """
-
-    omega: complex
-    alpha: np.ndarray = field(repr=False)
-    truncation: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        size = 2 * (2 * self.truncation + 1)
-        if self.entries.shape != (size, size):
-            raise ValueError(
-                f"entries must be {size} x {size} for truncation {self.truncation}"
-            )
-
-    @property
-    def size(self) -> int:
-        return 2 * (2 * self.truncation + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +252,22 @@ def assemble_characteristic_matrix(
     alpha,
     crystal: DiskCrystal,
     truncation: int,
-) -> CharacteristicMatrix:
+) -> np.ndarray:
     """Full transmission matrix at frequency ``omega`` and Bloch vector ``alpha``.
 
     ``truncation`` is the largest retained harmonic order N; the result is
-    the ``2(2N+1)``-square block matrix whose singular frequencies are the
-    band frequencies.  ``omega`` may sit slightly off the real axis (the
-    complex root refinement needs this); its real part must be positive.
+    the dense ``2(2N+1)``-square complex block matrix whose singular
+    frequencies are the band frequencies.  Row blocks are [pressure
+    continuity; flux continuity], column blocks [inner density
+    coefficients; outer density coefficients], each ordered ``n = -N..N``.
+    ``omega`` may sit slightly off the real axis (the complex root
+    refinement needs this); its real part must be positive, and a zero
+    imaginary part is dropped so that the real-frequency tables are used.
     The lattice-sum table of order 2N is built internally at
     ``k = omega / v``.  Within ``lattice._GUARD`` of an empty-lattice
     resonance, or where the lattice sums miss their tolerance, the entries
     that need them are NaN.  This is ``characteristic_entries`` at one
-    frequency.
+    frequency, with its inputs checked.
     """
     omega_c = complex(omega)
     if omega_c.real <= 0.0:
@@ -301,8 +277,7 @@ def assemble_characteristic_matrix(
     alpha = as_bloch(alpha)
     if omega_c.imag == 0.0:
         omega_c = omega_c.real
-    entries = characteristic_entries(omega_c, material, alpha, crystal, truncation)
-    return CharacteristicMatrix(omega_c, alpha, truncation, entries)
+    return characteristic_entries(omega_c, material, alpha, crystal, truncation)
 
 
 def characteristic_entries(

@@ -20,8 +20,6 @@ from bubblebands.bands import (
     muller_refine,
     resonance_near,
     retruncated_root,
-    scan_and_bracket,
-    singular_value_indicator,
 )
 from bubblebands.multipole import (
     DiskCrystal,
@@ -46,14 +44,19 @@ DILUTE_GAMMA_BAND2 = 1.903817916843799
 # singular value indicator
 # ---------------------------------------------------------------------------
 
+def _indicator(matrix):
+    """Smallest singular value of the row-equilibrated matrix, as acceptance reads it."""
+    return bands._singular_values(np.array(matrix, dtype=complex)[None])[0, -1]
+
+
 def test_indicator_identity_matrix_is_one():
-    assert singular_value_indicator(np.eye(12, dtype=complex)) == pytest.approx(1.0)
+    assert _indicator(np.eye(12)) == pytest.approx(1.0)
 
 
 def test_indicator_zero_row_is_zero():
     m = np.eye(6, dtype=complex)
     m[3] = 0.0
-    assert singular_value_indicator(m) == 0.0
+    assert _indicator(m) == 0.0
 
 
 def test_indicator_row_scaling_invariance():
@@ -62,16 +65,17 @@ def test_indicator_row_scaling_invariance():
     scaled = m.copy()
     scaled[2] *= 1e150
     scaled[5] *= 1e-140
-    a = singular_value_indicator(m)
-    b = singular_value_indicator(scaled)
+    a = _indicator(m)
+    b = _indicator(scaled)
     assert b == pytest.approx(a, rel=1e-10)
 
 
-def test_indicator_rejects_nonfinite_entries():
-    m = np.eye(4, dtype=complex)
-    m[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        singular_value_indicator(m)
+def test_indicator_of_a_nonfinite_matrix_is_an_inf_row():
+    stack = np.stack([np.eye(4, dtype=complex)] * 3)
+    stack[1, 1, 2] = np.nan
+    values = bands._singular_values(stack)
+    assert np.all(np.isinf(values[1]))
+    assert np.array_equal(values[[0, 2]], np.ones((2, 4)))
 
 
 def _gram_roundoff(size, sigma_max):
@@ -193,44 +197,55 @@ def test_muller_acceptance_veto_raises_rejected():
 # scanning and bracketing
 # ---------------------------------------------------------------------------
 
+def _scan(alpha, material, crystal, truncation, omega_range):
+    """Every bracket of the stream the root search refines, and the flagged zones.
+
+    Composed as ``bands._accepted_roots`` composes it, run to the end of
+    ``omega_range``.
+    """
+    alpha = lattice.as_bloch(alpha)
+    omegas, flagged = bands._scan_grid(alpha, material, omega_range)
+    brackets = bands._brackets_at_minima(
+        bands._indicator_batches(alpha, material, crystal, truncation, omegas)
+    )
+    return list(brackets), flagged
+
+
 def test_scan_empty_range_yields_no_brackets():
-    result = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.2))
-    assert len(result) == 0
-    assert result.brackets == ()
+    brackets, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.2))
+    assert brackets == []
 
 
 def test_scan_dilute_corner_has_exactly_one_subwavelength_bracket():
-    result = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
-    assert len(result.brackets) == 1
-    lo, mid, hi = result.brackets[0]
+    brackets, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
+    assert len(brackets) == 1
+    lo, mid, hi = brackets[0]
     assert lo < mid < hi
     assert 0.25 < mid < 0.27
 
 
 def test_scan_brackets_iterate_in_ascending_order():
-    result = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0))
-    mids = [mid for _, mid, _ in result]
+    brackets, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0))
+    mids = [mid for _, mid, _ in brackets]
     assert mids == sorted(mids)
     assert len(mids) >= 2  # resonance band plus the folded band above
 
 
 def test_scan_flags_zone_centre_low_frequency_resonance():
     # at alpha = 0 the k -> 0 empty-lattice resonance sits at omega -> 0
-    result = scan_and_bracket((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3,
-                              (0.0, 0.2))
-    assert result.flagged, "guard zone near omega=0 must be flagged"
-    lo, hi = result.flagged[0]
+    _, flagged = _scan((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.2))
+    assert flagged, "guard zone near omega=0 must be flagged"
+    lo, hi = flagged[0]
     assert lo < 0.06 and hi <= 0.06
 
 
 def test_scan_step_halving_preserves_the_refined_root(monkeypatch):
-    fine = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
+    fine, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
     monkeypatch.setattr(bands, "_STEP_LOW", 2.0 * bands._STEP_LOW)
-    coarse = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3,
-                              (0.2, 0.3))
+    coarse, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
     assert len(coarse) == len(fine) == 1
     # both brackets must contain the frozen root
-    for lo, _, hi in (coarse.brackets[0], fine.brackets[0]):
+    for lo, _, hi in (coarse[0], fine[0]):
         assert lo <= DILUTE_M_BAND1 <= hi
 
 
@@ -260,7 +275,7 @@ def test_scan_evaluates_the_grid_in_batches(monkeypatch):
         return real(self, k)
 
     monkeypatch.setattr(lattice.LatticeSumEngine, "table", counted)
-    scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
+    _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
     omegas, _ = bands._scan_grid(np.asarray(M_ALPHA), DILUTE_MAT, (0.0, 5.0))
     chunk = bands._CHUNK_ENTRIES // 30**2
     chunks = -(-omegas.size // chunk)
@@ -287,7 +302,7 @@ def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
     stack = characteristic_entries(omegas, DILUTE_MAT, alpha, DILUTE_CRYSTAL, 3)
     for i in (2, 4):
         single = assemble_characteristic_matrix(omegas[i], DILUTE_MAT, alpha,
-                                                DILUTE_CRYSTAL, 3).entries
+                                                DILUTE_CRYSTAL, 3)
         width = single.shape[0] // 2
         assert np.all(np.isnan(single[:, width:]))
         assert np.all(np.isfinite(single[:, :width]))
@@ -297,10 +312,10 @@ def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
     for omega, value in zip(omegas[[0, 1, 3]], values[[0, 1, 3]]):
         matrix = assemble_characteristic_matrix(omega, DILUTE_MAT, alpha,
                                                 DILUTE_CRYSTAL, 3)
-        assert value == bands._least_gram_eigenvalues(matrix.entries[None].copy())[0]
-        sigma_max = bands._singular_values(matrix.entries[None].copy())[0, 0]
-        assert abs(value - singular_value_indicator(matrix) ** 2) <= _gram_roundoff(
-            matrix.entries.shape[0], sigma_max)
+        assert value == bands._least_gram_eigenvalues(matrix[None].copy())[0]
+        sigma_max = bands._singular_values(matrix[None].copy())[0, 0]
+        assert abs(value - _indicator(matrix) ** 2) <= _gram_roundoff(
+            matrix.shape[0], sigma_max)
 
 
 def _per_point_brackets(omegas, values):
@@ -460,8 +475,8 @@ STREAM_ALPHAS = [(0.0, 0.0), (np.pi / 5, 0.0), (np.pi, 0.0), (np.pi, 0.5 * np.pi
 def every_accepted_root():
     """All accepted roots of every scan bracket, by crystal and Bloch vector.
 
-    The reference for the streamed search: each bracket of the full
-    ``scan_and_bracket`` scan is refined in order, and a root within
+    The reference for the streamed search: each bracket of the stream, run
+    to ``omega_max``, is refined in order, and a root within
     ``1e-7 (1 + omega)`` of the previous accepted one is dropped.
     """
     roots = {}
@@ -469,8 +484,8 @@ def every_accepted_root():
         for alpha in STREAM_ALPHAS:
             accepted = []
             alpha_arr = np.asarray(alpha, dtype=float)
-            for bracket in scan_and_bracket(alpha, material, crystal, 3,
-                                            (0.0, omega_max)):
+            brackets, _ = _scan(alpha, material, crystal, 3, (0.0, omega_max))
+            for bracket in brackets:
                 try:
                     omega, diag = bands._refine_bracket(bracket, alpha_arr,
                                                         material, crystal, 3)
@@ -507,9 +522,9 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
     alpha = np.zeros(2)
     omegas, _ = bands._scan_grid(alpha, DILUTE_MAT, (0.0, 5.0))
     chunk = bands._CHUNK_ENTRIES // 30**2
-    band_two = [bracket for bracket in scan_and_bracket(
-        alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
-        if bracket[0] <= DILUTE_GAMMA_BAND2 <= bracket[2]]
+    brackets, _ = _scan(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
+    band_two = [bracket for bracket in brackets
+                if bracket[0] <= DILUTE_GAMMA_BAND2 <= bracket[2]]
     assert len(band_two) == 1
     last = int(np.flatnonzero(omegas == band_two[0][2])[0])
     evaluated = []
@@ -528,8 +543,8 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
 
 
 def test_refined_corner_root_lies_inside_its_scan_bracket():
-    scan = scan_and_bracket(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
-    lo, _, hi = scan.brackets[0]
+    brackets, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
+    lo, _, hi = brackets[0]
     assert lo <= DILUTE_M_BAND1 <= hi
 
 
@@ -542,7 +557,7 @@ def test_acceptance_indicator_is_the_svd_indicator(name, alpha):
     for omega, diag in zip(omegas, diagnostics):
         matrix = assemble_characteristic_matrix(omega, material, np.asarray(alpha),
                                                 crystal, 3)
-        assert diag.indicator == singular_value_indicator(matrix)
+        assert diag.indicator == _indicator(matrix)
 
 
 def test_retruncated_root_is_stable_for_the_dilute_crystal():

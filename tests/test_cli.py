@@ -337,3 +337,15 @@ def test_dilute_row_identities(tmp_path, capsys):
 def test_dilute_rejects_bad_radii():
     assert main(["dilute", "--radii", "0.6"]) == 2
     assert main(["dilute", "--radii", ""]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--contrasts", "100,inf"],
+    ["compare", "--contrasts", "1e400"],
+    ["dilute", "--contrast", "inf"],
+])
+def test_infinite_contrast_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert "usage error: contrast inf" in capsys.readouterr().err
+    assert not out.exists()

@@ -55,23 +55,6 @@ def test_disk_crystal_geometry():
             mp.DiskCrystal(radius=bad)
 
 
-def test_characteristic_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        mp.CharacteristicMatrix(
-            omega=1.0,
-            alpha=np.array([0.3, 0.3]),
-            truncation=2,
-            entries=np.zeros((9, 9), dtype=complex),
-        )
-    ok = mp.CharacteristicMatrix(
-        omega=1.0,
-        alpha=np.array([0.3, 0.3]),
-        truncation=2,
-        entries=np.zeros((10, 10), dtype=complex),
-    )
-    assert ok.size == 10
-
-
 # ---------------------------------------------------------------------------
 # free-space diagonal blocks
 # ---------------------------------------------------------------------------
@@ -173,10 +156,7 @@ def test_assembled_matrix_shape_and_metadata():
     cm = mp.assemble_characteristic_matrix(
         1.1, GENERIC_MAT, (0.9, -0.4), crystal, 3
     )
-    assert cm.entries.shape == (14, 14)
-    assert cm.size == 14
-    assert cm.omega == 1.1
-    assert cm.truncation == 3
+    assert cm.shape == (14, 14)
 
 
 def test_assembly_matches_entrywise_construction():
@@ -194,10 +174,10 @@ def test_assembly_matches_entrywise_construction():
             s_out, ds_out = oracles.outer_block_entries(m, n, k, alpha, radius, table)
             expect_tl = s_in if m == n else 0.0
             expect_bl = ds_in if m == n else 0.0
-            assert cm.entries[i, j] == pytest.approx(expect_tl, abs=1e-14)
-            assert cm.entries[i, width + j] == pytest.approx(-s_out, rel=1e-12, abs=1e-14)
-            assert cm.entries[width + i, j] == pytest.approx(expect_bl, abs=1e-14)
-            assert cm.entries[width + i, width + j] == pytest.approx(
+            assert cm[i, j] == pytest.approx(expect_tl, abs=1e-14)
+            assert cm[i, width + j] == pytest.approx(-s_out, rel=1e-12, abs=1e-14)
+            assert cm[width + i, j] == pytest.approx(expect_bl, abs=1e-14)
+            assert cm[width + i, width + j] == pytest.approx(
                 -GENERIC_MAT.delta * ds_out, rel=1e-12, abs=1e-14
             )
 
@@ -212,12 +192,12 @@ def test_density_contrast_scales_flux_lattice_block_only():
     cm1 = mp.assemble_characteristic_matrix(1.1, mat1, (0.9, -0.4), crystal, 2)
     cm2 = mp.assemble_characteristic_matrix(1.1, mat2, (0.9, -0.4), crystal, 2)
     w = 5
-    np.testing.assert_allclose(cm2.entries[:w, :], cm1.entries[:w, :], rtol=1e-14)
+    np.testing.assert_allclose(cm2[:w, :], cm1[:w, :], rtol=1e-14)
     np.testing.assert_allclose(
-        cm2.entries[w:, :w], cm1.entries[w:, :w], rtol=1e-14
+        cm2[w:, :w], cm1[w:, :w], rtol=1e-14
     )
     np.testing.assert_allclose(
-        cm2.entries[w:, w:], 2.0 * cm1.entries[w:, w:], rtol=1e-14
+        cm2[w:, w:], 2.0 * cm1[w:, w:], rtol=1e-14
     )
 
 
@@ -228,7 +208,7 @@ def test_high_contrast_regression_smallest_singular_value():
     cm = mp.assemble_characteristic_matrix(
         0.2, mat, (np.pi, np.pi), mp.DiskCrystal(radius=0.05), 7
     )
-    smallest = np.linalg.svd(cm.entries, compute_uv=False)[-1]
+    smallest = np.linalg.svd(cm, compute_uv=False)[-1]
     assert np.isfinite(smallest) and smallest > 0.0
     assert smallest == pytest.approx(7.303292999938e-05, rel=1e-6)
 
@@ -238,13 +218,13 @@ def test_momentum_reversal_leaves_singular_spectrum_invariant():
     sv_pos = np.linalg.svd(
         mp.assemble_characteristic_matrix(
             1.1, GENERIC_MAT, (0.9, -0.4), crystal, 3
-        ).entries,
+        ),
         compute_uv=False,
     )
     sv_neg = np.linalg.svd(
         mp.assemble_characteristic_matrix(
             1.1, GENERIC_MAT, (-0.9, 0.4), crystal, 3
-        ).entries,
+        ),
         compute_uv=False,
     )
     assert np.max(np.abs(sv_pos - sv_neg)) < 1e-8 * sv_pos[0]
@@ -256,8 +236,8 @@ def test_assembly_continuous_into_complex_frequency():
     shifted = mp.assemble_characteristic_matrix(
         1.1 + 1e-8j, GENERIC_MAT, (0.9, -0.4), crystal, 2
     )
-    assert np.max(np.abs(shifted.entries - base.entries)) < 1e-6
-    assert np.any(shifted.entries.imag != base.entries.imag)
+    assert np.max(np.abs(shifted - base)) < 1e-6
+    assert np.any(shifted.imag != base.imag)
 
 
 def test_assemble_rejects_bad_frequency_and_truncation():
