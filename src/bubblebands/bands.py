@@ -1,7 +1,8 @@
 """Band frequencies of the bubble crystal along the square-lattice path.
 
 A frequency ``omega`` belongs to the band structure at Bloch vector ``alpha``
-when the characteristic matrix assembled there becomes singular.  Singularity
+when the characteristic matrix of its ``multipole.BlochProblem``, which
+each search builds once, becomes singular there.  Singularity
 is detected in two stages: a scan over a frequency grid ranks the
 frequencies by the least eigenvalue of the Gram matrix of the
 row-equilibrated matrix (its smallest singular value squared) and brackets
@@ -24,7 +25,7 @@ The scan lays out its frequency grid first (the zone margins come from
 one sorted list of empty-lattice lines per scan) and then evaluates it in
 ascending batches of ``_CHUNK_ENTRIES // size**2`` frequencies for matrices
 of ``size``: per batch one lattice-sum batch, one stack of matrices
-(``multipole.characteristic_entries``), one stacked equilibration and one
+(``multipole.BlochProblem.entries``), one stacked equilibration and one
 Hermitian eigenvalue call on the stack of Gram matrices.  A frequency
 inside the lattice-sum guard, with unconverged lattice sums or with a
 non-finite entry gets an infinite indicator without affecting the rest of
@@ -53,19 +54,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.linalg
 
-from .lattice import (
-    GAMMA_POINT,
-    M_POINT,
-    X_POINT,
-    as_bloch,
-    nearest_margin,
-    resonance_norms,
-)
+from .lattice import GAMMA_POINT, M_POINT, X_POINT, nearest_margin, resonance_norms
 from .multipole import (
+    BlochProblem,
     DiskCrystal,
     MaterialParams,
     assemble_characteristic_matrix,
-    characteristic_entries,
 )
 
 __all__ = [
@@ -275,9 +269,7 @@ def muller_refine(
 # ---------------------------------------------------------------------------
 
 def _scan_grid(
-    alpha: np.ndarray,
-    material: MaterialParams,
-    omega_range: tuple[float, float],
+    problem: BlochProblem, omega_range: tuple[float, float]
 ) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
     """The scan's (guard-aware) frequency grid and its flagged zones.
 
@@ -287,10 +279,11 @@ def _scan_grid(
     instead, so the grid never ends with a roundoff-sized step.
     """
     lo, hi = (float(omega_range[0]), float(omega_range[1]))
-    norms = resonance_norms(alpha, hi / material.v)
+    v = problem.material.v
+    norms = resonance_norms(problem.alpha, hi / v)
 
     def in_zone(w: float) -> bool:
-        return nearest_margin(norms, w / material.v) <= _ZONE_MARGIN
+        return nearest_margin(norms, w / v) <= _ZONE_MARGIN
 
     omegas: list[float] = []
     flagged: list[tuple[float, float]] = []
@@ -316,11 +309,7 @@ def _scan_grid(
 
 
 def _indicator_batches(
-    alpha: np.ndarray,
-    material: MaterialParams,
-    crystal: DiskCrystal,
-    truncation: int,
-    omegas: np.ndarray,
+    problem: BlochProblem, omegas: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The grid ``omegas`` in ascending batches, with their indicator values.
 
@@ -333,14 +322,11 @@ def _indicator_batches(
     with unconverged lattice sums or with a non-finite matrix entry gets
     ``inf``.  A batch is evaluated only when it is asked for.
     """
-    size = 2 * (2 * truncation + 1)
+    size = 2 * (2 * problem.truncation + 1)
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
     for start in range(0, omegas.size, chunk):
         batch = omegas[start : start + chunk]
-        stack = characteristic_entries(
-            batch, material, alpha, crystal, truncation
-        )
-        yield batch, _least_gram_eigenvalues(stack)
+        yield batch, _least_gram_eigenvalues(problem.entries(batch))
 
 
 def _brackets_at_minima(
@@ -381,11 +367,7 @@ class RootDiagnostics:
 
 
 def _refine_bracket(
-    bracket: tuple[float, float, float],
-    alpha: np.ndarray,
-    material: MaterialParams,
-    crystal: DiskCrystal,
-    truncation: int,
+    bracket: tuple[float, float, float], problem: BlochProblem
 ) -> tuple[float, RootDiagnostics]:
     """Polish one bracket to an accepted band root.
 
@@ -394,11 +376,15 @@ def _refine_bracket(
     while the iterates move.  An iterate outside the admissible region, or
     where the matrix has a non-finite entry (inside the lattice-sum guard,
     or with an unconverged lattice sum), ends the refinement as unconverged.
+    The admissible region is ``Re omega > 0`` and ``|Im omega| <= 0.5``,
+    narrowed to ``|Im omega| <= v`` for a host speed ``v < 0.5`` because the
+    lattice sums are defined only for ``|Im k| <= 1``.
     Acceptance requires the iterate to come back to the real axis, stay
     inside its bracket, and push the (freshly equilibrated) indicator below
     ``_INDICATOR_TOL``.
     """
     lo, mid, hi = bracket
+    imag_bound = min(0.5, problem.material.v)
     row_scale: np.ndarray | None = None
     ref_mag: float | None = None
     last: dict[str, float] = {}
@@ -406,15 +392,13 @@ def _refine_bracket(
     def determinant(omega: complex) -> complex:
         nonlocal row_scale, ref_mag
         om = complex(omega)
-        if om.real <= 0.0 or abs(om.imag) > 0.5:
+        if om.real <= 0.0 or abs(om.imag) > imag_bound:
             raise RootNotConvergedError(
                 "iterate left the admissible frequency region",
                 best=om,
                 iterations=0,
             )
-        entries = assemble_characteristic_matrix(
-            om, material, alpha, crystal, truncation
-        )
+        entries = assemble_characteristic_matrix(om, problem)
         if not np.all(np.isfinite(entries)):
             raise RootNotConvergedError(
                 f"no characteristic matrix at iterate {om}",
@@ -434,9 +418,7 @@ def _refine_bracket(
         w = float(root.real)
         if not lo <= w <= hi:
             return False
-        entries = assemble_characteristic_matrix(
-            w, material, alpha, crystal, truncation
-        )
+        entries = assemble_characteristic_matrix(w, problem)
         spectrum = _singular_values(entries[None])[0]
         last["indicator"] = float(spectrum[-1])
         return math.isfinite(spectrum[0]) and (
@@ -452,12 +434,7 @@ def _refine_bracket(
 
 
 def _accepted_roots(
-    alpha: np.ndarray,
-    material: MaterialParams,
-    crystal: DiskCrystal,
-    truncation: int,
-    omega_range: tuple[float, float],
-    count: int | None,
+    problem: BlochProblem, omega_range: tuple[float, float], count: int | None
 ) -> list[tuple[float, RootDiagnostics]]:
     """Accepted roots in ``omega_range``, lowest first, at most ``count``.
 
@@ -467,16 +444,12 @@ def _accepted_roots(
     evaluated.  A root within ``1e-7 (1 + omega)`` of the previous one was
     reached again from a neighbouring bracket and is dropped.
     """
-    omegas, _ = _scan_grid(alpha, material, omega_range)
-    brackets = _brackets_at_minima(
-        _indicator_batches(alpha, material, crystal, truncation, omegas)
-    )
+    omegas, _ = _scan_grid(problem, omega_range)
+    brackets = _brackets_at_minima(_indicator_batches(problem, omegas))
     roots: list[tuple[float, RootDiagnostics]] = []
     for bracket in brackets:
         try:
-            omega, diag = _refine_bracket(
-                bracket, alpha, material, crystal, truncation
-            )
+            omega, diag = _refine_bracket(bracket, problem)
         except (RootNotConvergedError, RejectedRootError):
             continue
         if roots and abs(omega - roots[-1][0]) < 1e-7 * (1.0 + omega):
@@ -506,14 +479,12 @@ def bands_at(
     """
     if band_count < 1:
         raise ValueError("band_count must be at least 1")
-    alpha = as_bloch(alpha)
-    at_centre = float(np.hypot(alpha[0], alpha[1])) == 0.0
+    problem = BlochProblem(alpha, material, crystal, truncation)
+    at_centre = float(np.hypot(*problem.alpha)) == 0.0
     needed = band_count - 1 if at_centre else band_count
     roots: list[tuple[float, RootDiagnostics]] = []
     if needed:
-        roots = _accepted_roots(
-            alpha, material, crystal, truncation, (0.0, omega_max), needed
-        )
+        roots = _accepted_roots(problem, (0.0, omega_max), needed)
     if len(roots) < needed:
         raise BandNotFoundError(
             f"found {len(roots)} of {needed} bands below omega={omega_max}"
@@ -545,7 +516,7 @@ def resonance_near(
     if not 0.0 < window < 1.0:
         raise ValueError("window must lie in (0, 1)")
     roots = _accepted_roots(
-        as_bloch(alpha), material, crystal, truncation,
+        BlochProblem(alpha, material, crystal, truncation),
         ((1.0 - window) * omega_guess, (1.0 + window) * omega_guess),
         None,
     )
@@ -570,10 +541,10 @@ def retruncated_root(
     used to verify that reported band frequencies are stable under
     truncation growth.
     """
-    alpha = as_bloch(alpha)
+    problem = BlochProblem(alpha, material, crystal, truncation + 2)
     spread = 1e-5 * (1.0 + abs(omega))
     bracket = (omega - spread, float(omega), omega + spread)
-    root, _ = _refine_bracket(bracket, alpha, material, crystal, truncation + 2)
+    root, _ = _refine_bracket(bracket, problem)
     return root
 
 
@@ -674,20 +645,20 @@ def band_structure(
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3 points per edge")
+    samples = _path_samples(resolution)
+    results: list[tuple | BandNotFoundError] = []
+    for _, alpha in samples[:-1]:
+        try:
+            results.append(bands_at(
+                alpha, material, crystal, truncation, omega_max, band_count
+            ))
+        except BandNotFoundError as exc:
+            results.append(exc)
+    results.append(results[0])
     points: list[BandPoint] = []
     failures: list[tuple[float, tuple[float, float], str]] = []
-    solved: dict[bytes, tuple | Exception] = {}
-    for s, alpha in _path_samples(resolution):
-        key = alpha.tobytes()
-        if key not in solved:
-            try:
-                solved[key] = bands_at(
-                    alpha, material, crystal, truncation, omega_max, band_count
-                )
-            except BandNotFoundError as exc:
-                solved[key] = exc
-        result = solved[key]
-        if isinstance(result, Exception):
+    for (s, alpha), result in zip(samples, results):
+        if isinstance(result, BandNotFoundError):
             failures.append(
                 (s, (float(alpha[0]), float(alpha[1])), str(result))
             )

@@ -55,8 +55,8 @@ __all__ = [
     "MissingLatticeOrderError",
     "ZeroAlphaError",
     "outer_block_limit",
+    "BlochProblem",
     "assemble_characteristic_matrix",
-    "characteristic_entries",
 ]
 
 
@@ -246,77 +246,84 @@ def outer_block_limit(
     return s0
 
 
-def assemble_characteristic_matrix(
-    omega,
-    material: MaterialParams,
-    alpha,
-    crystal: DiskCrystal,
-    truncation: int,
-) -> np.ndarray:
-    """Full transmission matrix at frequency ``omega`` and Bloch vector ``alpha``.
+@dataclass(frozen=True, eq=False)
+class BlochProblem:
+    """The characteristic-matrix problem of one Bloch vector.
 
-    ``truncation`` is the largest retained harmonic order N; the result is
-    the dense ``2(2N+1)``-square complex block matrix whose singular
-    frequencies are the band frequencies.  Row blocks are [pressure
-    continuity; flux continuity], column blocks [inner density
-    coefficients; outer density coefficients], each ordered ``n = -N..N``.
-    ``omega`` may sit slightly off the real axis (the complex root
-    refinement needs this); its real part must be positive, and a zero
-    imaginary part is dropped so that the real-frequency tables are used.
-    The lattice-sum table of order 2N is built internally at
-    ``k = omega / v``.  Within ``lattice._GUARD`` of an empty-lattice
-    resonance, or where the lattice sums miss their tolerance, the entries
-    that need them are NaN.  This is ``characteristic_entries`` at one
-    frequency, with its inputs checked.
+    Holds the Bloch vector ``alpha``, the fluids, the crystal and the
+    largest retained harmonic order ``truncation`` (N >= 0).  ``alpha``
+    and ``truncation`` are checked once, at construction: ``alpha`` goes
+    through ``as_bloch`` and is stored as a read-only copy, independent of
+    the caller's array.
+    """
+
+    alpha: np.ndarray
+    material: MaterialParams
+    crystal: DiskCrystal
+    truncation: int
+
+    def __post_init__(self) -> None:
+        if self.truncation < 0:
+            raise ValueError("truncation must be >= 0")
+        alpha = as_bloch(self.alpha)
+        alpha.flags.writeable = False
+        object.__setattr__(self, "alpha", alpha)
+
+    def entries(self, omegas) -> np.ndarray:
+        """Entries of the characteristic matrix at ``omegas``, or at each frequency of a 1-D array.
+
+        Returns the ``2(2N+1)``-square matrix, or for an array of K
+        frequencies (positive real part) a ``(K, 2(2N+1), 2(2N+1))`` stack
+        built from one lattice-sum batch (``lattice_sum_table``).  A
+        frequency whose lattice sums fail the guard or the tail test gets NaN
+        in every entry that needs them (the columns of the outer densities),
+        at one frequency as in a stack, leaving the rest of the stack intact.
+        """
+        omega = np.asarray(omegas)
+        material, crystal, truncation = self.material, self.crystal, self.truncation
+        k = omega / material.v
+        k_b = omega / material.v_b
+        table = lattice_sum_table(max(2 * truncation, 1), k, self.alpha)
+        s_outer, ds_outer = _outer_block_matrices(
+            k, crystal.radius, table, truncation
+        )
+
+        orders = np.arange(-truncation, truncation + 1)
+        idx = np.abs(orders)
+        j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * crystal.radius)
+        c = -0.5j * math.pi * crystal.radius
+
+        width = orders.size
+        diag = np.arange(width)
+        entries = np.zeros(omega.shape + (2 * width, 2 * width), dtype=complex)
+        entries[..., diag, diag] = c * j_b[..., idx] * h_b[..., idx]
+        entries[..., :width, width:] = -s_outer
+        entries[..., width + diag, diag] = (
+            c * k_b[..., None] * jp_b[..., idx] * h_b[..., idx]
+        )
+        entries[..., width:, width:] = -material.delta * ds_outer
+        return entries
+
+
+def assemble_characteristic_matrix(omega, problem: BlochProblem) -> np.ndarray:
+    """Full transmission matrix of ``problem`` at frequency ``omega``.
+
+    The result is the dense ``2(2N+1)``-square complex block matrix, N the
+    problem's truncation, whose singular frequencies are the band
+    frequencies.  Row blocks are [pressure continuity; flux continuity],
+    column blocks [inner density coefficients; outer density coefficients],
+    each ordered ``n = -N..N``.  ``omega`` may sit slightly off the real
+    axis (the complex root refinement needs this); its real part must be
+    positive, and a zero imaginary part is dropped so that the
+    real-frequency tables are used.  The lattice-sum table of order 2N is
+    built internally at ``k = omega / v``.  Within ``lattice._GUARD`` of an
+    empty-lattice resonance, or where the lattice sums miss their
+    tolerance, the entries that need them are NaN.  This is
+    ``problem.entries`` at one frequency, with the frequency checked.
     """
     omega_c = complex(omega)
     if omega_c.real <= 0.0:
         raise ValueError("omega must have positive real part")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    alpha = as_bloch(alpha)
     if omega_c.imag == 0.0:
         omega_c = omega_c.real
-    return characteristic_entries(omega_c, material, alpha, crystal, truncation)
-
-
-def characteristic_entries(
-    omega,
-    material: MaterialParams,
-    alpha,
-    crystal: DiskCrystal,
-    truncation: int,
-) -> np.ndarray:
-    """Entries of the characteristic matrix at ``omega``, or at each frequency of a 1-D array.
-
-    Returns the ``2(2N+1)``-square matrix, or for an array of K frequencies
-    (positive real part) a ``(K, 2(2N+1), 2(2N+1))`` stack built from one
-    lattice-sum batch (``lattice_sum_table``).  A frequency whose lattice
-    sums fail the guard or the tail test gets NaN in every entry that needs
-    them (the columns of the outer densities), at one frequency as in a
-    stack, leaving the rest of the stack intact.
-    ``assemble_characteristic_matrix`` also validates the inputs.
-    """
-    omega = np.asarray(omega)
-    k = omega / material.v
-    k_b = omega / material.v_b
-    table = lattice_sum_table(max(2 * truncation, 1), k, alpha)
-    s_outer, ds_outer = _outer_block_matrices(
-        k, crystal.radius, table, truncation
-    )
-
-    orders = np.arange(-truncation, truncation + 1)
-    idx = np.abs(orders)
-    j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * crystal.radius)
-    c = -0.5j * math.pi * crystal.radius
-
-    width = orders.size
-    diag = np.arange(width)
-    entries = np.zeros(omega.shape + (2 * width, 2 * width), dtype=complex)
-    entries[..., diag, diag] = c * j_b[..., idx] * h_b[..., idx]
-    entries[..., :width, width:] = -s_outer
-    entries[..., width + diag, diag] = (
-        c * k_b[..., None] * jp_b[..., idx] * h_b[..., idx]
-    )
-    entries[..., width:, width:] = -material.delta * ds_outer
-    return entries
+    return problem.entries(omega_c)

@@ -22,10 +22,10 @@ from bubblebands.bands import (
     retruncated_root,
 )
 from bubblebands.multipole import (
+    BlochProblem,
     DiskCrystal,
     MaterialParams,
     assemble_characteristic_matrix,
-    characteristic_entries,
 )
 
 DILUTE_MAT = MaterialParams(rho=5000.0, kappa=5000.0, rho_b=1.0, kappa_b=1.0)
@@ -111,7 +111,7 @@ def _assert_gram_matches_svd(stack):
 def test_gram_eigenvalue_is_the_squared_smallest_singular_value(material, crystal,
                                                                  alpha):
     omegas = np.array([0.26, 0.9, 1.9, 3.3, 4.5])
-    stack = characteristic_entries(omegas, material, np.asarray(alpha), crystal, 3)
+    stack = BlochProblem(alpha, material, crystal, 3).entries(omegas)
     assert np.all(np.isfinite(stack))
     _assert_gram_matches_svd(stack)
 
@@ -138,8 +138,8 @@ def test_gram_eigenvalue_marks_only_nonfinite_matrices():
 @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
 def test_gram_eigenvalue_in_a_stack_equals_its_batch_of_one(alpha):
     omegas = np.array([0.26, 0.9, 1.9, 3.3, 4.5])
-    stacks = [characteristic_entries(omegas, DILUTE_MAT, np.asarray(alpha),
-                                     DILUTE_CRYSTAL, 3), _random_stack(3, 5, 30)]
+    stacks = [BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3).entries(omegas),
+              _random_stack(3, 5, 30)]
     for stack in stacks:
         values = bands._least_gram_eigenvalues(stack.copy())
         for k, value in enumerate(values):
@@ -203,11 +203,9 @@ def _scan(alpha, material, crystal, truncation, omega_range):
     Composed as ``bands._accepted_roots`` composes it, run to the end of
     ``omega_range``.
     """
-    alpha = lattice.as_bloch(alpha)
-    omegas, flagged = bands._scan_grid(alpha, material, omega_range)
-    brackets = bands._brackets_at_minima(
-        bands._indicator_batches(alpha, material, crystal, truncation, omegas)
-    )
+    problem = BlochProblem(alpha, material, crystal, truncation)
+    omegas, flagged = bands._scan_grid(problem, omega_range)
+    brackets = bands._brackets_at_minima(bands._indicator_batches(problem, omegas))
     return list(brackets), flagged
 
 
@@ -257,8 +255,8 @@ def test_scan_grid_ends_without_a_roundoff_step(alpha):
     # step of 6e-14 to 5.0.
     for material, omega_max in ((DILUTE_MAT, 5.0), (NONDILUTE_MAT, 5.2)):
         for omega_range in ((0.0, omega_max), (0.9, 1.7)):
-            omegas, _ = bands._scan_grid(np.asarray(alpha, dtype=float),
-                                         material, omega_range)
+            problem = BlochProblem(alpha, material, DILUTE_CRYSTAL, 3)
+            omegas, _ = bands._scan_grid(problem, omega_range)
             assert omegas[-1] == omega_range[1]
             assert np.min(np.diff(omegas)) >= 0.25 * bands._STEP_LOW
 
@@ -276,7 +274,8 @@ def test_scan_evaluates_the_grid_in_batches(monkeypatch):
 
     monkeypatch.setattr(lattice.LatticeSumEngine, "table", counted)
     _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
-    omegas, _ = bands._scan_grid(np.asarray(M_ALPHA), DILUTE_MAT, (0.0, 5.0))
+    omegas, _ = bands._scan_grid(BlochProblem(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7),
+                                 (0.0, 5.0))
     chunk = bands._CHUNK_ENTRIES // 30**2
     chunks = -(-omegas.size // chunk)
     wide = lattice._engine_for(np.asarray(M_ALPHA, dtype=float).tobytes(), 14,
@@ -297,12 +296,11 @@ def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
     # Alone, as in the batch, the two failed frequencies get NaN in every
     # entry that needs lattice sums: the columns of the outer densities.
     monkeypatch.setattr(lattice, "_TABLE_TOL", 1e-50)
-    alpha = np.array([0.3, 2.1])
+    problem = BlochProblem((0.3, 2.1), DILUTE_MAT, DILUTE_CRYSTAL, 3)
     omegas = np.array([0.5, 1.0, 2.1253, 3.0, 4.0])
-    stack = characteristic_entries(omegas, DILUTE_MAT, alpha, DILUTE_CRYSTAL, 3)
+    stack = problem.entries(omegas)
     for i in (2, 4):
-        single = assemble_characteristic_matrix(omegas[i], DILUTE_MAT, alpha,
-                                                DILUTE_CRYSTAL, 3)
+        single = assemble_characteristic_matrix(omegas[i], problem)
         width = single.shape[0] // 2
         assert np.all(np.isnan(single[:, width:]))
         assert np.all(np.isfinite(single[:, :width]))
@@ -310,8 +308,7 @@ def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
     values = bands._least_gram_eigenvalues(stack)
     assert np.all(np.isinf(values[[2, 4]]))
     for omega, value in zip(omegas[[0, 1, 3]], values[[0, 1, 3]]):
-        matrix = assemble_characteristic_matrix(omega, DILUTE_MAT, alpha,
-                                                DILUTE_CRYSTAL, 3)
+        matrix = assemble_characteristic_matrix(omega, problem)
         assert value == bands._least_gram_eigenvalues(matrix[None].copy())[0]
         sigma_max = bands._singular_values(matrix[None].copy())[0, 0]
         assert abs(value - _indicator(matrix) ** 2) <= _gram_roundoff(
@@ -367,8 +364,8 @@ def test_gram_profile_brackets_equal_the_svd_profile_brackets(monkeypatch, name,
     # The scan's own batches over the whole grid; each stack is also given
     # to the SVD, before the Gram helper equilibrates it in place.
     material, crystal, omega_max = STREAM_CRYSTALS[name]
-    alpha = np.asarray(alpha, dtype=float)
-    omegas, _ = bands._scan_grid(alpha, material, (0.0, omega_max))
+    problem = BlochProblem(alpha, material, crystal, truncation)
+    omegas, _ = bands._scan_grid(problem, (0.0, omega_max))
     smallest = []
     real = bands._least_gram_eigenvalues
 
@@ -377,8 +374,7 @@ def test_gram_profile_brackets_equal_the_svd_profile_brackets(monkeypatch, name,
         return real(stack)
 
     monkeypatch.setattr(bands, "_least_gram_eigenvalues", with_svd)
-    profile = list(bands._indicator_batches(alpha, material, crystal, truncation,
-                                            omegas))
+    profile = list(bands._indicator_batches(problem, omegas))
     assert np.array_equal(np.concatenate([batch for batch, _ in profile]), omegas)
     gram_brackets = list(bands._brackets_at_minima(profile))
     svd_brackets = list(bands._brackets_at_minima([(omegas, np.concatenate(smallest))]))
@@ -409,15 +405,16 @@ def test_first_two_bands_raises_when_ceiling_is_too_low():
 
 
 def test_zone_centre_single_band_assembles_no_matrix(monkeypatch):
+    # Every matrix, of the scan or of Muller and acceptance, is built by
+    # ``BlochProblem.entries``.
     calls = []
-    for name in ("assemble_characteristic_matrix", "characteristic_entries"):
-        real = getattr(bands, name)
+    real = BlochProblem.entries
 
-        def counted(*args, _real=real, **kwargs):
-            calls.append(args[0])
-            return _real(*args, **kwargs)
+    def counted(self, omegas):
+        calls.append(omegas)
+        return real(self, omegas)
 
-        monkeypatch.setattr(bands, name, counted)
+    monkeypatch.setattr(BlochProblem, "entries", counted)
     omegas, _ = bands_at((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.4,
                          band_count=1)
     assert omegas == (0.0,)
@@ -463,6 +460,22 @@ def test_muller_iterate_inside_the_guard_skips_only_its_bracket(monkeypatch):
     assert outcomes[-1][1][0] == w2
 
 
+SLOW_HOST_MAT = MaterialParams(rho=10000.0, kappa=1.0, rho_b=1.0, kappa_b=1.0)
+
+
+def test_muller_iterate_beyond_the_lattice_sum_domain_is_unconverged():
+    # Host speed v = 0.01: an iterate with |Im omega| > v has |Im k| > 1,
+    # where the lattice sums are not defined.  Muller steps there from the
+    # lowest bracket at (pi/3, 0); that bracket ends as unconverged, and the
+    # search goes on to the two bands above it.
+    alpha = (np.pi / 3, 0.0)
+    problem = BlochProblem(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3)
+    with pytest.raises(RootNotConvergedError, match="admissible"):
+        bands._refine_bracket((0.008, 0.010, 0.011), problem)
+    omegas, _ = bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.3)
+    assert omegas == pytest.approx((0.064586339, 0.073818847), abs=1e-8)
+
+
 STREAM_CRYSTALS = {
     "dilute": (DILUTE_MAT, DILUTE_CRYSTAL, 5.0),
     "nondilute": (NONDILUTE_MAT, NONDILUTE_CRYSTAL, 5.2),
@@ -483,12 +496,11 @@ def every_accepted_root():
     for name, (material, crystal, omega_max) in STREAM_CRYSTALS.items():
         for alpha in STREAM_ALPHAS:
             accepted = []
-            alpha_arr = np.asarray(alpha, dtype=float)
+            problem = BlochProblem(alpha, material, crystal, 3)
             brackets, _ = _scan(alpha, material, crystal, 3, (0.0, omega_max))
             for bracket in brackets:
                 try:
-                    omega, diag = bands._refine_bracket(bracket, alpha_arr,
-                                                        material, crystal, 3)
+                    omega, diag = bands._refine_bracket(bracket, problem)
                 except (RootNotConvergedError, RejectedRootError):
                     continue
                 if accepted and abs(omega - accepted[-1][0]) < 1e-7 * (1.0 + omega):
@@ -520,21 +532,25 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
     # omega_max = 5: the scan must stop in the chunk that completes band 2's
     # bracket, not evaluate the grid up to 5.
     alpha = np.zeros(2)
-    omegas, _ = bands._scan_grid(alpha, DILUTE_MAT, (0.0, 5.0))
+    omegas, _ = bands._scan_grid(BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7),
+                                 (0.0, 5.0))
     chunk = bands._CHUNK_ENTRIES // 30**2
     brackets, _ = _scan(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
     band_two = [bracket for bracket in brackets
                 if bracket[0] <= DILUTE_GAMMA_BAND2 <= bracket[2]]
     assert len(band_two) == 1
     last = int(np.flatnonzero(omegas == band_two[0][2])[0])
+    # The scan's batches are 1-D arrays; Muller and acceptance build their
+    # matrices one frequency at a time.
     evaluated = []
-    real = bands.characteristic_entries
+    real = BlochProblem.entries
 
-    def counted(batch, *args, **kwargs):
-        evaluated.extend(np.atleast_1d(batch))
-        return real(batch, *args, **kwargs)
+    def counted(self, omegas):
+        if np.ndim(omegas):
+            evaluated.extend(omegas)
+        return real(self, omegas)
 
-    monkeypatch.setattr(bands, "characteristic_entries", counted)
+    monkeypatch.setattr(BlochProblem, "entries", counted)
     (w1, w2), _ = bands_at(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
     assert w1 == 0.0
     assert w2 == pytest.approx(DILUTE_GAMMA_BAND2, abs=1e-8)
@@ -555,8 +571,8 @@ def test_acceptance_indicator_is_the_svd_indicator(name, alpha):
     omegas, diagnostics = bands_at(alpha, material, crystal, 3, omega_max)
     assert len(omegas) == 2
     for omega, diag in zip(omegas, diagnostics):
-        matrix = assemble_characteristic_matrix(omega, material, np.asarray(alpha),
-                                                crystal, 3)
+        matrix = assemble_characteristic_matrix(
+            omega, BlochProblem(alpha, material, crystal, 3))
         assert diag.indicator == _indicator(matrix)
 
 

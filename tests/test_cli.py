@@ -141,6 +141,21 @@ def test_unreachable_band_ceiling_is_a_computation_error(tmp_path, capsys):
     assert "path point" in err and "s=" in err
 
 
+def test_slow_host_band_search_is_a_computation_error(tmp_path, capsys):
+    # Host speed 0.01 puts Muller iterates outside the lattice sums' domain
+    # |Im k| <= 1; those refinements end as unconverged instead of aborting
+    # the sweep, which then stops at M, where band 2 lies above omega_max.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "rho": 10000, "kappa": 1, "omega_max": 0.3, "truncation_N": 3,
+        "path_resolution": 3, "output_path": str(tmp_path / "bands.csv"),
+    }))
+    assert main(["bands", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: band search failed at path point s=0.666667")
+    assert "found 1 of 2 bands below omega=0.3" in err
+
+
 def _raise_band_not_found(*args, **kwargs):
     raise BandNotFoundError("no band in reach")
 

@@ -151,18 +151,37 @@ def test_lattice_order_and_table_mismatch_errors():
 GENERIC_MAT = mp.MaterialParams(rho=3.0, kappa=2.0, rho_b=0.6, kappa_b=1.1)
 
 
+def generic_problem(truncation, alpha=(0.9, -0.4), material=GENERIC_MAT):
+    return mp.BlochProblem(alpha, material, mp.DiskCrystal(radius=0.3), truncation)
+
+
 def test_assembled_matrix_shape_and_metadata():
-    crystal = mp.DiskCrystal(radius=0.3)
-    cm = mp.assemble_characteristic_matrix(
-        1.1, GENERIC_MAT, (0.9, -0.4), crystal, 3
-    )
+    cm = mp.assemble_characteristic_matrix(1.1, generic_problem(3))
     assert cm.shape == (14, 14)
+
+
+def test_bloch_problem_rejects_bad_alpha_and_truncation():
+    crystal = mp.DiskCrystal(radius=0.3)
+    with pytest.raises(ValueError):
+        mp.BlochProblem((0.9, -0.4), GENERIC_MAT, crystal, -1)
+    for bad_alpha in ((0.9,), (0.9, -0.4, 0.1), (4.0, 0.0), (np.nan, 0.0)):
+        with pytest.raises(ValueError):
+            mp.BlochProblem(bad_alpha, GENERIC_MAT, crystal, 2)
+
+
+def test_bloch_problem_alpha_is_a_read_only_copy():
+    alpha = np.array([0.9, -0.4])
+    problem = generic_problem(2, alpha)
+    alpha[0] = 0.1
+    assert np.array_equal(problem.alpha, [0.9, -0.4])
+    assert problem.alpha.dtype == float
+    with pytest.raises(ValueError):
+        problem.alpha[1] = 0.2
 
 
 def test_assembly_matches_entrywise_construction():
     omega, alpha, radius, trunc = 1.1, (0.9, -0.4), 0.3, 2
-    crystal = mp.DiskCrystal(radius=radius)
-    cm = mp.assemble_characteristic_matrix(omega, GENERIC_MAT, alpha, crystal, trunc)
+    cm = mp.assemble_characteristic_matrix(omega, generic_problem(trunc, alpha))
     k = omega / GENERIC_MAT.v
     k_b = omega / GENERIC_MAT.v_b
     table = lattice_sum_table(2 * trunc, k, alpha)
@@ -188,9 +207,8 @@ def test_density_contrast_scales_flux_lattice_block_only():
     # contrast, so exactly the flux-side quasi-periodic block doubles.
     mat1 = mp.MaterialParams(rho=3.0, kappa=2.0, rho_b=0.6, kappa_b=1.1)
     mat2 = mp.MaterialParams(rho=3.0, kappa=2.0, rho_b=1.2, kappa_b=2.2)
-    crystal = mp.DiskCrystal(radius=0.3)
-    cm1 = mp.assemble_characteristic_matrix(1.1, mat1, (0.9, -0.4), crystal, 2)
-    cm2 = mp.assemble_characteristic_matrix(1.1, mat2, (0.9, -0.4), crystal, 2)
+    cm1 = mp.assemble_characteristic_matrix(1.1, generic_problem(2, material=mat1))
+    cm2 = mp.assemble_characteristic_matrix(1.1, generic_problem(2, material=mat2))
     w = 5
     np.testing.assert_allclose(cm2[:w, :], cm1[:w, :], rtol=1e-14)
     np.testing.assert_allclose(
@@ -206,7 +224,7 @@ def test_high_contrast_regression_smallest_singular_value():
     # is near-singular but not singular; value pinned as a regression.
     mat = mp.MaterialParams(rho=5000.0, kappa=5000.0, rho_b=1.0, kappa_b=1.0)
     cm = mp.assemble_characteristic_matrix(
-        0.2, mat, (np.pi, np.pi), mp.DiskCrystal(radius=0.05), 7
+        0.2, mp.BlochProblem((np.pi, np.pi), mat, mp.DiskCrystal(radius=0.05), 7)
     )
     smallest = np.linalg.svd(cm, compute_uv=False)[-1]
     assert np.isfinite(smallest) and smallest > 0.0
@@ -214,41 +232,28 @@ def test_high_contrast_regression_smallest_singular_value():
 
 
 def test_momentum_reversal_leaves_singular_spectrum_invariant():
-    crystal = mp.DiskCrystal(radius=0.3)
     sv_pos = np.linalg.svd(
-        mp.assemble_characteristic_matrix(
-            1.1, GENERIC_MAT, (0.9, -0.4), crystal, 3
-        ),
+        mp.assemble_characteristic_matrix(1.1, generic_problem(3)),
         compute_uv=False,
     )
     sv_neg = np.linalg.svd(
-        mp.assemble_characteristic_matrix(
-            1.1, GENERIC_MAT, (-0.9, 0.4), crystal, 3
-        ),
+        mp.assemble_characteristic_matrix(1.1, generic_problem(3, (-0.9, 0.4))),
         compute_uv=False,
     )
     assert np.max(np.abs(sv_pos - sv_neg)) < 1e-8 * sv_pos[0]
 
 
 def test_assembly_continuous_into_complex_frequency():
-    crystal = mp.DiskCrystal(radius=0.3)
-    base = mp.assemble_characteristic_matrix(1.1, GENERIC_MAT, (0.9, -0.4), crystal, 2)
-    shifted = mp.assemble_characteristic_matrix(
-        1.1 + 1e-8j, GENERIC_MAT, (0.9, -0.4), crystal, 2
-    )
+    base = mp.assemble_characteristic_matrix(1.1, generic_problem(2))
+    shifted = mp.assemble_characteristic_matrix(1.1 + 1e-8j, generic_problem(2))
     assert np.max(np.abs(shifted - base)) < 1e-6
     assert np.any(shifted.imag != base.imag)
 
 
-def test_assemble_rejects_bad_frequency_and_truncation():
-    crystal = mp.DiskCrystal(radius=0.3)
+def test_assemble_rejects_bad_frequency():
     for bad_omega in (0.0, -1.0, -0.5 + 0.1j):
         with pytest.raises(ValueError):
-            mp.assemble_characteristic_matrix(
-                bad_omega, GENERIC_MAT, (0.9, -0.4), crystal, 2
-            )
-    with pytest.raises(ValueError):
-        mp.assemble_characteristic_matrix(1.1, GENERIC_MAT, (0.9, -0.4), crystal, -1)
+            mp.assemble_characteristic_matrix(bad_omega, generic_problem(2))
 
 
 # ---------------------------------------------------------------------------

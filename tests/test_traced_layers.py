@@ -4,7 +4,8 @@ A traced benchmark run (``perfbench/run.py --trace 1``) times each layer
 through the entry points listed in ``perfbench/tracer.py``.  A layer none of
 whose entry points resolves is reported as absent, which changes the traced
 output while the untraced run stays the same.  These tests read the tracer's
-tables and resolve them against the package; they change nothing under
+tables and resolve them against the package, and run one small sweep under
+the tracer to see that its counts move; they change nothing under
 ``perfbench/``.
 """
 
@@ -13,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from bubblebands import bands
+from bubblebands.multipole import DiskCrystal, MaterialParams
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -67,3 +71,30 @@ def test_every_traced_layer_keeps_an_entry_point(tracer, probe):
 def test_no_further_entry_point_goes_missing(probe):
     missing = set(probe.missing)
     assert missing <= KNOWN_MISSING, missing - KNOWN_MISSING
+
+
+#: Metrics that any band sweep moves.  A change that routes the search around
+#: a traced entry point reads 0 on some of them while every output stays the
+#: same, as the scan metrics already do (see ``KNOWN_MISSING``).
+SWEEP_METRICS = (
+    "lattice.table_evals",
+    "lattice.tables",
+    "multipole.assemblies",
+    "bands.refines",
+    "bands.muller_iters",
+    "bands.roots_accepted",
+)
+
+
+def test_a_traced_sweep_counts_work_in_every_search_layer(tracer):
+    probe = tracer.Tracer()
+    probe.install()
+    try:
+        bands.band_structure(
+            MaterialParams(rho=5000.0, kappa=5000.0, rho_b=1.0, kappa_b=1.0),
+            DiskCrystal(radius=0.05), 3, resolution=3, band_count=1)
+    finally:
+        probe.uninstall()
+    metrics = probe.metrics()
+    zero = [name for name in SWEEP_METRICS if not metrics[name]["value"] > 0]
+    assert not zero, f"traced sweep metrics reading 0: {zero}"
