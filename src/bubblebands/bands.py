@@ -1,18 +1,19 @@
 """Band frequencies of the bubble crystal along the square-lattice path.
 
 A frequency ``omega`` belongs to the band structure at Bloch vector ``alpha``
-when the characteristic matrix of its ``multipole.BlochProblem``, which
-each search builds once, becomes singular there.  Singularity
-is detected in two stages: a scan over a frequency grid ranks the
-frequencies by the least eigenvalue of the Gram matrix of the
-row-equilibrated matrix (its smallest singular value squared) and brackets
-candidate roots at the local minima, then Muller's method polishes each
-bracket on the equilibrated determinant, evaluated through a pivoted
-triangular factorization in log-magnitude form so that neither overflow nor
-underflow can occur.  A refined root is accepted only if it stays inside its
-bracket, returns to the real axis, and drives the indicator, the smallest
-singular value of the equilibrated matrix from a full SVD relative to its
-largest, below tolerance.
+when the ``(2N+1)``-square characteristic matrix of its
+``multipole.BlochProblem``, which each search builds once, becomes singular
+there.  Each row of the matrix is divided by the scale that
+``BlochProblem.entries`` returns with it (the equilibrated matrix).  A scan
+over a frequency grid ranks the frequencies by the least eigenvalue of the
+Gram matrix of the equilibrated matrix (its smallest singular value squared)
+and brackets candidate roots at the local minima, then Muller's method
+polishes each bracket on the equilibrated determinant in log-magnitude form
+(``np.linalg.slogdet``), which can neither overflow nor underflow.  A refined
+root is accepted only if it stays inside its bracket, returns to the real
+axis, and drives the indicator, the smallest singular value of the
+equilibrated matrix from a full SVD relative to its largest, below
+tolerance.
 
 Frequencies where the host wavenumber hits an empty-lattice resonance
 ``k = |2 pi m + alpha|`` are poles of the quasi-periodic kernel, not crystal
@@ -23,8 +24,8 @@ it half-stepped; no run reports them yet.
 
 The scan lays out its frequency grid first (the zone margins come from
 one sorted list of empty-lattice lines per scan) and then evaluates it in
-ascending batches of ``_CHUNK_ENTRIES // size**2`` frequencies for matrices
-of ``size``: per batch one lattice-sum batch, one stack of matrices
+ascending batches of ``_CHUNK_ENTRIES // (2N + 1)**2`` frequencies: per
+batch one lattice-sum batch, one stack of matrices
 (``multipole.BlochProblem.entries``), one stacked equilibration and one
 Hermitian eigenvalue call on the stack of Gram matrices.  A frequency
 inside the lattice-sum guard, with unconverged lattice sums or with a
@@ -52,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import GAMMA_POINT, M_POINT, X_POINT, nearest_margin, resonance_norms
 from .multipole import (
@@ -113,80 +113,57 @@ _IMAG_TOL = 1e-8
 #: Muller stopping rule: relative step size and iteration budget.
 _MULLER_TOL = 1e-10
 _MULLER_MAX_ITER = 50
-#: Matrix entries per batch of scan frequencies.  The scan evaluates its grid
-#: in batches of ``_CHUNK_ENTRIES // size**2`` frequencies for matrices of
-#: ``size``: 16 at N = 7, 73 at N = 3.  It bounds the memory a batch holds.
-_CHUNK_ENTRIES = 14_400
+#: Matrix entries per batch of scan frequencies: the scan evaluates its grid
+#: in batches of ``_CHUNK_ENTRIES // (2N + 1)**2`` frequencies, 16 at N = 7
+#: and 73 at N = 3.  It bounds the memory a batch holds.
+_CHUNK_ENTRIES = 3_600
 
 
 # ---------------------------------------------------------------------------
 # singularity indicator and determinant
 # ---------------------------------------------------------------------------
 
-def _row_scales(entries: np.ndarray) -> np.ndarray:
-    """Max-norm of each row (last axis); zero rows keep scale one."""
-    scale = np.max(np.abs(entries), axis=-1)
-    return np.where(scale == 0.0, 1.0, scale)
+def _equilibrated(pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of finite matrices of a stack, and those matrices equilibrated.
 
-
-def _equilibrated(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The finite matrices of a ``(K, n, n)`` stack, each row at unit max-norm.
-
-    Returns the mask of matrices without a non-finite entry and those
-    matrices equilibrated.  When every matrix is finite the stack itself is
-    equilibrated in place.
+    ``pair`` is a ``(K, n, n)`` stack and its ``(K, n)`` row scales, as
+    ``BlochProblem.entries`` returns them; each row is divided by its scale.
     """
+    stack, row_scale = pair
     finite = np.all(np.isfinite(stack), axis=(-2, -1))
-    part = stack if finite.all() else stack[finite]
-    part /= _row_scales(part)[..., None]
-    return finite, part
+    return finite, stack[finite] / row_scale[finite][..., None]
 
 
-def _singular_values(stack: np.ndarray) -> np.ndarray:
-    """Singular values, largest first, of each row-equilibrated matrix of a stack.
+def _singular_values(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Singular values, largest first, of each equilibrated matrix of a stack.
 
-    ``stack`` is ``(K, n, n)`` and is equilibrated in place: each row is
-    scaled to unit max-norm.  A matrix with a non-finite entry gets a row of
-    ``inf`` and is left out of the SVD.
+    ``pair`` is a ``(K, n, n)`` stack and its row scales.  A matrix with a
+    non-finite entry gets a row of ``inf`` and is left out of the SVD.
     """
-    finite, part = _equilibrated(stack)
-    values = np.full(stack.shape[:-1], math.inf)
+    finite, part = _equilibrated(pair)
+    values = np.full(pair[0].shape[:-1], math.inf)
     if part.size:
         values[finite] = np.linalg.svd(part, compute_uv=False)
     return values
 
 
-def _least_gram_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Least eigenvalue of ``E^H E`` for each row-equilibrated matrix ``E``.
+def _least_gram_eigenvalues(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Least eigenvalue of ``T^H T`` for each equilibrated matrix ``T``.
 
-    ``stack`` is ``(K, n, n)`` and is equilibrated in place, as in
-    :func:`_singular_values`.  The value is ``sigma_min(E)**2`` up to the
-    cross-product's roundoff of about ``n * eps * sigma_max**2``, so it
-    orders matrices as their smallest singular values do while those stay
-    well above that roundoff.  One Hermitian eigenvalue call per stack is
-    less LAPACK work than an SVD.  The value is not square-rooted, and not
-    clipped at zero, since clipping could create ties.  A matrix with a
-    non-finite entry gets ``inf`` and is left out of the call.
+    ``pair`` is a ``(K, n, n)`` stack and its row scales.  The value is
+    ``sigma_min(T)**2`` up to the cross-product's roundoff of about
+    ``n * eps * sigma_max**2``, so it orders matrices as their smallest
+    singular values do while those stay well above that roundoff.  One
+    Hermitian eigenvalue call per stack is less LAPACK work than an SVD.
+    The value is not square-rooted, and not clipped at zero, since clipping
+    could create ties.  A non-finite matrix gets ``inf``, outside the call.
     """
-    finite, part = _equilibrated(stack)
-    values = np.full(stack.shape[0], math.inf)
+    finite, part = _equilibrated(pair)
+    values = np.full(pair[0].shape[0], math.inf)
     if part.size:
         gram = part.conj().swapaxes(-1, -2) @ part
         values[finite] = np.linalg.eigvalsh(gram)[:, 0]
     return values
-
-
-def _scaled_log_determinant(entries: np.ndarray, row_scale: np.ndarray) -> complex:
-    """``log det`` of ``entries / row_scale`` as ``log|det| + i arg det``."""
-    lu, piv = scipy.linalg.lu_factor(
-        entries / row_scale[:, None], check_finite=False
-    )
-    diag = np.diagonal(lu)
-    swaps = int(np.count_nonzero(piv != np.arange(piv.size)))
-    with np.errstate(divide="ignore"):
-        log_mag = float(np.sum(np.log(np.abs(diag))))
-    phase = float(np.sum(np.angle(diag))) + math.pi * (swaps % 2)
-    return complex(log_mag, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +291,7 @@ def _indicator_batches(
     """The grid ``omegas`` in ascending batches, with their indicator values.
 
     The value at a frequency is the least eigenvalue of the Gram matrix of
-    the row-equilibrated characteristic matrix, the square of its smallest
+    the equilibrated characteristic matrix, the square of its smallest
     singular value up to roundoff; the bracket rule reads only the order of
     the values.  Each batch of frequencies costs one lattice-sum batch (plus
     one on widened windows for its misses), one stack of matrices and one
@@ -322,8 +299,7 @@ def _indicator_batches(
     with unconverged lattice sums or with a non-finite matrix entry gets
     ``inf``.  A batch is evaluated only when it is asked for.
     """
-    size = 2 * (2 * problem.truncation + 1)
-    chunk = max(1, _CHUNK_ENTRIES // (size * size))
+    chunk = max(1, _CHUNK_ENTRIES // (2 * problem.truncation + 1) ** 2)
     for start in range(0, omegas.size, chunk):
         batch = omegas[start : start + chunk]
         yield batch, _least_gram_eigenvalues(problem.entries(batch))
@@ -380,8 +356,8 @@ def _refine_bracket(
     narrowed to ``|Im omega| <= v`` for a host speed ``v < 0.5`` because the
     lattice sums are defined only for ``|Im k| <= 1``.
     Acceptance requires the iterate to come back to the real axis, stay
-    inside its bracket, and push the (freshly equilibrated) indicator below
-    ``_INDICATOR_TOL``.
+    inside its bracket, and push the indicator of the matrix there, divided
+    by its own row scales, below ``_INDICATOR_TOL``.
     """
     lo, mid, hi = bracket
     imag_bound = min(0.5, problem.material.v)
@@ -398,19 +374,19 @@ def _refine_bracket(
                 best=om,
                 iterations=0,
             )
-        entries = assemble_characteristic_matrix(om, problem)
-        if not np.all(np.isfinite(entries)):
+        matrix, scale = assemble_characteristic_matrix(om, problem)
+        if not np.all(np.isfinite(matrix)):
             raise RootNotConvergedError(
                 f"no characteristic matrix at iterate {om}",
                 best=om,
                 iterations=0,
             )
         if row_scale is None:
-            row_scale = _row_scales(entries)
-        log_det = _scaled_log_determinant(entries, row_scale)
+            row_scale = scale
+        sign, log_mag = np.linalg.slogdet(matrix / row_scale[:, None])
         if ref_mag is None:
-            ref_mag = log_det.real
-        return cmath.exp(complex(log_det.real - ref_mag, log_det.imag))
+            ref_mag = log_mag
+        return complex(sign) * math.exp(log_mag - ref_mag)
 
     def accept(root: complex) -> bool:
         if abs(root.imag) > _IMAG_TOL:
@@ -418,8 +394,8 @@ def _refine_bracket(
         w = float(root.real)
         if not lo <= w <= hi:
             return False
-        entries = assemble_characteristic_matrix(w, problem)
-        spectrum = _singular_values(entries[None])[0]
+        matrix, scale = assemble_characteristic_matrix(w, problem)
+        spectrum = _singular_values((matrix[None], scale[None]))[0]
         last["indicator"] = float(spectrum[-1])
         return math.isfinite(spectrum[0]) and (
             spectrum[-1] <= _INDICATOR_TOL * spectrum[0]

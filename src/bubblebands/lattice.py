@@ -35,8 +35,8 @@ it can, so a real wavenumber gets that table in such batches only.)  The
 guard and the tail test act per wavenumber: a wavenumber that fails either
 is marked and gets NaN values, alone as in a batch, and the misses of the
 tail test are recomputed together on the widened windows.  The band scan
-(``bands``) evaluates its frequency grid this way, one batch of
-``bands._CHUNK_ENTRIES`` matrix entries at a time.
+(``bands``) evaluates its frequency grid this way, in batches of
+``bands._CHUNK_ENTRIES`` entries of (2N+1)-square matrices.
 
 All conventions (phases, prefactors, the n < 0 continuation) are pinned by
 the test suite against an independent brute-force summation and against

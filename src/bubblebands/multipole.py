@@ -18,25 +18,34 @@ lattice sums ``Q``:
     dS[m, n] = exterior'_n delta_{mn}
                + c J_n(kR) (-1)^(n-m) Q_{n-m} k J_m'(kR).
 
-Matching pressure and normal flux across the bubble boundary gives the
-block characteristic matrix
+Matching pressure and normal flux across the bubble boundary gives a
+block system in the inner and outer densities,
 
-    [  inner layer (k_b)        -S(alpha, k)      ]
-    [  inner interior' (k_b)    -delta dS(alpha, k) ],
+    [  diag(a)    -S(alpha, k)        ]
+    [  diag(b)    -delta dS(alpha, k) ],
 
-whose characteristic values omega (through k = omega / v and
-k_b = omega / v_b) are the band frequencies; ``delta`` is the
-bubble-to-host density ratio.  For ``alpha != 0`` the block ``S`` has an
-exact k -> 0 limit, formed from the k -> 0 limits of the lattice sums
+with ``a_n = c J_|n|(k_b R) H_|n|(k_b R)``, ``b_n = c k_b J'_|n|(k_b R)
+H_|n|(k_b R)``, ``k = omega / v``, ``k_b = omega / v_b`` and ``delta`` the
+bubble-to-host density ratio.  Its inner block is diagonal: ``b_n`` times
+pressure row n minus ``a_n`` times flux row n eliminates inner density n
+and leaves row n of the ``(2N+1)``-square characteristic matrix
+
+    T[n, :] = b_n S[n, :] - delta a_n dS[n, :].
+
+``T`` is the Schur complement of the inner block with row n multiplied by
+``a_n``, so ``det T`` equals the block system's determinant at every
+``k_b R``, zeros of ``J_n`` included; the band frequencies are the
+``omega`` where ``T`` is singular.  For ``alpha != 0`` the block ``S`` has
+an exact k -> 0 limit, formed from the k -> 0 limits of the lattice sums
 (``outer_block_limit``); it feeds the quasi-periodic capacity.
 
 Derivative diagonals come from differentiating the one-sided interior /
 exterior expansions directly, which reproduces the unit jump to machine
 precision.  The blocks are built for all orders at once; sign and phase
 conventions are pinned by the test suite against per-entry closed forms,
-Nystrom quadrature, plane-wave sums and the plane-wave quasi-static
-matrix, which sums the k -> 0 limit over a truncated reciprocal lattice
-(the oracles of ``tests/oracles.py``).
+the block system itself, Nystrom quadrature, plane-wave sums and the
+plane-wave quasi-static matrix, which sums the k -> 0 limit over a
+truncated reciprocal lattice (the oracles of ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -269,57 +278,55 @@ class BlochProblem:
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
 
-    def entries(self, omegas) -> np.ndarray:
-        """Entries of the characteristic matrix at ``omegas``, or at each frequency of a 1-D array.
+    def entries(self, omegas) -> tuple[np.ndarray, np.ndarray]:
+        """The characteristic matrix ``T`` and its row scale at ``omegas``.
 
-        Returns the ``2(2N+1)``-square matrix, or for an array of K
-        frequencies (positive real part) a ``(K, 2(2N+1), 2(2N+1))`` stack
-        built from one lattice-sum batch (``lattice_sum_table``).  A
-        frequency whose lattice sums fail the guard or the tail test gets NaN
-        in every entry that needs them (the columns of the outer densities),
-        at one frequency as in a stack, leaving the rest of the stack intact.
+        Returns ``T`` (module docstring) and its ``(2N+1,)`` row scale, or
+        for a 1-D array of K frequencies (positive real part) a
+        ``(K, 2N+1, 2N+1)`` stack and ``(K, 2N+1)`` scales built from one
+        lattice-sum batch.  ``row_scale[n] = hypot(|a_n| f_n, |b_n| p_n)``,
+        with ``p_n`` and ``f_n`` the max-norms of the block system's
+        pressure and flux rows n, so ``T[n] / row_scale[n]`` is the row that
+        eliminating inner density n by a rotation leaves in the
+        row-equilibrated block system.  A frequency whose lattice sums fail
+        the guard or the tail test gets NaN in every entry and scale, at one
+        frequency as in a stack.
         """
         omega = np.asarray(omegas)
-        material, crystal, truncation = self.material, self.crystal, self.truncation
+        material, truncation = self.material, self.truncation
+        radius = self.crystal.radius
         k = omega / material.v
         k_b = omega / material.v_b
         table = lattice_sum_table(max(2 * truncation, 1), k, self.alpha)
-        s_outer, ds_outer = _outer_block_matrices(
-            k, crystal.radius, table, truncation
-        )
+        s_outer, ds_outer = _outer_block_matrices(k, radius, table, truncation)
+        ds_outer *= material.delta
 
-        orders = np.arange(-truncation, truncation + 1)
-        idx = np.abs(orders)
-        j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * crystal.radius)
-        c = -0.5j * math.pi * crystal.radius
+        idx = np.abs(np.arange(-truncation, truncation + 1))
+        j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * radius)
+        c = -0.5j * math.pi * radius
+        a = c * j_b[..., idx] * h_b[..., idx]
+        b = c * k_b[..., None] * jp_b[..., idx] * h_b[..., idx]
+        matrix = b[..., None] * s_outer - a[..., None] * ds_outer
 
-        width = orders.size
-        diag = np.arange(width)
-        entries = np.zeros(omega.shape + (2 * width, 2 * width), dtype=complex)
-        entries[..., diag, diag] = c * j_b[..., idx] * h_b[..., idx]
-        entries[..., :width, width:] = -s_outer
-        entries[..., width + diag, diag] = (
-            c * k_b[..., None] * jp_b[..., idx] * h_b[..., idx]
-        )
-        entries[..., width:, width:] = -material.delta * ds_outer
-        return entries
+        pressure = np.maximum(np.abs(a), np.max(np.abs(s_outer), axis=-1))
+        flux = np.maximum(np.abs(b), np.max(np.abs(ds_outer), axis=-1))
+        return matrix, np.hypot(np.abs(a) * flux, np.abs(b) * pressure)
 
 
-def assemble_characteristic_matrix(omega, problem: BlochProblem) -> np.ndarray:
-    """Full transmission matrix of ``problem`` at frequency ``omega``.
+def assemble_characteristic_matrix(
+    omega, problem: BlochProblem
+) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristic matrix ``T`` of ``problem`` at ``omega``, with its row scale.
 
-    The result is the dense ``2(2N+1)``-square complex block matrix, N the
-    problem's truncation, whose singular frequencies are the band
-    frequencies.  Row blocks are [pressure continuity; flux continuity],
-    column blocks [inner density coefficients; outer density coefficients],
-    each ordered ``n = -N..N``.  ``omega`` may sit slightly off the real
-    axis (the complex root refinement needs this); its real part must be
-    positive, and a zero imaginary part is dropped so that the
-    real-frequency tables are used.  The lattice-sum table of order 2N is
-    built internally at ``k = omega / v``.  Within ``lattice._GUARD`` of an
+    ``T`` is the dense ``(2N+1)``-square complex matrix of the module
+    docstring, rows and columns ordered ``n = -N..N``, whose singular
+    frequencies are the band frequencies.  ``omega`` may sit slightly off
+    the real axis (the complex root refinement needs this); its real part
+    must be positive, and a zero imaginary part is dropped so that the
+    real-frequency tables are used.  Within ``lattice._GUARD`` of an
     empty-lattice resonance, or where the lattice sums miss their
-    tolerance, the entries that need them are NaN.  This is
-    ``problem.entries`` at one frequency, with the frequency checked.
+    tolerance, every entry is NaN.  This is ``problem.entries`` at one
+    frequency, with the frequency checked.
     """
     omega_c = complex(omega)
     if omega_c.real <= 0.0:

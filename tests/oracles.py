@@ -25,6 +25,9 @@ Independent routes that cross-check the production solver:
 * ``inner_block_diag`` and ``outer_block_entries`` -- the single-layer
   blocks one entry at a time, from the closed forms, against which the
   vectorised assembly of the characteristic matrix is checked.
+* ``block_characteristic_matrix`` -- the ``2(2N+1)``-square block system
+  of pressure and flux continuity in the inner and outer densities, whose
+  determinant the ``(2N+1)``-square characteristic matrix reproduces.
 * ``empty_lattice_margin`` -- the distance to the nearest empty-lattice
   resonance by a full minimum over the reciprocal points.
 
@@ -43,11 +46,13 @@ import numpy as np
 import scipy.special as sp
 
 from bubblebands import bessel
-from bubblebands.lattice import LatticeSumTable, as_bloch
+from bubblebands.lattice import LatticeSumTable, as_bloch, lattice_sum_table
 from bubblebands.multipole import (
+    BlochProblem,
     MissingLatticeOrderError,
     ZeroAlphaError,
     _cyl_tables,
+    _outer_block_matrices,
     _parity_signs,
 )
 
@@ -357,6 +362,43 @@ def outer_block_entries(
         s += c * j_n * h_n
         ds += c * k * j_n * hp_n
     return s, ds
+
+
+def block_characteristic_matrix(omega, problem: BlochProblem) -> np.ndarray:
+    """The ``2(2N+1)``-square block system of ``problem`` at ``omega``.
+
+    Row blocks are [pressure continuity; flux continuity], column blocks
+    [inner density coefficients; outer density coefficients], each ordered
+    ``n = -N..N``:
+
+        [ diag(a)   -S       ]
+        [ diag(b)   -delta dS ],
+
+    with the inner layer's diagonals ``a_n = c J_|n| H_|n|`` and
+    ``b_n = c k_b J'_|n| H_|n|`` at ``k_b R``.  Its determinant equals that of
+    ``multipole.BlochProblem.entries``' matrix, which eliminates the inner
+    densities.
+    """
+    omega = complex(omega)
+    if omega.imag == 0.0:
+        omega = omega.real
+    material, crystal, truncation = problem.material, problem.crystal, problem.truncation
+    k = omega / material.v
+    k_b = omega / material.v_b
+    table = lattice_sum_table(max(2 * truncation, 1), k, problem.alpha)
+    s_outer, ds_outer = _outer_block_matrices(k, crystal.radius, table, truncation)
+
+    idx = np.abs(np.arange(-truncation, truncation + 1))
+    j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * crystal.radius)
+    c = -0.5j * math.pi * crystal.radius
+    width = idx.size
+    diag = np.arange(width)
+    entries = np.zeros((2 * width, 2 * width), dtype=complex)
+    entries[diag, diag] = c * j_b[idx] * h_b[idx]
+    entries[:width, width:] = -s_outer
+    entries[width + diag, diag] = c * k_b * jp_b[idx] * h_b[idx]
+    entries[width:, width:] = -material.delta * ds_outer
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -44,36 +44,39 @@ DILUTE_GAMMA_BAND2 = 1.903817916843799
 # singular value indicator
 # ---------------------------------------------------------------------------
 
-def _indicator(matrix):
-    """Smallest singular value of the row-equilibrated matrix, as acceptance reads it."""
-    return bands._singular_values(np.array(matrix, dtype=complex)[None])[0, -1]
+def _indicator(matrix, row_scale):
+    """Smallest singular value of the equilibrated matrix, as acceptance reads it."""
+    pair = (np.array(matrix, dtype=complex)[None], np.asarray(row_scale)[None])
+    return bands._singular_values(pair)[0, -1]
 
 
 def test_indicator_identity_matrix_is_one():
-    assert _indicator(np.eye(12)) == pytest.approx(1.0)
+    assert _indicator(np.eye(12), np.ones(12)) == pytest.approx(1.0)
 
 
 def test_indicator_zero_row_is_zero():
     m = np.eye(6, dtype=complex)
     m[3] = 0.0
-    assert _indicator(m) == 0.0
+    assert _indicator(m, np.ones(6)) == 0.0
 
 
 def test_indicator_row_scaling_invariance():
+    # Rows scaled by the factors given as their scale equilibrate back.
     rng = np.random.default_rng(11)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    scaled = m.copy()
-    scaled[2] *= 1e150
-    scaled[5] *= 1e-140
-    a = _indicator(m)
-    b = _indicator(scaled)
+    factors = np.ones(8)
+    factors[2] = 1e150
+    factors[5] = 1e-140
+    scaled = m * factors[:, None]
+    a = _indicator(m, np.ones(8))
+    b = _indicator(scaled, factors)
     assert b == pytest.approx(a, rel=1e-10)
 
 
 def test_indicator_of_a_nonfinite_matrix_is_an_inf_row():
     stack = np.stack([np.eye(4, dtype=complex)] * 3)
     stack[1, 1, 2] = np.nan
-    values = bands._singular_values(stack)
+    values = bands._singular_values((stack, np.ones((3, 4))))
     assert np.all(np.isinf(values[1]))
     assert np.array_equal(values[[0, 2]], np.ones((2, 4)))
 
@@ -89,18 +92,19 @@ GRAM_ALPHAS = [(0.0, 0.0), (np.pi, 0.0), M_ALPHA, (0.3, 2.1)]
 
 
 def _random_stack(seed, count, size):
+    """A random stack with its rows' max-norms as the row scales."""
     rng = np.random.default_rng(seed)
     stack = (rng.normal(size=(count, size, size))
              + 1j * rng.normal(size=(count, size, size)))
     stack *= 10.0 ** rng.uniform(-30, 30, size=(count, size, 1))  # row scales
     stack[1, 4] = 2.0 * stack[1, 7]  # exactly rank-deficient once equilibrated
-    return stack
+    return stack, np.max(np.abs(stack), axis=-1)
 
 
-def _assert_gram_matches_svd(stack):
-    size = stack.shape[-1]
-    spectra = bands._singular_values(stack.copy())
-    values = bands._least_gram_eigenvalues(stack.copy())
+def _assert_gram_matches_svd(pair):
+    size = pair[0].shape[-1]
+    spectra = bands._singular_values(pair)
+    values = bands._least_gram_eigenvalues(pair)
     for value, spectrum in zip(values, spectra):
         assert abs(value - spectrum[-1] ** 2) <= _gram_roundoff(size, spectrum[0])
     return values
@@ -111,26 +115,25 @@ def _assert_gram_matches_svd(stack):
 def test_gram_eigenvalue_is_the_squared_smallest_singular_value(material, crystal,
                                                                  alpha):
     omegas = np.array([0.26, 0.9, 1.9, 3.3, 4.5])
-    stack = BlochProblem(alpha, material, crystal, 3).entries(omegas)
-    assert np.all(np.isfinite(stack))
-    _assert_gram_matches_svd(stack)
+    pair = BlochProblem(alpha, material, crystal, 3).entries(omegas)
+    assert np.all(np.isfinite(pair[0]))
+    _assert_gram_matches_svd(pair)
 
 
 def test_gram_eigenvalue_of_random_stacks_with_a_rank_deficient_matrix():
     for seed, size in ((0, 14), (1, 30)):
-        stack = _random_stack(seed, 6, size)
-        values = _assert_gram_matches_svd(stack)
+        values = _assert_gram_matches_svd(_random_stack(seed, 6, size))
         # sigma_max <= size once every entry is at most 1 in modulus
         assert abs(values[1]) <= _gram_roundoff(size, 1.0 * size)
         assert np.all(values[[0, 2, 3, 4, 5]] > _gram_roundoff(size, 1.0 * size))
 
 
 def test_gram_eigenvalue_marks_only_nonfinite_matrices():
-    stack = _random_stack(2, 5, 14)
-    clean = bands._least_gram_eigenvalues(stack.copy())
+    stack, scale = _random_stack(2, 5, 14)
+    clean = bands._least_gram_eigenvalues((stack, scale))
     stack[1, 3, 5] = np.nan
     stack[3, 0, 0] = np.inf
-    values = bands._least_gram_eigenvalues(stack)
+    values = bands._least_gram_eigenvalues((stack, scale))
     assert np.all(np.isinf(values[[1, 3]]))
     assert np.array_equal(values[[0, 2, 4]], clean[[0, 2, 4]])
 
@@ -138,12 +141,12 @@ def test_gram_eigenvalue_marks_only_nonfinite_matrices():
 @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
 def test_gram_eigenvalue_in_a_stack_equals_its_batch_of_one(alpha):
     omegas = np.array([0.26, 0.9, 1.9, 3.3, 4.5])
-    stacks = [BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3).entries(omegas),
-              _random_stack(3, 5, 30)]
-    for stack in stacks:
-        values = bands._least_gram_eigenvalues(stack.copy())
+    pairs = [BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3).entries(omegas),
+             _random_stack(3, 5, 30)]
+    for stack, scale in pairs:
+        values = bands._least_gram_eigenvalues((stack, scale))
         for k, value in enumerate(values):
-            single = bands._least_gram_eigenvalues(stack[k : k + 1].copy())
+            single = bands._least_gram_eigenvalues((stack[k : k + 1], scale[k : k + 1]))
             assert single[0] == value
 
 
@@ -229,6 +232,19 @@ def test_scan_brackets_iterate_in_ascending_order():
     assert len(mids) >= 2  # resonance band plus the folded band above
 
 
+@pytest.mark.parametrize("alpha, omega_range, root", [
+    ((0.0, 0.0), (3.9, 4.2), 4.065824186457238),
+    (M_ALPHA, (0.0, 0.4), 0.20388894318544015),
+])
+def test_scan_brackets_a_root_where_one_row_vanishes(alpha, omega_range, root):
+    # At these two roots of the acceptance-4 crystal T's monopole row
+    # vanishes on its own while the other rows stay near unit size.  Scaled
+    # by its own max-norm that row would come back to unit size and the scan
+    # would see no minimum; the row scale of the block system keeps it small.
+    brackets, _ = _scan(alpha, NONDILUTE_MAT, NONDILUTE_CRYSTAL, 3, omega_range)
+    assert [b for b in brackets if b[0] <= root <= b[2]]
+
+
 def test_scan_flags_zone_centre_low_frequency_resonance():
     # at alpha = 0 the k -> 0 empty-lattice resonance sits at omega -> 0
     _, flagged = _scan((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.2))
@@ -276,7 +292,7 @@ def test_scan_evaluates_the_grid_in_batches(monkeypatch):
     _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
     omegas, _ = bands._scan_grid(BlochProblem(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7),
                                  (0.0, 5.0))
-    chunk = bands._CHUNK_ENTRIES // 30**2
+    chunk = bands._CHUNK_ENTRIES // 15**2
     chunks = -(-omegas.size // chunk)
     wide = lattice._engine_for(np.asarray(M_ALPHA, dtype=float).tobytes(), 14,
                                widen=lattice._RANGE_BUMP)
@@ -294,24 +310,24 @@ def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
     # tail test after widening.  Both get inf; the others match the
     # single-frequency path exactly and the squared SVD indicator to roundoff.
     # Alone, as in the batch, the two failed frequencies get NaN in every
-    # entry that needs lattice sums: the columns of the outer densities.
+    # entry and every row scale: each entry needs the lattice sums.
     monkeypatch.setattr(lattice, "_TABLE_TOL", 1e-50)
     problem = BlochProblem((0.3, 2.1), DILUTE_MAT, DILUTE_CRYSTAL, 3)
     omegas = np.array([0.5, 1.0, 2.1253, 3.0, 4.0])
-    stack = problem.entries(omegas)
+    stack, scale = problem.entries(omegas)
     for i in (2, 4):
-        single = assemble_characteristic_matrix(omegas[i], problem)
-        width = single.shape[0] // 2
-        assert np.all(np.isnan(single[:, width:]))
-        assert np.all(np.isfinite(single[:, :width]))
+        single, single_scale = assemble_characteristic_matrix(omegas[i], problem)
+        assert np.all(np.isnan(single)) and np.all(np.isnan(single_scale))
         assert np.array_equal(single, stack[i], equal_nan=True)
-    values = bands._least_gram_eigenvalues(stack)
+        assert np.array_equal(single_scale, scale[i], equal_nan=True)
+    values = bands._least_gram_eigenvalues((stack, scale))
     assert np.all(np.isinf(values[[2, 4]]))
     for omega, value in zip(omegas[[0, 1, 3]], values[[0, 1, 3]]):
-        matrix = assemble_characteristic_matrix(omega, problem)
-        assert value == bands._least_gram_eigenvalues(matrix[None].copy())[0]
-        sigma_max = bands._singular_values(matrix[None].copy())[0, 0]
-        assert abs(value - _indicator(matrix) ** 2) <= _gram_roundoff(
+        matrix, row_scale = assemble_characteristic_matrix(omega, problem)
+        pair = (matrix[None], row_scale[None])
+        assert value == bands._least_gram_eigenvalues(pair)[0]
+        sigma_max = bands._singular_values(pair)[0, 0]
+        assert abs(value - _indicator(matrix, row_scale) ** 2) <= _gram_roundoff(
             matrix.shape[0], sigma_max)
 
 
@@ -361,17 +377,17 @@ BRACKET_CASES = (
 @pytest.mark.parametrize("name, alpha, truncation", BRACKET_CASES)
 def test_gram_profile_brackets_equal_the_svd_profile_brackets(monkeypatch, name,
                                                                alpha, truncation):
-    # The scan's own batches over the whole grid; each stack is also given
-    # to the SVD, before the Gram helper equilibrates it in place.
+    # The scan's own batches over the whole grid; each stack and its row
+    # scales are also given to the SVD.
     material, crystal, omega_max = STREAM_CRYSTALS[name]
     problem = BlochProblem(alpha, material, crystal, truncation)
     omegas, _ = bands._scan_grid(problem, (0.0, omega_max))
     smallest = []
     real = bands._least_gram_eigenvalues
 
-    def with_svd(stack):
-        smallest.append(bands._singular_values(stack.copy())[:, -1])
-        return real(stack)
+    def with_svd(pair):
+        smallest.append(bands._singular_values(pair)[:, -1])
+        return real(pair)
 
     monkeypatch.setattr(bands, "_least_gram_eigenvalues", with_svd)
     profile = list(bands._indicator_batches(problem, omegas))
@@ -534,7 +550,7 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
     alpha = np.zeros(2)
     omegas, _ = bands._scan_grid(BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7),
                                  (0.0, 5.0))
-    chunk = bands._CHUNK_ENTRIES // 30**2
+    chunk = bands._CHUNK_ENTRIES // 15**2
     brackets, _ = _scan(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
     band_two = [bracket for bracket in brackets
                 if bracket[0] <= DILUTE_GAMMA_BAND2 <= bracket[2]]
@@ -571,9 +587,9 @@ def test_acceptance_indicator_is_the_svd_indicator(name, alpha):
     omegas, diagnostics = bands_at(alpha, material, crystal, 3, omega_max)
     assert len(omegas) == 2
     for omega, diag in zip(omegas, diagnostics):
-        matrix = assemble_characteristic_matrix(
+        matrix, row_scale = assemble_characteristic_matrix(
             omega, BlochProblem(alpha, material, crystal, 3))
-        assert diag.indicator == _indicator(matrix)
+        assert diag.indicator == _indicator(matrix, row_scale)
 
 
 def test_retruncated_root_is_stable_for_the_dilute_crystal():

@@ -156,8 +156,12 @@ def generic_problem(truncation, alpha=(0.9, -0.4), material=GENERIC_MAT):
 
 
 def test_assembled_matrix_shape_and_metadata():
-    cm = mp.assemble_characteristic_matrix(1.1, generic_problem(3))
-    assert cm.shape == (14, 14)
+    cm, scale = mp.assemble_characteristic_matrix(1.1, generic_problem(3))
+    assert cm.shape == (7, 7)
+    assert scale.shape == (7,)
+    stack, scales = generic_problem(3).entries(np.array([0.4, 1.1, 2.3]))
+    assert stack.shape == (3, 7, 7)
+    assert scales.shape == (3, 7)
 
 
 def test_bloch_problem_rejects_bad_alpha_and_truncation():
@@ -179,75 +183,111 @@ def test_bloch_problem_alpha_is_a_read_only_copy():
         problem.alpha[1] = 0.2
 
 
-def test_assembly_matches_entrywise_construction():
-    omega, alpha, radius, trunc = 1.1, (0.9, -0.4), 0.3, 2
-    cm = mp.assemble_characteristic_matrix(omega, generic_problem(trunc, alpha))
-    k = omega / GENERIC_MAT.v
-    k_b = omega / GENERIC_MAT.v_b
+def _entrywise_blocks(omega, alpha, radius, trunc, material):
+    """Inner diagonals ``a, b`` and blocks ``S, dS`` from the per-entry oracles."""
+    k = omega / material.v
+    k_b = omega / material.v_b
     table = lattice_sum_table(2 * trunc, k, alpha)
-    width = 2 * trunc + 1
     orders = range(-trunc, trunc + 1)
-    for i, m in enumerate(orders):
-        for j, n in enumerate(orders):
-            s_in, ds_in = oracles.inner_block_diag(n, k_b, radius)
-            s_out, ds_out = oracles.outer_block_entries(m, n, k, alpha, radius, table)
-            expect_tl = s_in if m == n else 0.0
-            expect_bl = ds_in if m == n else 0.0
-            assert cm[i, j] == pytest.approx(expect_tl, abs=1e-14)
-            assert cm[i, width + j] == pytest.approx(-s_out, rel=1e-12, abs=1e-14)
-            assert cm[width + i, j] == pytest.approx(expect_bl, abs=1e-14)
-            assert cm[width + i, width + j] == pytest.approx(
-                -GENERIC_MAT.delta * ds_out, rel=1e-12, abs=1e-14
-            )
+    a, b = np.array([oracles.inner_block_diag(m, k_b, radius) for m in orders]).T
+    blocks = np.array([[oracles.outer_block_entries(m, n, k, alpha, radius, table)
+                        for n in orders] for m in orders])
+    return a, b, blocks[..., 0], blocks[..., 1]
+
+
+def test_assembly_matches_entrywise_construction():
+    # Row m of T is b_m S[m, :] - delta a_m dS[m, :]; its scale is
+    # hypot(|a_m| f_m, |b_m| p_m) with the max-norms p_m, f_m of the block
+    # system's pressure and flux rows.
+    omega, alpha, radius, trunc = 1.1, (0.9, -0.4), 0.3, 2
+    cm, scale = mp.assemble_characteristic_matrix(omega, generic_problem(trunc, alpha))
+    a, b, s, ds = _entrywise_blocks(omega, alpha, radius, trunc, GENERIC_MAT)
+    delta = GENERIC_MAT.delta
+    np.testing.assert_allclose(
+        cm, b[:, None] * s - delta * a[:, None] * ds, rtol=1e-12, atol=1e-14
+    )
+    pressure = np.maximum(np.abs(a), np.abs(s).max(axis=1))
+    flux = np.maximum(np.abs(b), delta * np.abs(ds).max(axis=1))
+    np.testing.assert_allclose(
+        scale, np.hypot(np.abs(a) * flux, np.abs(b) * pressure), rtol=1e-12
+    )
 
 
 def test_density_contrast_scales_flux_lattice_block_only():
     # Doubling both bubble density and bubble stiffness keeps the interior
     # sound speed (hence the wavenumbers) fixed and doubles the density
-    # contrast, so exactly the flux-side quasi-periodic block doubles.
+    # contrast, so T = b S - delta a dS changes by exactly -delta a dS.
     mat1 = mp.MaterialParams(rho=3.0, kappa=2.0, rho_b=0.6, kappa_b=1.1)
     mat2 = mp.MaterialParams(rho=3.0, kappa=2.0, rho_b=1.2, kappa_b=2.2)
-    cm1 = mp.assemble_characteristic_matrix(1.1, generic_problem(2, material=mat1))
-    cm2 = mp.assemble_characteristic_matrix(1.1, generic_problem(2, material=mat2))
-    w = 5
-    np.testing.assert_allclose(cm2[:w, :], cm1[:w, :], rtol=1e-14)
+    cm1, _ = mp.assemble_characteristic_matrix(1.1, generic_problem(2, material=mat1))
+    cm2, _ = mp.assemble_characteristic_matrix(1.1, generic_problem(2, material=mat2))
+    a, _, _, ds = _entrywise_blocks(1.1, (0.9, -0.4), 0.3, 2, mat1)
     np.testing.assert_allclose(
-        cm2[w:, :w], cm1[w:, :w], rtol=1e-14
+        cm2 - cm1, -mat1.delta * a[:, None] * ds,
+        rtol=1e-12, atol=1e-14 * np.max(np.abs(cm2)),
     )
-    np.testing.assert_allclose(
-        cm2[w:, w:], 2.0 * cm1[w:, w:], rtol=1e-14
-    )
+
+
+SLOW_BUBBLE_MAT = mp.MaterialParams(rho=1.0, kappa=1.0, rho_b=1.0, kappa_b=0.01)
+
+
+@pytest.mark.parametrize("material, alpha, omega, truncation", [
+    (GENERIC_MAT, (0.9, -0.4), 1.1, 0),
+    (GENERIC_MAT, (0.9, -0.4), 1.1, 2),
+    (GENERIC_MAT, (0.9, -0.4), 1.1 + 0.05j, 3),
+    (GENERIC_MAT, M_POINT, 0.7 - 0.02j, 7),
+    (GENERIC_MAT, (0.9, -0.4), 4.0, 7),
+    # k_b R = 3.0, past the first zero 2.405 of J_0: R divides by no J_n.
+    (SLOW_BUBBLE_MAT, (0.9, -0.4), 1.0, 3),
+    (SLOW_BUBBLE_MAT, (0.9, -0.4), 1.0 + 0.01j, 2),
+])
+def test_determinant_equals_that_of_the_block_system(material, alpha, omega,
+                                                     truncation):
+    problem = generic_problem(truncation, alpha, material)
+    cm, _ = mp.assemble_characteristic_matrix(omega, problem)
+    block = oracles.block_characteristic_matrix(omega, problem)
+    assert block.shape == (2 * cm.shape[0],) * 2
+    sign, log_mag = np.linalg.slogdet(cm)
+    block_sign, block_log_mag = np.linalg.slogdet(block)
+    assert abs(log_mag - block_log_mag) < 1e-10 * max(1.0, abs(block_log_mag))
+    assert abs(sign - block_sign) < 1e-10
 
 
 def test_high_contrast_regression_smallest_singular_value():
-    # High-contrast bubble crystal at a subwavelength frequency: the matrix
-    # is near-singular but not singular; value pinned as a regression.
+    # High-contrast bubble crystal at a subwavelength frequency: the block
+    # system is near-singular but not singular (value pinned as a
+    # regression), and T, which has its determinant, is nonsingular too.
     mat = mp.MaterialParams(rho=5000.0, kappa=5000.0, rho_b=1.0, kappa_b=1.0)
-    cm = mp.assemble_characteristic_matrix(
-        0.2, mp.BlochProblem((np.pi, np.pi), mat, mp.DiskCrystal(radius=0.05), 7)
-    )
+    problem = mp.BlochProblem((np.pi, np.pi), mat, mp.DiskCrystal(radius=0.05), 7)
+    block = oracles.block_characteristic_matrix(0.2, problem)
+    smallest = np.linalg.svd(block, compute_uv=False)[-1]
+    assert smallest == pytest.approx(7.303292999938e-05, rel=1e-6)
+    cm, _ = mp.assemble_characteristic_matrix(0.2, problem)
+    sign, log_mag = np.linalg.slogdet(cm)
+    block_sign, block_log_mag = np.linalg.slogdet(block)
+    assert abs(log_mag - block_log_mag) < 1e-10 * abs(block_log_mag)
+    assert abs(sign - block_sign) < 1e-10
     smallest = np.linalg.svd(cm, compute_uv=False)[-1]
     assert np.isfinite(smallest) and smallest > 0.0
-    assert smallest == pytest.approx(7.303292999938e-05, rel=1e-6)
 
 
 def test_momentum_reversal_leaves_singular_spectrum_invariant():
-    sv_pos = np.linalg.svd(
-        mp.assemble_characteristic_matrix(1.1, generic_problem(3)),
-        compute_uv=False,
-    )
-    sv_neg = np.linalg.svd(
-        mp.assemble_characteristic_matrix(1.1, generic_problem(3, (-0.9, 0.4))),
-        compute_uv=False,
-    )
+    cm_pos, scale_pos = mp.assemble_characteristic_matrix(1.1, generic_problem(3))
+    cm_neg, scale_neg = mp.assemble_characteristic_matrix(
+        1.1, generic_problem(3, (-0.9, 0.4)))
+    sv_pos = np.linalg.svd(cm_pos, compute_uv=False)
+    sv_neg = np.linalg.svd(cm_neg, compute_uv=False)
     assert np.max(np.abs(sv_pos - sv_neg)) < 1e-8 * sv_pos[0]
+    np.testing.assert_allclose(np.sort(scale_neg), np.sort(scale_pos), rtol=1e-8)
 
 
 def test_assembly_continuous_into_complex_frequency():
-    base = mp.assemble_characteristic_matrix(1.1, generic_problem(2))
-    shifted = mp.assemble_characteristic_matrix(1.1 + 1e-8j, generic_problem(2))
-    assert np.max(np.abs(shifted - base)) < 1e-6
+    base, base_scale = mp.assemble_characteristic_matrix(1.1, generic_problem(2))
+    shifted, shifted_scale = mp.assemble_characteristic_matrix(
+        1.1 + 1e-8j, generic_problem(2))
+    assert np.max(np.abs(shifted - base)) < 1e-6 * np.max(np.abs(base))
     assert np.any(shifted.imag != base.imag)
+    assert np.max(np.abs(shifted_scale - base_scale)) < 1e-6 * np.max(base_scale)
 
 
 def test_assemble_rejects_bad_frequency():
