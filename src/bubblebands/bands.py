@@ -293,11 +293,11 @@ def _indicator_batches(
     The value at a frequency is the least eigenvalue of the Gram matrix of
     the equilibrated characteristic matrix, the square of its smallest
     singular value up to roundoff; the bracket rule reads only the order of
-    the values.  Each batch of frequencies costs one lattice-sum batch (plus
-    one on widened windows for its misses), one stack of matrices and one
-    Hermitian eigenvalue call.  A frequency inside the lattice-sum guard,
-    with unconverged lattice sums or with a non-finite matrix entry gets
-    ``inf``.  A batch is evaluated only when it is asked for.
+    the values.  Each batch of frequencies costs one lattice-sum batch, one
+    stack of matrices and one Hermitian eigenvalue call.  A frequency inside
+    the lattice-sum guard, with unconverged lattice sums or with a non-finite
+    matrix entry gets ``inf``.  A batch is evaluated only when it is asked
+    for.
     """
     chunk = max(1, _CHUNK_ENTRIES // (2 * problem.truncation + 1) ** 2)
     for start in range(0, omegas.size, chunk):

@@ -361,11 +361,12 @@ def _parse_list(text: str, what: str) -> list[float]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, output: bool = True) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file overriding the built-in defaults")
-    parser.add_argument("--output", metavar="FILE",
-                        help="output file path (overrides config output_path)")
+    if output:
+        parser.add_argument("--output", metavar="FILE",
+                            help="output file path (overrides config output_path)")
 
 
 def _add_alpha(parser: argparse.ArgumentParser) -> None:
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "Bloch vector (--alpha, default the zone corner; must "
                      "be nonzero)."),
     )
-    _add_common(capacity)
+    _add_common(capacity, output=False)   # prints its report, writes no file
     _add_alpha(capacity)
     return parser
 
@@ -435,7 +436,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, output_path=args.output)
+        output = getattr(args, "output", None)  # all but capacity
+        config = load_config(args.config, output_path=output)
         alpha = getattr(args, "alpha", None)  # only compare and capacity
         if alpha is not None:
             alpha = _parse_alpha(alpha)

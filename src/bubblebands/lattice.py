@@ -15,16 +15,22 @@ parameter ``eta = sqrt(pi)``:
   the poles at the empty-lattice resonances ``k = |p|``;
 * a direct (spatial) part over nearby lattice points, with radial functions
   built from upper incomplete gamma functions ``Gamma(s - j, eta^2 r^2)``;
-* a central correction for ``n = 0`` from the regularised origin term.
+* a central correction for ``n = 0`` from the regularised origin term,
+  ``-1 - (i/pi) [2 log(k / 2 eta) + gamma + sum_{j>=1} z^j / (j j!)]`` with
+  ``z = (k / 2 eta)^2``; the bracket is the exponential integral ``Ei(z)``.
 
-Both parts decay super-exponentially, so small fixed windows (|.|_inf <= 5)
-deliver ~1e-12 absolute accuracy for the wavenumbers used here; the windows
-are widened once automatically if the internal error estimate misses the
-tolerance ``_TABLE_TOL``.  Evaluation is organised around per-``alpha`` engines
-that precompute every k-independent quantity, making a full table of
-Q_{-order_max}..Q_{order_max} an O(10^5)-flop operation -- cheap enough to
-sit inside frequency scans.  Valid also slightly off the real k axis
-(Re k > 0), which the complex root refinement relies on.
+Both parts decay super-exponentially, so one small fixed window
+(|.|_inf <= 5) delivers ~1e-12 absolute accuracy for the wavenumbers used
+here.  A table passes its tail test when every order's truncation tail is
+within ``_TABLE_TOL`` or within the roundoff already in the sum; no wider
+window could shrink a tail that passes only the second.  The radial series
+of the spatial part stops at ``_J_CAP`` terms, which bounds the wavenumbers
+to k <~ 12.1: above that its tail misses at every window.  Evaluation is
+organised around per-``alpha`` engines that precompute every k-independent
+quantity, making a full table of Q_{-order_max}..Q_{order_max} an
+O(10^5)-flop operation -- cheap enough to sit inside frequency scans.
+Valid also slightly off the real k axis (Re k > 0), which the complex root
+refinement relies on.
 
 A table is computed for a 1-D array of wavenumbers in one pass (a batch);
 a single wavenumber is the batch of one.  The spectral and spatial sums
@@ -33,8 +39,7 @@ stack axis, so a wavenumber gets bitwise the same table in a batch of any
 size.  (A batch with no complex wavenumber runs in real arithmetic where
 it can, so a real wavenumber gets that table in such batches only.)  The
 guard and the tail test act per wavenumber: a wavenumber that fails either
-is marked and gets NaN values, alone as in a batch, and the misses of the
-tail test are recomputed together on the widened windows.  The band scan
+is marked and gets NaN values, alone as in a batch.  The band scan
 (``bands``) evaluates its frequency grid this way, in batches of
 ``bands._CHUNK_ENTRIES`` entries of (2N+1)-square matrices.
 
@@ -48,14 +53,11 @@ from __future__ import annotations
 
 import bisect
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special as sp
-
-logger = logging.getLogger(__name__)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -67,16 +69,14 @@ M_POINT = np.array([np.pi, np.pi])
 #: Ewald splitting parameter; balances the Gaussian decay of the spectral
 #: part (exp(-pi nu^2)) and the spatial part (exp(-pi r^2)).
 _ETA = math.sqrt(math.pi)
-#: Largest admissible truncation tail of a table (see ``table``).
+#: Largest admissible truncation tail of a table above the roundoff floor
+#: (see ``table``).
 _TABLE_TOL = 1e-8
 #: Smallest admissible distance of Re k from an empty-lattice resonance.
 _GUARD = 0.01
 
 _WINDOW = 5            # Ewald windows |m|_inf <= window (m != 0), |nu|_inf <= window
 _J_CAP = 40            # series depth of the spatial radial functions
-_RANGE_BUMP = 3        # widening applied when a tail misses _TABLE_TOL
-#: j * j! for j = 1..59, the divisors of the central series (see ``table``)
-_CENTRAL_DIV = np.cumprod(np.arange(1.0, 60.0)) * np.arange(1.0, 60.0)
 
 
 def as_bloch(alpha) -> np.ndarray:
@@ -155,9 +155,10 @@ class LatticeSumTable:
         orders are converged relative to their own size instead.
     in_guard, converged : bool or ndarray
         Whether Re k lies within ``_GUARD`` of an empty-lattice resonance,
-        and whether every order's truncation tail met ``_TABLE_TOL``.
-        ``values`` is NaN wherever either flag marks a failure, at one
-        wavenumber as in a batch.
+        and whether every order's truncation tail met ``_TABLE_TOL`` or
+        its roundoff floor (see ``LatticeSumEngine.table``).  ``values`` is
+        NaN wherever either flag marks a failure, at one wavenumber as in a
+        batch.
     """
 
     k: complex | np.ndarray
@@ -218,8 +219,8 @@ def _spatial_coefficients(order_max: int, window: int):
     ``r^{2j-s} Gamma(s - j, eta^2 r^2) / j!`` so that the radial function is
     ``radial_s(pt; k) = sum_j (k/2)^{2j-s} coeff[s, j, pt]``, and
     ``unit_pow[s, pt] = e^{i s phi_pt}``.  Cached without eviction, which
-    stays bounded: the key is an order of at most 30 and one of the two
-    windows, ``_WINDOW`` or the widened ``_WINDOW + _RANGE_BUMP``.
+    stays bounded: the key is an order of at most 30 and a window, which
+    is ``_WINDOW`` in production.
     """
     rng = np.arange(-window, window + 1)
     mx, my = np.meshgrid(rng, rng, indexing="ij")
@@ -247,6 +248,11 @@ def _spatial_coefficients(order_max: int, window: int):
         unit_pow[s] = unit_pow[s - 1] * unit
 
     return mx, my, r, unit_pow, coeff
+
+
+def _central_term(k):
+    """Order-0 central correction ``-1 - (i/pi) Ei((k / 2 eta)^2)``, Re k > 0."""
+    return -1.0 - (1j / np.pi) * sp.expi((0.5 * k / _ETA) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +345,11 @@ class LatticeSumEngine:
         single ``k`` is the batch of one.  The guard and the convergence
         test act per wavenumber.  A wavenumber with Re k within ``_GUARD``
         of an empty-lattice resonance is marked in ``in_guard``; one where
-        any order's truncation tail exceeds ``_TABLE_TOL`` -- measured
+        any order's truncation tail exceeds both ``_TABLE_TOL`` -- measured
         absolutely for sums of magnitude <= 1 and relative to the sum's own
-        size for larger ones -- is marked ``converged = False``.  Either
-        gives it NaN values, without affecting the others.  Widening the
-        windows is left to the caller (see ``lattice_sum_table``).
+        size for larger ones -- and that order's roundoff floor is marked
+        ``converged = False``.  Either gives it NaN values, without
+        affecting the others.
 
         Raises
         ------
@@ -401,27 +407,9 @@ class LatticeSumEngine:
             radial = np.ascontiguousarray(povs.real) @ self._coeff
             radial_imag = np.ascontiguousarray(povs.imag) @ self._coeff
 
-        # ---- central correction (order 0) ---------------------------------
-        # series sum_{j>=1} zc^j / (j * j!) with zc = (k / (2 eta))^2, summed
-        # term by term and stopped at each k's first term below 1e-18 of the
-        # partial sum (or of 1)
-        zc = (half_k / _ETA) ** 2
-        terms = np.cumprod(
-            np.broadcast_to(zc[:, None], (ks.size, _CENTRAL_DIV.size)), axis=1
-        ) / _CENTRAL_DIV
-        partial = np.cumsum(terms, axis=1)
-        small = np.abs(terms[:, 1:]) < 1e-18 * np.maximum(
-            1.0, np.abs(partial[:, 1:])
-        )
-        stop = np.where(small.any(axis=1), np.argmax(small, axis=1) + 1, -1)
-        acc = partial[np.arange(ks.size), stop]
-        central = -1.0 - (1j / np.pi) * (
-            2.0 * np.log(half_k / _ETA) + EULER_GAMMA + acc
-        )
-
         # ---- assembly and error estimate ----------------------------------
         values = self._sum_orders(w, k_pow, radial, radial_imag)
-        values[:, S] += central
+        values[:, S] += _central_term(ks)
 
         abs_k_pow = np.abs(k_pow)
         ring_w = np.abs(w[:, None, self._spec_ring])
@@ -442,20 +430,20 @@ class LatticeSumEngine:
         gross_spat = np.sum(abs_radial, axis=-1) / np.pi
         floors = 32.0 * np.finfo(float).eps * (gross_spec + gross_spat + 2.0)
         tails = spec_tail + spat_tail + 2.0 * j_tail
-        # Convergence is judged per order on the truncation tails alone:
-        # absolute against ``_TABLE_TOL`` for sums of magnitude <= 1,
-        # relative for larger ones.  High orders at small k are intrinsically
-        # enormous (the dominant near shell grows like (2/k)^s (s-1)!), so an
-        # absolute criterion there is meaningless -- and harmless to relax,
-        # because every downstream use multiplies the sum by J-factors that
-        # shrink faster than it grows.  The roundoff floor is excluded from
-        # the decision: widening windows cannot reduce cancellation noise
-        # (odd orders at corner Bloch vectors are exact zeros formed from
-        # huge terms), so it is only *reported*, through ``est_error``.
+        # Convergence is judged per order on the truncation tails: absolute
+        # against ``_TABLE_TOL`` for sums of magnitude <= 1, relative for
+        # larger ones.  High orders at small k are intrinsically enormous
+        # (the dominant near shell grows like (2/k)^s (s-1)!), so an absolute
+        # criterion there is meaningless -- and harmless to relax, because
+        # every downstream use multiplies the sum by J-factors that shrink
+        # faster than it grows.  A tail at or below its order's roundoff
+        # floor passes too: the sum is already that uncertain, and wider
+        # windows cannot reduce cancellation noise (the orders that vanish
+        # by symmetry at the corner Bloch vectors are roundoff of huge terms).
         scales = np.maximum(
             1.0, np.maximum(np.abs(values[:, S:]), np.abs(values[:, S::-1]))
         )
-        converged = ~np.any(tails > _TABLE_TOL * scales, axis=1)
+        converged = ~np.any(tails > np.maximum(_TABLE_TOL * scales, floors), axis=1)
         values[in_guard | ~converged] = np.nan
         return LatticeSumTable(
             k=ks,
@@ -527,47 +515,28 @@ class LatticeSumEngine:
 # module-level convenience API with engine caching
 # ---------------------------------------------------------------------------
 
-#: Engines kept by ``_engine_for``.  One path point uses up to four: table
-#: orders 2N and, when its roots are re-refined at N + 2, 2N + 4, each with
-#: default and widened windows.  Eight hold the point in progress and one
-#: more.
+#: Engines kept by ``_engine_for``, one per Bloch vector and order.  A path
+#: point uses at most two (table orders 2N and, when its roots are
+#: re-refined at N + 2, 2N + 4).  A pass over several Bloch vectors, such as
+#: the five capacities of ``demos/capacity_report.py``, finds its engines
+#: again on the next pass only if all of them are kept.
 _ENGINE_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_ENGINE_CACHE_SIZE)
-def _engine_for(alpha_key: bytes, order_max: int, widen: int = 0) -> LatticeSumEngine:
+def _engine_for(alpha_key: bytes, order_max: int) -> LatticeSumEngine:
     """The engine for the Bloch vector whose float64 bytes are ``alpha_key``."""
-    return LatticeSumEngine(np.frombuffer(alpha_key), order_max, window=_WINDOW + widen)
+    return LatticeSumEngine(np.frombuffer(alpha_key), order_max)
 
 
 def lattice_sum_table(order_max: int, k, alpha) -> LatticeSumTable:
-    """Table of Q_n, |n| <= order_max, with automatic window widening.
+    """Table of Q_n, |n| <= order_max, from the cached engine of ``alpha``.
 
-    ``k`` is one wavenumber or a 1-D array of them.  Wavenumbers that miss
-    ``_TABLE_TOL`` on the default Ewald windows, outside the guard, are
-    recomputed once, as one batch, with windows widened by 3; a single
-    ``k`` gets the widened table, a batch has its missed rows replaced.
-    What misses there stays marked in ``converged``, with NaN values (see
+    ``k`` is one wavenumber or a 1-D array of them.  A wavenumber in the
+    guard or with unconverged sums is marked, with NaN values (see
     ``LatticeSumEngine.table``).
     """
-    alpha = as_bloch(alpha)
-    key = alpha.tobytes()
-    table = _engine_for(key, order_max).table(k)
-    miss = np.logical_not(table.converged | table.in_guard)
-    if not miss.any():
-        return table
-    logger.info(
-        "widening Ewald windows at %d of %d wavenumbers, alpha=%s",
-        np.count_nonzero(miss), miss.size, tuple(alpha),
-    )
-    wide = _engine_for(key, order_max, widen=_RANGE_BUMP)
-    if np.ndim(k) == 0:
-        return wide.table(k)
-    patch = wide.table(table.k[miss])
-    # the batch's arrays are its own: patch the misses' rows in place
-    for name in ("values", "est_error", "in_guard", "converged"):
-        getattr(table, name)[miss] = getattr(patch, name)
-    return table
+    return _engine_for(as_bloch(alpha).tobytes(), order_max).table(k)
 
 
 def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:

@@ -22,6 +22,9 @@ Independent routes that cross-check the production solver:
   large disk of lattice points, tamed by a smooth radial window plus
   Richardson extrapolation in the window radius.  Independent of the fast
   (Ewald) evaluation in :mod:`bubblebands.lattice`.
+* ``central_series`` -- the order-0 central term of the Ewald split by its
+  power series, against which the closed form with the exponential
+  integral is checked.
 * ``inner_block_diag`` and ``outer_block_entries`` -- the single-layer
   blocks one entry at a time, from the closed forms, against which the
   vectorised assembly of the characteristic matrix is checked.
@@ -465,6 +468,33 @@ def brute_lattice_sum(
     without_finest = complex(neville_to_zero(radii[:-1], windowed[:-1]))
     dispersion = abs(value - without_finest) + 1e-13 * (1.0 + abs(value))
     return BruteSumResult(value, dispersion)
+
+
+# ---------------------------------------------------------------------------
+# central term of the Ewald split
+# ---------------------------------------------------------------------------
+
+def central_series(k) -> np.ndarray:
+    """Order-0 central term of the Ewald lattice sum at complex ``k`` (Re k > 0).
+
+    ``-1 - (i/pi) [2 log(k / 2 eta) + gamma + sum_{j>=1} z^j / (j j!)]``
+    with ``z = (k / 2 eta)^2`` and ``eta = sqrt(pi)``.  The series is summed
+    term by term over j = 1..59 and stopped at each k's first term below
+    1e-18 of the partial sum (or of 1).
+    """
+    ks = np.atleast_1d(np.asarray(k, dtype=complex))
+    half_k = 0.5 * ks
+    eta = math.sqrt(math.pi)
+    j = np.arange(1.0, 60.0)
+    divisors = np.cumprod(j) * j
+    terms = np.cumprod(
+        np.broadcast_to(((half_k / eta) ** 2)[:, None], (ks.size, j.size)), axis=1
+    ) / divisors
+    partial = np.cumsum(terms, axis=1)
+    small = np.abs(terms[:, 1:]) < 1e-18 * np.maximum(1.0, np.abs(partial[:, 1:]))
+    stop = np.where(small.any(axis=1), np.argmax(small, axis=1) + 1, -1)
+    acc = partial[np.arange(ks.size), stop]
+    return -1.0 - (1j / np.pi) * (2.0 * np.log(half_k / eta) + EULER_GAMMA + acc)
 
 
 # ---------------------------------------------------------------------------

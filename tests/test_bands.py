@@ -278,9 +278,8 @@ def test_scan_grid_ends_without_a_roundoff_step(alpha):
 
 
 def test_scan_evaluates_the_grid_in_batches(monkeypatch):
-    # One lattice-sum batch per chunk of the grid on the default windows,
-    # plus at most one more per chunk for the misses on widened windows:
-    # tens of table calls where a call per frequency makes about 720.
+    # Exactly one lattice-sum batch per chunk of the grid: tens of table
+    # calls where a call per frequency makes about 720.
     calls = []
     real = lattice.LatticeSumEngine.table
 
@@ -294,26 +293,21 @@ def test_scan_evaluates_the_grid_in_batches(monkeypatch):
                                  (0.0, 5.0))
     chunk = bands._CHUNK_ENTRIES // 15**2
     chunks = -(-omegas.size // chunk)
-    wide = lattice._engine_for(np.asarray(M_ALPHA, dtype=float).tobytes(), 14,
-                               widen=lattice._RANGE_BUMP)
-    default = [size for engine, size in calls if engine is not wide]
-    assert len(default) == chunks
-    assert sum(default) == omegas.size
-    assert len(calls) - len(default) <= chunks
-    assert len(calls) < 100
+    assert len(calls) == chunks < 100
+    assert len({engine for engine, _ in calls}) == 1
+    assert sum(size for _, size in calls) == omegas.size
 
 
-def test_scan_batch_marks_only_its_failed_frequencies(monkeypatch):
+def test_scan_batch_marks_only_its_failed_frequencies():
     # 2.1253 lies 0.004 above the empty-lattice line |alpha| = 2.12132, inside
-    # the guard.  With the table tolerance at 1e-50 the widened windows leave
-    # a tail of 3e-46 at k = 4 but below 2e-55 up to k = 3, so 4.0 fails the
-    # tail test after widening.  Both get inf; the others match the
-    # single-frequency path exactly and the squared SVD indicator to roundoff.
-    # Alone, as in the batch, the two failed frequencies get NaN in every
-    # entry and every row scale: each entry needs the lattice sums.
-    monkeypatch.setattr(lattice, "_TABLE_TOL", 1e-50)
+    # the guard.  At 13.0 (k = 13) the radial series of the lattice sums
+    # leaves a tail above the tolerance, so 13.0 fails the tail test.  Both
+    # get inf; the others match the single-frequency path exactly and the
+    # squared SVD indicator to roundoff.  Alone, as in the batch, the two
+    # failed frequencies get NaN in every entry and every row scale: each
+    # entry needs the lattice sums.
     problem = BlochProblem((0.3, 2.1), DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    omegas = np.array([0.5, 1.0, 2.1253, 3.0, 4.0])
+    omegas = np.array([0.5, 1.0, 2.1253, 3.0, 13.0])
     stack, scale = problem.entries(omegas)
     for i in (2, 4):
         single, single_scale = assemble_characteristic_matrix(omegas[i], problem)

@@ -116,6 +116,7 @@ def test_malformed_alpha_is_a_usage_error(capsys):
     ["capacity", "--threads", "2"],
     ["bands", "--threads", "2"],
     ["dilute", "--threads", "2"],
+    ["capacity", "--output", "x.txt"],
 ])
 def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:

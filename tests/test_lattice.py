@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bubblebands import lattice as lat
-from oracles import brute_lattice_sum, empty_lattice_margin
+from oracles import brute_lattice_sum, central_series, empty_lattice_margin
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +164,8 @@ def test_near_resonance_guard_marks_the_table(monkeypatch):
     assert np.all(np.isfinite(table.values))
 
 
-def test_unreachable_tolerance_stays_unconverged_after_widening(monkeypatch):
-    # Gaussian window damping reaches ~1e-85 truncation tails after the
-    # automatic widening retry; below that the request cannot be met.
-    monkeypatch.setattr(lat, "_TABLE_TOL", 1e-90)
+def _counted_engine_tables(monkeypatch) -> list:
+    """Patch ``LatticeSumEngine.table`` to record the engine of each call."""
     calls = []
     real = lat.LatticeSumEngine.table
 
@@ -176,10 +174,58 @@ def test_unreachable_tolerance_stays_unconverged_after_widening(monkeypatch):
         return real(self, k)
 
     monkeypatch.setattr(lat.LatticeSumEngine, "table", counted)
-    table = lat.lattice_sum_table(2, 1.1, (0.6, 0.6))
-    assert len(calls) == 2 and calls[0] is not calls[1]   # widened retry
+    return calls
+
+
+def test_wavenumber_past_the_radial_series_is_unconverged(monkeypatch):
+    # The radial series of the spatial part stops at _J_CAP terms; at k = 13
+    # its tail exceeds the tolerance, and no window can shrink it.
+    calls = _counted_engine_tables(monkeypatch)
+    table = lat.lattice_sum_table(2, 13.0, (0.6, 0.6))
+    assert len(calls) == 1
     assert table.converged is False and table.in_guard is False
     assert np.all(np.isnan(table.values))
+
+
+def test_one_window_converges_wherever_the_sums_can(monkeypatch):
+    # At X and M the orders that vanish by symmetry are roundoff of huge
+    # terms at small k; their tails sit at the roundoff floor, which the
+    # tail test accepts, so one call on one engine converges in every row.
+    calls = _counted_engine_tables(monkeypatch)
+    for alpha in (lat.X_POINT, lat.M_POINT):
+        calls.clear()
+        table = lat.lattice_sum_table(14, np.linspace(0.002, 0.8, 400), alpha)
+        assert table.converged.all() and len(calls) == 1
+    monkeypatch.undo()
+    # Every real k up to 12 converges on the default window; at k = 13 the
+    # radial series misses, on a window widened by 3 as well.
+    ks = np.linspace(0.002, 12.0, 1201)[1:]
+    for alpha in [(np.pi / 6, 0.0), lat.X_POINT, lat.M_POINT,
+                  (np.pi, np.pi / 2), (0.3, 2.1)]:
+        for order in (6, 14):
+            assert lat.LatticeSumEngine(alpha, order).table(ks).converged.all()
+            wide = lat.LatticeSumEngine(alpha, order, window=lat._WINDOW + 3)
+            assert wide.table(13.0).converged is False
+
+
+def test_central_term_matches_its_series():
+    # Ei(z) = log z + gamma + sum_{j>=1} z^j / (j j!): the closed form
+    # reproduces the series to 1e-15 relative per unit of |z|, the condition
+    # number of Ei at large z (both routes round z the same way), at real k
+    # and at complex k up to |Im k| = 1, also next to Ei's branch cut.
+    rng = np.random.default_rng(11)
+    ks = np.concatenate([
+        np.linspace(0.002, 12.0, 600),
+        rng.uniform(0.002, 12.0, 600) + 1j * rng.uniform(-1.0, 1.0, 600),
+        0.01 + 1j * np.linspace(-0.99, 0.99, 23),
+        np.linspace(0.002, 0.3, 20) + 0.99j,
+        np.linspace(0.002, 0.3, 20) - 0.99j,
+    ]).astype(complex)
+    series = central_series(ks)
+    closed = lat._central_term(ks)
+    z = np.abs((0.5 * ks / lat._ETA) ** 2)
+    rel = np.abs(closed - series) / np.abs(series)
+    assert np.max(rel / np.maximum(1.0, z)) <= 1e-15
 
 
 def test_wavenumber_domain_checks():
@@ -206,14 +252,13 @@ def test_slightly_complex_wavenumber_is_continuous():
 )
 def test_zero_k_limits_are_window_independent(alpha):
     # The default windows truncate the limits far below roundoff: windows
-    # widened by _RANGE_BUMP move each L_n by less than 1e-13 of its own
-    # size or of its nearest-shell size (|n| - 1)!, whichever is larger
-    # (the odd orders at the corner points are exact zeros).
+    # widened by 3 move each L_n by less than 1e-13 of its own size or of
+    # its nearest-shell size (|n| - 1)!, whichever is larger (the odd
+    # orders at the corner points are exact zeros).
     order = 24
-    bump = lat._RANGE_BUMP
     default = lat.LatticeSumEngine(alpha, order).zero_k_limits()
     widened = lat.LatticeSumEngine(
-        alpha, order, window=lat._WINDOW + bump
+        alpha, order, window=lat._WINDOW + 3
     ).zero_k_limits()
     orders = np.abs(np.arange(-order, order + 1))
     scale = np.maximum(np.abs(widened), sp.factorial(np.maximum(orders - 1, 0)))
@@ -296,24 +341,22 @@ def test_nearest_margin_by_bisection_equals_empty_lattice_margin():
 @pytest.mark.parametrize("alpha", [lat.M_POINT, (np.pi, 0.7 * np.pi), (0.3, 2.1)])
 def test_batched_table_matches_per_wavenumber_calls(order, alpha):
     # Real k across the scan range plus k 0.004 inside the guard of every
-    # empty-lattice line below 5.  At M, order 14, the low-k tables miss the
-    # tolerance on the default windows and converge on the widened ones.
-    # A batch of complex k (off the real axis, as Muller's iterates are) is
-    # compared with single complex calls.
+    # empty-lattice line below 5; at M, order 14, the low-k tables converge
+    # on the default windows, their odd orders at the roundoff floor.  The
+    # cached engine's table is the engine's own.  A batch of complex k (off
+    # the real axis, as Muller's iterates are) is compared with single
+    # complex calls.
     guard = [q - 0.004 for q in lat.resonance_norms(alpha, 5.0) if 0.1 < q < 5.0]
     ks = np.unique(np.concatenate([np.linspace(0.02, 0.5, 9),
                                    np.linspace(0.6, 5.0, 23), guard]))
     engine = lat.LatticeSumEngine(alpha, order)
     default = engine.table(ks)
-    widened = lat.lattice_sum_table(order, ks, alpha)
-    assert default.in_guard.sum() == widened.in_guard.sum() >= 1
-    if order == 14 and alpha is lat.M_POINT:
-        assert not default.converged.all()
-    assert widened.converged.all()
+    cached = lat.lattice_sum_table(order, ks, alpha)
+    assert default.in_guard.sum() >= 1 and default.converged.all()
+    assert cached.values.tobytes() == default.values.tobytes()
     complex_ks = np.array([0.3 + 0.05j, 1.3 + 0.2j, 2.2 - 0.1j, 4.1 + 0.3j])
     for points, batch, single in (
         (ks, default, engine.table),
-        (ks, widened, lambda k: lat.lattice_sum_table(order, k, alpha)),
         (complex_ks, lat.lattice_sum_table(order, complex_ks, alpha),
          lambda k: lat.lattice_sum_table(order, k, alpha)),
     ):
