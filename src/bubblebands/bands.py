@@ -22,21 +22,32 @@ and evaluates inside them with a tighter guard so that a band squeezed
 against a resonance is still found.  ``_scan_grid`` also lists the zones
 it half-stepped; no run reports them yet.
 
-The scan lays out its frequency grid first (the zone margins come from
-one sorted list of empty-lattice lines per scan) and then evaluates it in
-ascending batches of ``_CHUNK_ENTRIES // (2N + 1)**2`` frequencies: per
-batch one lattice-sum batch, one stack of matrices
-(``multipole.BlochProblem.entries``), one stacked equilibration and one
-Hermitian eigenvalue call on the stack of Gram matrices.  A frequency
-inside the lattice-sum guard, with unconverged lattice sums or with a
-non-finite entry gets an infinite indicator without affecting the rest of
-its batch.  The brackets form a stream: each is emitted as soon as the
-value to the right of its minimum is known, and the root search refines
-them as they arrive.  It stops evaluating the grid once it has accepted the
-bands it was asked for, so a search for the lowest bands never builds the
+The scan lays out its frequency grid first and then evaluates it in
+ascending batches of ``_CHUNK_ENTRIES // (2N + 1)**2`` frequencies.  Every
+grid frequency but the top of the range lies on one half-step lattice
+(``_scan_lattice``), so equal lattice indices give equal floats at every
+Bloch vector; the zone margins of the whole lattice come from one sorted
+search of the empty-lattice lines per scan.  Per batch the scan builds one
+stack of matrices (``multipole.BlochProblem.entries_from``), one stacked
+equilibration and one Hermitian eigenvalue call on the stack of Gram
+matrices.  The batch's lattice sums come from one Chebyshev fit of the
+pole-free sums over the scan's range (``lattice.LatticeSumFit``), built
+and checked against direct tables once per scan; where the check fails,
+the scan takes one direct lattice-sum batch per chunk instead.  Its
+cylinder factors come from the sweep's table (``_CylinderTable``), which
+``band_structure`` fills once for all its Bloch vectors and drops when
+it returns; a single search computes them per batch.  On the same grid
+both give the brackets that direct tables give.  A frequency inside the
+lattice-sum guard, with unconverged lattice sums or with a non-finite
+entry gets an infinite indicator without affecting the rest of its batch.
+The brackets form a stream: each is emitted as soon as the value to the
+right of its minimum is known, and the root search refines them as they
+arrive.  It stops evaluating the grid once it has accepted the bands it
+was asked for, so a search for the lowest bands never builds the
 matrices above them.  Muller and the acceptance test stay per frequency,
-and acceptance keeps the SVD ratio, so the Gram values can move brackets
-but no reported band or diagnostic.
+on direct tables (``BlochProblem.entries``), and acceptance keeps the SVD
+ratio, so the Gram values can move brackets but no reported band or
+diagnostic.
 
 The path sweep walks the closed polyline through the zone corners
 (0,0) -> (pi,0) -> (pi,pi) -> (0,0), collects the lowest bands at each
@@ -54,12 +65,22 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lattice import GAMMA_POINT, M_POINT, X_POINT, nearest_margin, resonance_norms
+from .lattice import (
+    GAMMA_POINT,
+    M_POINT,
+    X_POINT,
+    lattice_sum_fit,
+    lattice_sum_table,
+    nearest_margins,
+    resonance_norms,
+)
 from .multipole import (
     BlochProblem,
+    CylinderFactors,
     DiskCrystal,
     MaterialParams,
     assemble_characteristic_matrix,
+    cylinder_factors,
 )
 
 __all__ = [
@@ -245,35 +266,63 @@ def muller_refine(
 # indicator scan and bracketing
 # ---------------------------------------------------------------------------
 
+def _scan_lattice(top: float) -> np.ndarray:
+    """Scan-lattice frequencies from 0 to at least ``top``.
+
+    Frequency ``i`` is ``i * _STEP_LOW / 2`` below ``_STEP_SPLIT`` and
+    ``_STEP_SPLIT + j * _STEP_HIGH / 2`` from it on, ``j`` counting from
+    the split, so equal indices give equal floats for every scan.  The
+    constants are read at call time; ``_STEP_SPLIT`` is a multiple of
+    ``_STEP_LOW / 2``.
+    """
+    low, high = 0.5 * _STEP_LOW, 0.5 * _STEP_HIGH
+    split = round(_STEP_SPLIT / low)
+    above = max(0, math.ceil((top - _STEP_SPLIT) / high)) + 1
+    index = np.arange(split + above + 1)
+    return np.where(
+        index < split, index * low, _STEP_SPLIT + (index - split) * high
+    )
+
+
 def _scan_grid(
     problem: BlochProblem, omega_range: tuple[float, float]
 ) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
     """The scan's (guard-aware) frequency grid and its flagged zones.
 
-    Steps ``_STEP_LOW`` below ``_STEP_SPLIT`` and ``_STEP_HIGH`` above,
-    halved where the empty-lattice margin is within ``_ZONE_MARGIN``.  A
-    step that would end within half a step of the top goes to the top
-    instead, so the grid never ends with a roundoff-sized step.
+    Walks the scan lattice (``_scan_lattice``) from the lattice frequency
+    nearest the bottom of the range, two half-steps at a time (``_STEP_LOW``
+    below ``_STEP_SPLIT``, ``_STEP_HIGH`` above), one half-step where the
+    empty-lattice margin is within ``_ZONE_MARGIN``.  A walk from below
+    the split stops at it.  A step that would end within half a step of
+    the top goes to the top instead, so the grid never ends with a
+    roundoff-sized step; the top is the one frequency that may lie off the
+    lattice.
     """
-    lo, hi = (float(omega_range[0]), float(omega_range[1]))
+    lo, hi = max(float(omega_range[0]), 0.0), float(omega_range[1])
     v = problem.material.v
-    norms = resonance_norms(problem.alpha, hi / v)
-
-    def in_zone(w: float) -> bool:
-        return nearest_margin(norms, w / v) <= _ZONE_MARGIN
+    lattice = _scan_lattice(hi)
+    # the zone test over the lattice, the bottom and the top at once
+    margins = nearest_margins(
+        resonance_norms(problem.alpha, hi / v), np.append(lattice, [lo, hi]) / v
+    )
+    *zones, zone, top_zone = (margins <= _ZONE_MARGIN).tolist()
+    split = int(np.searchsorted(lattice, _STEP_SPLIT))
+    points = lattice.tolist()
 
     omegas: list[float] = []
     flagged: list[tuple[float, float]] = []
     flag_start: float | None = None
-    w = max(lo, 0.0)
-    zone = in_zone(w)
+    i = int(np.argmin(np.abs(lattice - lo)))
+    w = lo
     while w < hi - 1e-15:
-        base = _STEP_LOW if w < _STEP_SPLIT else _STEP_HIGH
         # half-step through flagged zones so a band squeezed against an
         # empty-lattice resonance still produces a bracketable minimum
-        step = 0.5 * base if zone else base
-        w = hi if hi - (w + step) < 0.5 * step else w + step
-        zone = in_zone(w)
+        step = 1 if zone else 2
+        j = min(i + step, split) if i < split else i + step
+        if hi - points[j] < 0.5 * (points[j] - points[i]):
+            w, zone = hi, top_zone
+        else:
+            i, w, zone = j, points[j], zones[j]
         if zone and flag_start is None:
             flag_start = w
         elif not zone and flag_start is not None:
@@ -285,24 +334,83 @@ def _scan_grid(
     return np.asarray(omegas), tuple(flagged)
 
 
+class _CylinderTable:
+    """The cylinder factors of one path sweep on the scan lattice.
+
+    The factors do not depend on the Bloch vector, and every scan of the
+    sweep walks the same lattice, so each lattice frequency's factors are
+    computed once per sweep.  The table is filled in pieces of one batch's
+    length, up to the highest lattice frequency a scan has asked for.  A
+    batch with a frequency off the lattice (the top of a range) is computed
+    directly.
+    """
+
+    def __init__(self, material: MaterialParams, crystal: DiskCrystal,
+                 truncation: int, omega_max: float) -> None:
+        self._factors = (material, crystal.radius, truncation)
+        self._lattice = _scan_lattice(omega_max)[1:]  # no scan reaches 0
+        self._piece = _chunk(truncation)
+        self._filled = 0
+        self._fields: list[np.ndarray] = []
+
+    def at(self, omegas: np.ndarray) -> CylinderFactors:
+        """The factors at the ascending frequencies ``omegas``."""
+        lattice = self._lattice
+        rows = np.minimum(np.searchsorted(lattice, omegas), lattice.size - 1)
+        if np.any(lattice[rows] != omegas):
+            return cylinder_factors(omegas, *self._factors)
+        while self._filled <= rows[-1]:
+            start, stop = self._filled, self._filled + self._piece
+            piece = cylinder_factors(lattice[start:stop], *self._factors)
+            if not self._fields:
+                self._fields = [np.empty(lattice.shape + part.shape[1:], part.dtype)
+                                for part in piece]
+            for field, part in zip(self._fields, piece):
+                field[start:stop] = part
+            self._filled = stop
+        return CylinderFactors(*(field[rows] for field in self._fields))
+
+
+def _chunk(truncation: int) -> int:
+    """Frequencies per scan batch (see ``_CHUNK_ENTRIES``)."""
+    return max(1, _CHUNK_ENTRIES // (2 * truncation + 1) ** 2)
+
+
 def _indicator_batches(
-    problem: BlochProblem, omegas: np.ndarray
+    problem: BlochProblem,
+    omegas: np.ndarray,
+    cylinders: _CylinderTable | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The grid ``omegas`` in ascending batches, with their indicator values.
 
     The value at a frequency is the least eigenvalue of the Gram matrix of
     the equilibrated characteristic matrix, the square of its smallest
     singular value up to roundoff; the bracket rule reads only the order of
-    the values.  Each batch of frequencies costs one lattice-sum batch, one
-    stack of matrices and one Hermitian eigenvalue call.  A frequency inside
-    the lattice-sum guard, with unconverged lattice sums or with a non-finite
-    matrix entry gets ``inf``.  A batch is evaluated only when it is asked
-    for.
+    the values.  Each batch of frequencies costs one stack of matrices and
+    one Hermitian eigenvalue call.  Its lattice sums come from one
+    ``lattice.LatticeSumFit`` of the whole grid, built when the first batch
+    is asked for, or, where the fit is refused, from one lattice-sum batch.
+    Its cylinder factors come from the sweep's table ``cylinders`` or are
+    computed for the batch.  A frequency inside the lattice-sum guard, with
+    unconverged lattice sums or with a non-finite matrix entry gets
+    ``inf``.  A batch is evaluated only when it is asked for.
     """
-    chunk = max(1, _CHUNK_ENTRIES // (2 * problem.truncation + 1) ** 2)
+    if not omegas.size:
+        return
+    order = max(2 * problem.truncation, 1)
+    material, radius = problem.material, problem.crystal.radius
+    ks = omegas / material.v
+    fit = lattice_sum_fit(order, problem.alpha, ks[0], ks[-1]) if ks.size > 1 else None
+    chunk = _chunk(problem.truncation)
     for start in range(0, omegas.size, chunk):
         batch = omegas[start : start + chunk]
-        yield batch, _least_gram_eigenvalues(problem.entries(batch))
+        k = ks[start : start + chunk]
+        table = fit.table(k) if fit else lattice_sum_table(order, k, problem.alpha)
+        factors = (cylinders.at(batch) if cylinders
+                   else cylinder_factors(batch, material, radius, problem.truncation))
+        yield batch, _least_gram_eigenvalues(
+            problem.entries_from(batch, table, factors)
+        )
 
 
 def _brackets_at_minima(
@@ -410,7 +518,10 @@ def _refine_bracket(
 
 
 def _accepted_roots(
-    problem: BlochProblem, omega_range: tuple[float, float], count: int | None
+    problem: BlochProblem,
+    omega_range: tuple[float, float],
+    count: int | None,
+    cylinders: _CylinderTable | None = None,
 ) -> list[tuple[float, RootDiagnostics]]:
     """Accepted roots in ``omega_range``, lowest first, at most ``count``.
 
@@ -418,10 +529,11 @@ def _accepted_roots(
     root.  Brackets are refined as the scan emits them, and the scan stops
     with the ``count``-th accepted root, so the grid above it is never
     evaluated.  A root within ``1e-7 (1 + omega)`` of the previous one was
-    reached again from a neighbouring bracket and is dropped.
+    reached again from a neighbouring bracket and is dropped.  ``cylinders``
+    is the sweep's table of cylinder factors, if any.
     """
     omegas, _ = _scan_grid(problem, omega_range)
-    brackets = _brackets_at_minima(_indicator_batches(problem, omegas))
+    brackets = _brackets_at_minima(_indicator_batches(problem, omegas, cylinders))
     roots: list[tuple[float, RootDiagnostics]] = []
     for bracket in brackets:
         try:
@@ -453,6 +565,19 @@ def bands_at(
     scanned.  Raises :class:`BandNotFoundError` when fewer bands lie below
     ``omega_max``.
     """
+    return _bands_at(alpha, material, crystal, truncation, omega_max, band_count)
+
+
+def _bands_at(
+    alpha,
+    material: MaterialParams,
+    crystal: DiskCrystal,
+    truncation: int,
+    omega_max: float,
+    band_count: int,
+    cylinders: _CylinderTable | None = None,
+) -> tuple[tuple[float, ...], tuple[RootDiagnostics, ...]]:
+    """``bands_at``, with the scan reading the sweep's table ``cylinders``."""
     if band_count < 1:
         raise ValueError("band_count must be at least 1")
     problem = BlochProblem(alpha, material, crystal, truncation)
@@ -460,7 +585,7 @@ def bands_at(
     needed = band_count - 1 if at_centre else band_count
     roots: list[tuple[float, RootDiagnostics]] = []
     if needed:
-        roots = _accepted_roots(problem, (0.0, omega_max), needed)
+        roots = _accepted_roots(problem, (0.0, omega_max), needed, cylinders)
     if len(roots) < needed:
         raise BandNotFoundError(
             f"found {len(roots)} of {needed} bands below omega={omega_max}"
@@ -613,23 +738,28 @@ def band_structure(
     """Sweep the closed zone-boundary path and assemble the band structure.
 
     ``resolution`` samples per edge (three edges plus the repeated closing
-    corner), solved one after another in path order with :func:`bands_at`.
-    Each distinct Bloch vector is solved once: the closing corner at
-    ``s = 1`` repeats the result at ``s = 0``, or its failure with the same
-    reason, so a sweep makes ``3 * resolution`` searches.  Failed samples
-    are recorded, not fatal.
+    corner), solved one after another in path order as :func:`bands_at`
+    solves them, with one table of cylinder factors shared by the sweep's
+    scans and dropped when it returns.  Each distinct Bloch vector is
+    solved once: the closing corner at ``s = 1`` repeats the result at
+    ``s = 0``, or its failure with the same reason, so a sweep makes
+    ``3 * resolution`` searches.  Failed samples are recorded, not fatal.
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3 points per edge")
     samples = _path_samples(resolution)
+    cylinders = _CylinderTable(material, crystal, truncation, omega_max)
     results: list[tuple | BandNotFoundError] = []
     for _, alpha in samples[:-1]:
         try:
-            results.append(bands_at(
-                alpha, material, crystal, truncation, omega_max, band_count
+            results.append(_bands_at(
+                alpha, material, crystal, truncation, omega_max, band_count,
+                cylinders,
             ))
         except BandNotFoundError as exc:
-            results.append(exc)
+            # without its traceback, whose frames would hold the sweep's
+            # table until the cycle collector reached them
+            results.append(exc.with_traceback(None))
     results.append(results[0])
     points: list[BandPoint] = []
     failures: list[tuple[float, tuple[float, float], str]] = []

@@ -110,8 +110,25 @@ class RunConfig:
         return DiskCrystal(radius=self.radius)
 
 
-def load_config(path: str | None, **overrides) -> RunConfig:
-    """Build a RunConfig from defaults, an optional JSON file, and overrides."""
+#: The config keys each subcommand reads; ``bands`` reads every one.
+_COMMAND_KEYS: dict[str, frozenset[str]] = {
+    "bands": frozenset(f.name for f in fields(RunConfig)),
+    "compare": frozenset(
+        {"radius", "rho_b", "kappa_b", "truncation_N", "output_path"}),
+    "dilute": frozenset({"rho_b", "kappa_b", "truncation_N", "path_resolution",
+                         "omega_max", "output_path"}),
+    "capacity": frozenset(
+        {"radius", "rho", "kappa", "rho_b", "kappa_b", "truncation_N"}),
+}
+
+
+def load_config(path: str | None, command: str | None = None,
+                **overrides) -> RunConfig:
+    """Build a RunConfig from defaults, an optional JSON file, and overrides.
+
+    With ``command`` set, a key of the file that the subcommand does not
+    read (``_COMMAND_KEYS``) is a usage error that names the subcommand.
+    """
     values: dict = {}
     if path is not None:
         try:
@@ -126,6 +143,10 @@ def load_config(path: str | None, **overrides) -> RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(raw) - _COMMAND_KEYS[command] if command else set()
+        if unread:
+            raise UsageError(
+                f"config keys not read by {command}: {sorted(unread)}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     float_fields = ("radius", "rho", "kappa", "rho_b", "kappa_b", "omega_max")
@@ -437,7 +458,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         output = getattr(args, "output", None)  # all but capacity
-        config = load_config(args.config, output_path=output)
+        config = load_config(args.config, args.command, output_path=output)
         alpha = getattr(args, "alpha", None)  # only compare and capacity
         if alpha is not None:
             alpha = _parse_alpha(alpha)

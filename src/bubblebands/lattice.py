@@ -39,9 +39,20 @@ stack axis, so a wavenumber gets bitwise the same table in a batch of any
 size.  (A batch with no complex wavenumber runs in real arithmetic where
 it can, so a real wavenumber gets that table in such batches only.)  The
 guard and the tail test act per wavenumber: a wavenumber that fails either
-is marked and gets NaN values, alone as in a batch.  The band scan
-(``bands``) evaluates its frequency grid this way, in batches of
-``bands._CHUNK_ENTRIES`` entries of (2N+1)-square matrices.
+is marked and gets NaN values, alone as in a batch.  Muller's iterates and
+the acceptance test of the band search (``bands``) take such tables.
+
+The band scan itself reads ``LatticeSumFit``, a Chebyshev fit in z = k^2
+of the sums along one Bloch vector, built once per scan over its real
+wavenumber range.  Leaving the reciprocal points near the range out of the
+spectral sum (``_evaluate``'s ``drop``) removes their poles, so the sum is
+analytic in z once its k^-|n| growth and the log k of the central term are
+taken out; the left-out terms are added back in closed form.  The fit is
+checked against direct tables between its nodes and refused where it
+misses their ``est_error`` or where the sums fail the tail test (past
+k ~ 12.1); the scan then takes direct batches of ``bands._CHUNK_ENTRIES``
+entries of (2N+1)-square matrices.  The fit is not evaluated off the real
+axis, where its error has not been measured.
 
 All conventions (phases, prefactors, the n < 0 continuation) are pinned by
 the test suite against an independent brute-force summation and against
@@ -51,7 +62,6 @@ corner points).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -77,6 +87,11 @@ _GUARD = 0.01
 
 _WINDOW = 5            # Ewald windows |m|_inf <= window (m != 0), |nu|_inf <= window
 _J_CAP = 40            # series depth of the spatial radial functions
+#: Chebyshev fit of a scan's lattice sums (``LatticeSumFit``): the number of
+#: nodes in z = k^2, and how far past the top wavenumber the reciprocal
+#: points whose poles are taken out reach.
+_FIT_NODES = 32
+_FIT_BORDER = 3.0
 
 
 def as_bloch(alpha) -> np.ndarray:
@@ -93,12 +108,12 @@ def as_bloch(alpha) -> np.ndarray:
     return arr.copy()
 
 
-def resonance_norms(alpha, k_max: float) -> list[float]:
+def resonance_norms(alpha, k_max: float) -> np.ndarray:
     """Sorted ``|q|`` of the reciprocal points with ``|q| <= k_max + 2 pi``.
 
     The points are ``q = 2 pi nu + alpha``.  Every point of the plane lies
     within pi sqrt(2) of one, so the ``|q|`` nearest any ``0 <= k <= k_max``
-    is among them.  Built once per frequency scan, for ``nearest_margin``.
+    is among them.  Built once per frequency scan, for its zone test.
     """
     alpha = as_bloch(alpha)
     top = float(k_max) + 2.0 * np.pi
@@ -107,19 +122,22 @@ def resonance_norms(alpha, k_max: float) -> list[float]:
     qx = ii + alpha[0]
     qy = ii + alpha[1]
     qn = np.sqrt(qx[:, None] ** 2 + qy[None, :] ** 2).ravel()
-    return sorted(qn[qn <= top].tolist())
+    return np.sort(qn[qn <= top])
 
 
-def nearest_margin(norms: list[float], k: float) -> float:
-    """Distance from ``k`` to the nearest empty-lattice resonance ``|q|``.
+def nearest_margins(norms: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Distance from each ``k`` to the nearest empty-lattice resonance ``|q|``.
 
-    ``norms = resonance_norms(alpha, k_max)`` and ``0 <= k <= k_max``.
-    Bisection finds the two ``|q|`` that bracket ``k``; the nearer one
-    gives the same floating-point distance as a full minimum of
+    ``norms = resonance_norms(alpha, k_max)`` and ``0 <= ks <= k_max``.  A
+    sorted search finds the two ``|q|`` that bracket each ``k``; the nearer
+    one gives the same floating-point distance as a full minimum of
     ``|k - |q||`` over the reciprocal points.
     """
-    i = bisect.bisect_left(norms, k)
-    return min(abs(k - q) for q in norms[max(i - 1, 0): i + 1])
+    above = np.searchsorted(norms, ks)
+    return np.minimum(
+        np.abs(ks - norms[np.maximum(above - 1, 0)]),
+        np.abs(ks - norms[np.minimum(above, norms.size - 1)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +268,13 @@ def _spatial_coefficients(order_max: int, window: int):
     return mx, my, r, unit_pow, coeff
 
 
+def _spectral_weights(ks: np.ndarray, p_norm2: np.ndarray) -> np.ndarray:
+    """``W_p = exp((k^2 - |p|^2) / (4 eta^2)) / (k^2 - |p|^2)``, one row per k."""
+    k2 = (ks * ks)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp((k2 - p_norm2) / (4.0 * _ETA * _ETA)) / (k2 - p_norm2)
+
+
 def _central_term(k):
     """Order-0 central correction ``-1 - (i/pi) Ei((k / 2 eta)^2)``, Re k > 0."""
     return -1.0 - (1j / np.pi) * sp.expi((0.5 * k / _ETA) ** 2)
@@ -377,18 +402,24 @@ class LatticeSumEngine:
             converged=bool(batch.converged[0]),
         )
 
-    def _evaluate(self, ks: np.ndarray) -> LatticeSumTable:
-        """Batch table at the 1-D complex array ``ks``."""
+    def _evaluate(
+        self, ks: np.ndarray, drop: np.ndarray | None = None
+    ) -> LatticeSumTable:
+        """Batch table at the 1-D complex array ``ks``.
+
+        ``drop`` masks reciprocal points whose spectral terms are left out
+        (their weights set to zero), which removes their poles; the guard
+        then looks at the remaining points only.
+        """
         S = self.order_max
-        in_guard = self.margin(ks) <= _GUARD
+        kept = self._p_norm if drop is None else self._p_norm[~drop]
+        in_guard = np.min(np.abs(ks.real[:, None] - kept), axis=-1) <= _GUARD
         is_real = not np.any(ks.imag)
 
         # ---- spectral part ------------------------------------------------
-        k2 = (ks * ks)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.exp((k2 - self._p_norm2) / (4.0 * _ETA * _ETA)) / (
-                k2 - self._p_norm2
-            )
+        w = _spectral_weights(ks, self._p_norm2)
+        if drop is not None:
+            w[:, drop] = 0.0
         k_pow = ks[:, None] ** (-np.arange(S + 1.0))
 
         # ---- spatial part -------------------------------------------------
@@ -480,6 +511,20 @@ class LatticeSumEngine:
         limits[S] += -1.0 - (1j / np.pi) * (EULER_GAMMA - 2.0 * np.log(_ETA))
         return limits
 
+    def _spectral_orders(self, w, k_pow, p_pow):
+        """Spectral sums of orders ``0..order_max`` and ``0..-order_max``.
+
+        ``w[k, p]`` holds the spectral weights, ``k_pow[k, s]`` the factors
+        ``k^-s`` and ``p_pow[p, s]`` the powers ``(px + i py)^s`` of the
+        reciprocal points summed over.  Returns ``sum_p (px + i py)^s W_p``
+        and its conjugate-power twin, each with its prefactor.
+        """
+        spec_pos = self._pref_pos * k_pow * (w[:, None] @ p_pow)[:, 0]
+        spec_neg = self._pref_pos * self._parity * k_pow * (
+            w[:, None] @ np.conj(p_pow)
+        )[:, 0]
+        return spec_pos, spec_neg
+
     def _sum_orders(self, w, k_pow, radial, radial_imag=None) -> np.ndarray:
         """Orders -order_max..order_max of the spectral plus spatial sums.
 
@@ -491,11 +536,7 @@ class LatticeSumEngine:
         is left to the caller.
         """
         S = self.order_max
-        # sum_p (px + i py)^s W_p and its conjugate-power twin
-        spec_pos = self._pref_pos * k_pow * (w[:, None] @ self._p_pow)[:, 0]
-        spec_neg = self._pref_pos * self._parity * k_pow * (
-            w[:, None] @ np.conj(self._p_pow)
-        )[:, 0]
+        spec_pos, spec_neg = self._spectral_orders(w, k_pow, self._p_pow)
         # sums[k, s, 0 | 1]: radial against the + and - angular kernels
         parts = (radial @ self._spat_kernel)[:, :, 0]
         sums = parts[..., 0::2] + 1j * parts[..., 1::2]
@@ -509,6 +550,122 @@ class LatticeSumEngine:
         values[:, S::-1] = spec_neg + spat_neg
         values[:, S:] = spec_pos + spat_pos
         return values
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev fit of the pole-free sums along one Bloch vector
+# ---------------------------------------------------------------------------
+
+class LatticeSumFit:
+    """Lattice sums of one engine on a real wavenumber range, from a fit in k^2.
+
+    The reciprocal points with ``|p| < k_hi + _FIT_BORDER`` are bordered:
+    their spectral terms are left out of the engine's sum, which leaves the
+    sum ``Q~`` without poles on the range.  With the ``k^-|n|`` growth and
+    the ``log k`` of the order-0 central term taken out,
+
+        G_n = k^|n| Q~_n  (n != 0),    G_0 = Q~_0 + (2i/pi) log k,
+
+    is analytic in ``z = k^2`` (the spatial part is a polynomial in z, the
+    remaining spectral part meromorphic with its poles beyond the range), so
+    a Chebyshev interpolant at ``_FIT_NODES`` first-kind nodes on
+    ``[k_lo^2, k_hi^2]`` converges geometrically (Trefethen, *Approximation
+    Theory and Approximation Practice*, SIAM 2013, ch. 8).  ``table`` undoes
+    the two factors and adds the bordered spectral terms back in closed form.
+
+    Build it with :meth:`checked`, which compares the fit against direct
+    tables and refuses it when they disagree.
+    """
+
+    def __init__(self, engine: LatticeSumEngine, k_lo: float, k_hi: float) -> None:
+        S = engine.order_max
+        n = _FIT_NODES
+        self._engine = engine
+        self._centre = 0.5 * (k_hi * k_hi + k_lo * k_lo)
+        self._half = 0.5 * (k_hi * k_hi - k_lo * k_lo)
+        self._bordered = engine._p_norm < k_hi + _FIT_BORDER
+        self._orders = np.abs(np.arange(-S, S + 1))
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        ks = np.sqrt(self._centre + self._half * np.cos(theta))
+        # in halves, as the check below: a 32-wavenumber table of order 14
+        # holds about 0.75 MB while it is built, half that in two calls
+        nodes = [engine._evaluate(part, drop=self._bordered)
+                 for part in np.array_split(ks.astype(complex), 2)]
+        self._nodes_converged = all(np.all(part.converged) for part in nodes)
+        g = np.concatenate([part.values for part in nodes])
+        g *= ks[:, None] ** self._orders
+        g[:, S] += (2j / np.pi) * np.log(ks)
+        # cos(m theta_j) with the angle reduced exactly, in multiples of pi / 2n
+        quarter = np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
+        coeffs = (2.0 / n) * np.cos(0.5 * np.pi / n * quarter) @ g
+        coeffs[0] *= 0.5
+        self._coeffs = coeffs
+        self._error = 0.0
+
+    @classmethod
+    def checked(cls, engine: LatticeSumEngine, k_lo: float, k_hi: float):
+        """The fit of ``engine`` on ``[k_lo, k_hi]``, or None where it misses.
+
+        The fit is checked against ``engine.table`` at the ``_FIT_NODES - 1``
+        wavenumbers midway in angle between the nodes, and at ``k_hi``.  It
+        is refused when a node or a check point fails the tail test, or when
+        any order at a check point outside the guard misses the direct
+        table's ``est_error``.
+        """
+        fit = cls(engine, k_lo, k_hi)
+        if not fit._nodes_converged:
+            return None
+        n = _FIT_NODES
+        theta = np.pi * np.arange(1, n) / n
+        ks = np.append(np.sqrt(fit._centre + fit._half * np.cos(theta)), k_hi)
+        error = 0.0
+        for part in np.array_split(ks, 2):
+            direct = engine.table(part)
+            if not np.all(direct.converged):
+                return None
+            outside = ~direct.in_guard
+            miss = np.abs(fit.table(part[outside]).values - direct.values[outside])
+            if np.any(miss > direct.est_error[outside, None]):
+                return None
+            error = max(error, float(np.max(miss, initial=0.0)))
+        fit._error = error
+        return fit
+
+    def table(self, ks) -> LatticeSumTable:
+        """Batch table at the real wavenumbers ``ks`` of the fitted range.
+
+        Rows within ``_GUARD`` of an empty-lattice resonance are marked and
+        NaN, as in ``LatticeSumEngine.table``.  ``est_error`` is the fit's
+        largest deviation from the direct tables at its check points.
+        """
+        if np.iscomplexobj(ks):
+            raise ValueError("the fit is evaluated at real wavenumbers only")
+        engine = self._engine
+        S = engine.order_max
+        ks = np.asarray(ks, dtype=float)
+        x = np.clip((ks * ks - self._centre) / self._half, -1.0, 1.0)
+        basis = np.cos(np.arccos(x)[:, None] * np.arange(_FIT_NODES))
+        values = (basis @ self._coeffs) / ks[:, None] ** self._orders
+        values[:, S] -= (2j / np.pi) * np.log(ks)
+        # the bordered spectral terms; order 0 takes only the positive one,
+        # as in ``LatticeSumEngine._sum_orders``
+        bordered = self._bordered
+        w = _spectral_weights(ks, engine._p_norm2[bordered])
+        k_pow = ks[:, None] ** (-np.arange(S + 1.0))
+        pos, neg = engine._spectral_orders(w, k_pow, engine._p_pow[bordered])
+        values[:, :S] += neg[:, :0:-1]
+        values[:, S:] += pos
+        in_guard = engine.margin(ks) <= _GUARD
+        values[in_guard] = np.nan
+        return LatticeSumTable(
+            k=ks,
+            alpha=engine.alpha,
+            order_max=S,
+            values=values,
+            est_error=np.full(ks.shape, self._error),
+            in_guard=in_guard,
+            converged=np.ones(ks.shape, dtype=bool),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -544,3 +701,13 @@ def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:
     alpha = as_bloch(alpha)
     return _engine_for(alpha.tobytes(), order_max).zero_k_limits()
 
+
+def lattice_sum_fit(order_max: int, alpha, k_lo: float, k_hi: float):
+    """Checked fit of Q_n, |n| <= order_max, on ``[k_lo, k_hi]``, or None.
+
+    Built on the cached engine of ``alpha``; ``0 <= k_lo < k_hi``.  None
+    means the fit missed its check (see ``LatticeSumFit.checked``) and the
+    caller should use ``lattice_sum_table``.
+    """
+    engine = _engine_for(as_bloch(alpha).tobytes(), order_max)
+    return LatticeSumFit.checked(engine, float(k_lo), float(k_hi))

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special as sp
@@ -180,11 +181,58 @@ def _parity_signs(orders: np.ndarray) -> np.ndarray:
 # quasi-periodic blocks
 # ---------------------------------------------------------------------------
 
-def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: int):
+class CylinderFactors(NamedTuple):
+    """The factors of ``T`` at a frequency that do not depend on ``alpha``.
+
+    Over orders ``0..N``: ``J_n(kR)`` and ``J_n'(kR)``, real at a real
+    frequency, the diagonals ``c J_n H_n(kR)`` of ``S`` and
+    ``c k J_n H_n'(kR)`` of ``dS``, and the inner-block entries ``a_n`` and
+    ``b_n`` (module docstring).  A stack of frequencies puts its axis in
+    front of the orders.
+    """
+
+    j: np.ndarray
+    jp: np.ndarray
+    s_diag: np.ndarray
+    ds_diag: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _outer_factors(k, radius: float, order_max: int):
+    """``j, jp, s_diag, ds_diag`` of ``CylinderFactors`` at wavenumbers ``k``."""
+    c = -0.5j * math.pi * radius
+    j, jp, h, hp = _cyl_tables(order_max, k * radius)
+    if not np.iscomplexobj(j):
+        jp = jp.real
+    return j, jp, c * j * h, c * k[..., None] * j * hp
+
+
+def cylinder_factors(omega, material: MaterialParams, radius: float,
+                     truncation: int) -> CylinderFactors:
+    """``CylinderFactors`` of orders ``0..truncation`` at ``omega``.
+
+    ``omega`` is a frequency (positive real part) or an array of them.
+    """
+    omega = np.asarray(omega)
+    k_b = omega / material.v_b
+    c = -0.5j * math.pi * radius
+    j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * radius)
+    return CylinderFactors(
+        *_outer_factors(omega / material.v, radius, truncation),
+        a=c * j_b * h_b,
+        b=c * k_b[..., None] * jp_b * h_b,
+    )
+
+
+def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: int,
+                          factors: CylinderFactors | None = None):
     """Dense ``(S, dS)`` blocks for all row/column orders ``-order_max..order_max``.
 
     For an array of wavenumbers with a batch ``table`` at them, the blocks
-    gain the same leading axes.
+    gain the same leading axes.  ``factors`` holds the cylinder factors at
+    ``k`` (its ``a`` and ``b`` are not read); they are computed here when it
+    is None.
     """
     if table.order_max < 2 * order_max:
         raise MissingLatticeOrderError(
@@ -192,9 +240,11 @@ def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: i
             f"{2 * order_max}; table holds {table.order_max}"
         )
     k = np.asarray(k)
+    j, jp, s_diag, ds_diag = (
+        _outer_factors(k, radius, order_max) if factors is None else factors[:4]
+    )
     orders = np.arange(-order_max, order_max + 1)
     signs = _parity_signs(orders)
-    j, jp, h, hp = _cyl_tables(order_max, k * radius)
     idx = np.abs(orders)
     j_s = signs * j[..., idx]
     jp_s = signs * jp[..., idx]
@@ -208,8 +258,8 @@ def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: i
     ds_mat = c * k[..., None, None] * (coupling * jp_s[..., :, None])
     # Parity signs cancel pairwise on the diagonal: J_n H_n = J_|n| H_|n|.
     diag = np.arange(orders.size)
-    s_mat[..., diag, diag] += c * j[..., idx] * h[..., idx]
-    ds_mat[..., diag, diag] += c * k[..., None] * j[..., idx] * hp[..., idx]
+    s_mat[..., diag, diag] += s_diag[..., idx]
+    ds_mat[..., diag, diag] += ds_diag[..., idx]
     return s_mat, ds_mat
 
 
@@ -293,19 +343,35 @@ class BlochProblem:
         frequency as in a stack.
         """
         omega = np.asarray(omegas)
+        table = lattice_sum_table(
+            max(2 * self.truncation, 1), omega / self.material.v, self.alpha
+        )
+        factors = cylinder_factors(
+            omega, self.material, self.crystal.radius, self.truncation
+        )
+        return self.entries_from(omega, table, factors)
+
+    def entries_from(
+        self, omegas, table: LatticeSumTable, factors: CylinderFactors
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``entries`` at ``omegas`` from lattice sums and cylinder factors given there.
+
+        ``table`` holds the lattice sums at ``omegas / v`` (orders up to at
+        least 2N) and ``factors`` the ``cylinder_factors`` at ``omegas``.
+        The frequency scan passes tables it got more cheaply than
+        ``entries`` would (``bands``).
+        """
+        omega = np.asarray(omegas)
         material, truncation = self.material, self.truncation
-        radius = self.crystal.radius
         k = omega / material.v
-        k_b = omega / material.v_b
-        table = lattice_sum_table(max(2 * truncation, 1), k, self.alpha)
-        s_outer, ds_outer = _outer_block_matrices(k, radius, table, truncation)
+        s_outer, ds_outer = _outer_block_matrices(
+            k, self.crystal.radius, table, truncation, factors
+        )
         ds_outer *= material.delta
 
         idx = np.abs(np.arange(-truncation, truncation + 1))
-        j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * radius)
-        c = -0.5j * math.pi * radius
-        a = c * j_b[..., idx] * h_b[..., idx]
-        b = c * k_b[..., None] * jp_b[..., idx] * h_b[..., idx]
+        a = factors.a[..., idx]
+        b = factors.b[..., idx]
         matrix = b[..., None] * s_outer - a[..., None] * ds_outer
 
         pressure = np.maximum(np.abs(a), np.max(np.abs(s_outer), axis=-1))

@@ -1,13 +1,15 @@
 """Root search and band-structure sweep: scan, Muller refinement, path."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblebands import bands, lattice
+from bubblebands import bands, lattice, multipole
 from bubblebands.bands import (
     BandNotFoundError,
     BandPoint,
@@ -278,16 +280,31 @@ def test_scan_grid_ends_without_a_roundoff_step(alpha):
 
 
 def test_scan_evaluates_the_grid_in_batches(monkeypatch):
-    # Exactly one lattice-sum batch per chunk of the grid: tens of table
-    # calls where a call per frequency makes about 720.
-    calls = []
-    real = lattice.LatticeSumEngine.table
+    # One lattice-sum fit per scan, checked against direct tables at its 31
+    # midpoints and the top, in two calls; the batches read the fit and
+    # make no table call of their own.  Where the fit is refused, exactly
+    # one lattice-sum batch per chunk of the grid: tens of table calls
+    # where a call per frequency makes about 720.
+    calls, fits = [], []
+    real_table = lattice.LatticeSumEngine.table
+    real_fit = bands.lattice_sum_fit
 
     def counted(self, k):
         calls.append((self, np.size(k)))
-        return real(self, k)
+        return real_table(self, k)
+
+    def fitted(*args):
+        fits.append(args)
+        return real_fit(*args)
 
     monkeypatch.setattr(lattice.LatticeSumEngine, "table", counted)
+    monkeypatch.setattr(bands, "lattice_sum_fit", fitted)
+    _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
+    assert len(fits) == 1
+    assert [size for _, size in calls] == [lattice._FIT_NODES // 2] * 2
+
+    calls.clear()
+    monkeypatch.setattr(bands, "lattice_sum_fit", lambda *args: None)
     _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
     omegas, _ = bands._scan_grid(BlochProblem(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7),
                                  (0.0, 5.0))
@@ -392,6 +409,88 @@ def test_gram_profile_brackets_equal_the_svd_profile_brackets(monkeypatch, name,
     assert gram_brackets
 
 
+def _direct_profile(problem, omegas):
+    """The indicator profile with every batch built by ``BlochProblem.entries``.
+
+    The direct lattice sums and cylinder functions of each batch, chunked as
+    the scan chunks its grid: the reference for the fitted scan.
+    """
+    chunk = bands._CHUNK_ENTRIES // (2 * problem.truncation + 1) ** 2
+    return [(omegas[i : i + chunk],
+             bands._least_gram_eigenvalues(problem.entries(omegas[i : i + chunk])))
+            for i in range(0, omegas.size, chunk)]
+
+
+# The two sweep workloads of the benchmark (``bands-dilute`` and
+# ``bands-nondilute``): crystal, truncation and path resolution.
+SWEEP_WORKLOADS = {"dilute": (7, 3), "nondilute": (3, 6)}
+FITTED_SCAN_CASES = BRACKET_CASES + [
+    (name, tuple(alpha), truncation)
+    for name, (truncation, resolution) in SWEEP_WORKLOADS.items()
+    for _, alpha in bands._path_samples(resolution)[:-1]
+]
+
+
+@pytest.fixture(scope="module")
+def sweep_tables():
+    """One cylinder table per crystal and truncation, shared as a sweep shares it."""
+    tables = {}
+
+    def table(name, truncation):
+        if (name, truncation) not in tables:
+            material, crystal, omega_max = STREAM_CRYSTALS[name]
+            tables[name, truncation] = bands._CylinderTable(
+                material, crystal, truncation, omega_max)
+        return tables[name, truncation]
+
+    return table
+
+
+@pytest.mark.parametrize("name, alpha, truncation", FITTED_SCAN_CASES)
+def test_fitted_scan_brackets_equal_the_direct_brackets(sweep_tables, name, alpha,
+                                                         truncation):
+    # The scan's batches read a lattice-sum fit and the sweep's cylinder
+    # table; on the same grid their brackets must be those of batches built
+    # from direct tables, which is what the scan computed before the fit.
+    material, crystal, omega_max = STREAM_CRYSTALS[name]
+    problem = BlochProblem(alpha, material, crystal, truncation)
+    omegas, _ = bands._scan_grid(problem, (0.0, omega_max))
+    fitted = list(bands._indicator_batches(problem, omegas,
+                                           sweep_tables(name, truncation)))
+    direct = _direct_profile(problem, omegas)
+    assert list(bands._brackets_at_minima(fitted)) == list(
+        bands._brackets_at_minima(direct))
+
+
+def test_scan_past_the_lattice_sum_domain_uses_direct_tables():
+    # A range reaching k = 13 fails the fit's tail check, so every batch
+    # takes direct tables, and its indicator values are bitwise those of
+    # ``BlochProblem.entries``, the frequencies past k ~ 12.1 at inf.
+    problem = BlochProblem((0.3, 2.1), DILUTE_MAT, DILUTE_CRYSTAL, 3)
+    omegas, _ = bands._scan_grid(problem, (11.0, 13.0))
+    assert bands.lattice_sum_fit(6, problem.alpha, omegas[0], omegas[-1]) is None
+    scanned = list(bands._indicator_batches(problem, omegas))
+    direct = _direct_profile(problem, omegas)
+    assert [b.tobytes() for b, _ in scanned] == [b.tobytes() for b, _ in direct]
+    assert [v.tobytes() for _, v in scanned] == [v.tobytes() for _, v in direct]
+    assert np.isinf(scanned[-1][1][-1])
+
+
+def test_sweep_table_factors_equal_the_direct_factors():
+    # Batches on the lattice come from the table; one with a frequency off
+    # it (a range's top) is computed.  Either way each factor is bitwise
+    # the direct one.
+    table = bands._CylinderTable(DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
+    lattice_points = bands._scan_lattice(5.0)
+    for omegas in (lattice_points[1:40:3], lattice_points[600:640:2],
+                   np.append(lattice_points[700:720], 4.123456789)):
+        stored = table.at(omegas)
+        direct = multipole.cylinder_factors(omegas, DILUTE_MAT, 0.05, 7)
+        for got, want in zip(stored, direct):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # bands_at / resonance_near / retruncated_root
 # ---------------------------------------------------------------------------
@@ -416,15 +515,15 @@ def test_first_two_bands_raises_when_ceiling_is_too_low():
 
 def test_zone_centre_single_band_assembles_no_matrix(monkeypatch):
     # Every matrix, of the scan or of Muller and acceptance, is built by
-    # ``BlochProblem.entries``.
+    # ``BlochProblem.entries_from``.
     calls = []
-    real = BlochProblem.entries
+    real = BlochProblem.entries_from
 
-    def counted(self, omegas):
+    def counted(self, omegas, *args):
         calls.append(omegas)
-        return real(self, omegas)
+        return real(self, omegas, *args)
 
-    monkeypatch.setattr(BlochProblem, "entries", counted)
+    monkeypatch.setattr(BlochProblem, "entries_from", counted)
     omegas, _ = bands_at((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.4,
                          band_count=1)
     assert omegas == (0.0,)
@@ -553,14 +652,14 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
     # The scan's batches are 1-D arrays; Muller and acceptance build their
     # matrices one frequency at a time.
     evaluated = []
-    real = BlochProblem.entries
+    real = BlochProblem.entries_from
 
-    def counted(self, omegas):
+    def counted(self, omegas, *args):
         if np.ndim(omegas):
             evaluated.extend(omegas)
-        return real(self, omegas)
+        return real(self, omegas, *args)
 
-    monkeypatch.setattr(BlochProblem, "entries", counted)
+    monkeypatch.setattr(BlochProblem, "entries_from", counted)
     (w1, w2), _ = bands_at(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
     assert w1 == 0.0
     assert w2 == pytest.approx(DILUTE_GAMMA_BAND2, abs=1e-8)
@@ -676,7 +775,7 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
         return (0.1 * n, 0.1 * n + 1.0), (RootDiagnostics(1e-9 * n, n),
                                            RootDiagnostics(2e-9 * n, n))
 
-    monkeypatch.setattr(bands, "bands_at", numbered)
+    monkeypatch.setattr(bands, "_bands_at", numbered)
     structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3,
                                resolution=resolution)
     assert len(calls) == 3 * resolution
@@ -693,13 +792,35 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
         return numbered(alpha, *args)
 
     calls.clear()
-    monkeypatch.setattr(bands, "bands_at", fails_at_centre)
+    monkeypatch.setattr(bands, "_bands_at", fails_at_centre)
     structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3,
                                resolution=resolution)
     assert structure.failures == ((0.0, (0.0, 0.0), "no band at call 1"),
                                   (1.0, (0.0, 0.0), "no band at call 1"))
     assert len(structure.points) == 3 * resolution - 1
     assert len(calls) == 3 * resolution
+
+
+def test_sweep_drops_its_table_when_a_point_fails(monkeypatch):
+    # A failed point's exception is kept without its traceback, whose frames
+    # would hold the sweep's cylinder table until the cycle collector ran.
+    tables = []
+    real = bands._CylinderTable
+
+    def recorded(*args):
+        table = real(*args)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(bands, "_CylinderTable", recorded)
+    gc.disable()
+    try:
+        structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3, resolution=3,
+                                   band_count=1, omega_max=0.25)
+        assert structure.failures
+        assert len(tables) == 1 and tables[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_sweep_validates_resolution_and_band_count():

@@ -71,6 +71,37 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("compare", "rho", 10.0),
+    ("compare", "path_resolution", 9),
+    ("dilute", "radius", 0.1),
+    ("capacity", "omega_max", 1.0),
+])
+def test_config_key_the_subcommand_does_not_read_is_a_usage_error(
+        tmp_path, capsys, command, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"truncation_N": 3, key: value}))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"not read by {command}" in err and key in err
+
+
+@pytest.mark.parametrize("command, values", [
+    ("bands", {"radius": 0.05, "rho": 5000.0, "kappa": 5000.0, "rho_b": 1.0,
+               "kappa_b": 1.0, "truncation_N": 5, "path_resolution": 3,
+               "omega_max": 5.0, "output_path": "bands.csv"}),
+    ("bands", {"path_resolution": 3}),
+    ("compare", {"radius": 0.0125, "truncation_N": 3}),
+    ("capacity", {"radius": 0.0125, "truncation_N": 3}),
+    ("dilute", {"truncation_N": 3, "path_resolution": 4, "omega_max": 0.3}),
+])
+def test_config_keys_the_subcommand_reads_are_accepted(tmp_path, command, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    config = load_config(str(path), command)
+    assert all(getattr(config, key) == value for key, value in values.items())
+
+
 def test_load_config_rejects_malformed_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")

@@ -317,20 +317,20 @@ def test_revisited_bloch_vector_matches_a_fresh_engine():
 
 
 # ---------------------------------------------------------------------------
-# resonance margins by bisection
+# resonance margins by a sorted search
 # ---------------------------------------------------------------------------
 
-def test_nearest_margin_by_bisection_equals_empty_lattice_margin():
+def test_nearest_margins_by_search_equal_empty_lattice_margin():
     rng = np.random.default_rng(7)
-    cases = [(rng.uniform(-np.pi, np.pi, 2), rng.uniform(0.0, 6.0))
-             for _ in range(300)]
+    cases = [(rng.uniform(-np.pi, np.pi, 2), rng.uniform(0.0, 6.0, 3))
+             for _ in range(100)]
     # k on an empty-lattice line, and in the zone near 0 at the zone centre
     for alpha in (lat.X_POINT, lat.M_POINT, (0.3, 2.1)):
-        cases += [(alpha, q) for q in lat.resonance_norms(alpha, 6.0)[:12]]
-    cases += [(lat.GAMMA_POINT, k) for k in (0.0, 1e-4, 0.01, 0.049, 0.05)]
-    for alpha, k in cases:
-        norms = lat.resonance_norms(alpha, 6.0)
-        assert lat.nearest_margin(norms, k) == empty_lattice_margin(k, alpha)
+        cases.append((alpha, lat.resonance_norms(alpha, 6.0)[:12]))
+    cases.append((lat.GAMMA_POINT, np.array([0.0, 1e-4, 0.01, 0.049, 0.05])))
+    for alpha, ks in cases:
+        margins = lat.nearest_margins(lat.resonance_norms(alpha, 6.0), ks)
+        assert margins.tolist() == [empty_lattice_margin(k, alpha) for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +371,59 @@ def test_batched_table_matches_per_wavenumber_calls(order, alpha):
             scale = np.maximum(1.0, np.abs(table.values))
             assert np.max(np.abs(batch.values[i] - table.values) / scale) <= 1e-13
             assert batch.est_error[i] == pytest.approx(table.est_error, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the scan's Chebyshev fit of the pole-free sums
+# ---------------------------------------------------------------------------
+
+FIT_ALPHAS = [lat.GAMMA_POINT, (np.pi / 30, 0.0), lat.X_POINT, lat.M_POINT, (0.3, 2.1)]
+
+
+def _scan_wavenumbers(alpha, omega_max):
+    """The band scan's grid of ``[0, omega_max]`` at unit host speed, k = omega."""
+    from bubblebands import bands
+    from bubblebands.multipole import BlochProblem, DiskCrystal, MaterialParams
+
+    unit = MaterialParams(rho=1.0, kappa=1.0, rho_b=1.0, kappa_b=1.0)
+    problem = BlochProblem(alpha, unit, DiskCrystal(radius=0.25), 3)
+    return bands._scan_grid(problem, (0.0, omega_max))[0]
+
+
+@pytest.mark.parametrize("order", [6, 14])
+@pytest.mark.parametrize("alpha", FIT_ALPHAS)
+def test_fitted_table_matches_the_engine_on_the_scan_grid(order, alpha):
+    # The fit of the grid's range, as the scan builds it, against direct
+    # tables at every grid wavenumber: the same guard rows, NaN there, and
+    # every order within the direct table's error elsewhere.  That error
+    # is est_error plus the roundoff of the radial powers (k/2)^(2j-s),
+    # which the table forms as exp((2j - s) log(k/2)) and its floor leaves
+    # out: a relative error of about s |log(k/2)| eps, 64 eps at order 14
+    # and k = 0.02 against a floor of 32 eps (the fit itself is smooth).
+    ks = _scan_wavenumbers(alpha, 5.2)
+    fit = lat.lattice_sum_fit(order, alpha, ks[0], ks[-1])
+    assert fit is not None
+    fitted = fit.table(ks)
+    direct = lat.lattice_sum_table(order, ks, alpha)
+    assert np.array_equal(fitted.in_guard, direct.in_guard)
+    assert np.array_equal(np.isnan(fitted.values), np.isnan(direct.values))
+    assert direct.converged.all()
+    out = ~direct.in_guard
+    miss = np.max(np.abs(fitted.values[out] - direct.values[out]), axis=1)
+    powers = (np.finfo(float).eps * order * np.abs(np.log(0.5 * ks[out]))
+              * np.max(np.abs(direct.values[out]), axis=1))
+    assert np.all(miss <= direct.est_error[out] + powers)
+
+
+def test_fit_is_refused_where_the_sums_fail_the_tail_test():
+    # Past k ~ 12.1 the radial series misses the tail test, so a range that
+    # reaches k = 13 gets no fit; a real range below it does.  The fit is
+    # never evaluated off the real axis.
+    assert lat.lattice_sum_fit(6, (0.3, 2.1), 11.0, 13.0) is None
+    fit = lat.lattice_sum_fit(6, (0.3, 2.1), 0.5, 5.0)
+    assert fit is not None
+    with pytest.raises(ValueError):
+        fit.table(np.array([1.0 + 0.1j]))
 
 
 def test_batched_table_validates_wavenumbers():
