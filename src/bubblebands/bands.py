@@ -19,8 +19,7 @@ Frequencies where the host wavenumber hits an empty-lattice resonance
 ``k = |2 pi m + alpha|`` are poles of the quasi-periodic kernel, not crystal
 bands.  The scan half-steps through such zones instead of skipping them,
 and evaluates inside them with a tighter guard so that a band squeezed
-against a resonance is still found.  ``_scan_grid`` also lists the zones
-it half-stepped; no run reports them yet.
+against a resonance is still found.
 
 The scan lays out its frequency grid first and then evaluates it in
 ascending batches of ``_CHUNK_ENTRIES // (2N + 1)**2`` frequencies.  Every
@@ -33,13 +32,15 @@ equilibration and one Hermitian eigenvalue call on the stack of Gram
 matrices.  The batch's lattice sums come from one Chebyshev fit of the
 pole-free sums over the scan's range (``lattice.LatticeSumFit``), built
 and checked against direct tables once per scan; where the check fails,
-the scan takes one direct lattice-sum batch per chunk instead.  Its
-cylinder factors come from the sweep's table (``_CylinderTable``), which
-``band_structure`` fills once for all its Bloch vectors and drops when
-it returns; a single search computes them per batch.  On the same grid
-both give the brackets that direct tables give.  A frequency inside the
-lattice-sum guard, with unconverged lattice sums or with a non-finite
-entry gets an infinite indicator without affecting the rest of its batch.
+the scan takes one direct lattice-sum batch per chunk instead.  Every
+search reads its cylinder factors from a table (``_CylinderTable``) that
+computes each lattice frequency's factors once, when a batch first asks
+for them: ``band_structure`` shares one table among all its Bloch vectors
+and drops it when it returns, and ``bands_at`` and ``resonance_near``
+build one each.  On the same grid the fit and the table give the brackets
+that direct tables give.  A frequency inside the lattice-sum guard, with
+unconverged lattice sums or with a non-finite entry gets an infinite
+indicator without affecting the rest of its batch.
 The brackets form a stream: each is emitted as soon as the value to the
 right of its minimum is known, and the root search refines them as they
 arrive.  It stops evaluating the grid once it has accepted the bands it
@@ -124,7 +125,7 @@ class RejectedRootError(RuntimeError):
 _STEP_LOW = 2e-3
 _STEP_HIGH = 1e-2
 _STEP_SPLIT = 0.5
-#: Empty-lattice margin below which the scan half-steps and flags a zone.
+#: Empty-lattice margin below which the scan half-steps (a zone).
 #: Matrices are still assembled there, down to the lattice-sum guard.
 _ZONE_MARGIN = 0.05
 #: Acceptance: equilibrated smallest singular value relative to the largest,
@@ -138,6 +139,8 @@ _MULLER_MAX_ITER = 50
 #: in batches of ``_CHUNK_ENTRIES // (2N + 1)**2`` frequencies, 16 at N = 7
 #: and 73 at N = 3.  It bounds the memory a batch holds.
 _CHUNK_ENTRIES = 3_600
+#: Relative half-width of the window ``resonance_near`` searches.
+_RESONANCE_WINDOW = 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +287,8 @@ def _scan_lattice(top: float) -> np.ndarray:
     )
 
 
-def _scan_grid(
-    problem: BlochProblem, omega_range: tuple[float, float]
-) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
-    """The scan's (guard-aware) frequency grid and its flagged zones.
+def _scan_grid(problem: BlochProblem, omega_range: tuple[float, float]) -> np.ndarray:
+    """The scan's (guard-aware) frequency grid.
 
     Walks the scan lattice (``_scan_lattice``) from the lattice frequency
     nearest the bottom of the range, two half-steps at a time (``_STEP_LOW``
@@ -310,12 +311,10 @@ def _scan_grid(
     points = lattice.tolist()
 
     omegas: list[float] = []
-    flagged: list[tuple[float, float]] = []
-    flag_start: float | None = None
     i = int(np.argmin(np.abs(lattice - lo)))
     w = lo
     while w < hi - 1e-15:
-        # half-step through flagged zones so a band squeezed against an
+        # half-step through zones so a band squeezed against an
         # empty-lattice resonance still produces a bracketable minimum
         step = 1 if zone else 2
         j = min(i + step, split) if i < split else i + step
@@ -323,34 +322,30 @@ def _scan_grid(
             w, zone = hi, top_zone
         else:
             i, w, zone = j, points[j], zones[j]
-        if zone and flag_start is None:
-            flag_start = w
-        elif not zone and flag_start is not None:
-            flagged.append((flag_start, omegas[-1] if omegas else flag_start))
-            flag_start = None
         omegas.append(w)
-    if flag_start is not None:
-        flagged.append((flag_start, hi))
-    return np.asarray(omegas), tuple(flagged)
+    return np.asarray(omegas)
 
 
 class _CylinderTable:
-    """The cylinder factors of one path sweep on the scan lattice.
+    """The cylinder factors of one search, or of one path sweep, on the scan lattice.
 
-    The factors do not depend on the Bloch vector, and every scan of the
-    sweep walks the same lattice, so each lattice frequency's factors are
-    computed once per sweep.  The table is filled in pieces of one batch's
-    length, up to the highest lattice frequency a scan has asked for.  A
-    batch with a frequency off the lattice (the top of a range) is computed
-    directly.
+    The factors do not depend on the Bloch vector, and every scan walks the
+    same lattice, so each lattice frequency's factors are computed once per
+    table.  The table covers the lattice over ``omega_range`` from two rows
+    below its bottom, leaving out frequency 0, which no scan reaches.  It
+    computes the rows a batch asks for that it does not hold yet, in one
+    call, and no others: a scan reads every other lattice row outside the
+    zones it half-steps.  A batch with a frequency off the covered lattice
+    (the top of a range) is computed directly.
     """
 
     def __init__(self, material: MaterialParams, crystal: DiskCrystal,
-                 truncation: int, omega_max: float) -> None:
+                 truncation: int, omega_range: tuple[float, float]) -> None:
         self._factors = (material, crystal.radius, truncation)
-        self._lattice = _scan_lattice(omega_max)[1:]  # no scan reaches 0
-        self._piece = _chunk(truncation)
-        self._filled = 0
+        lattice = _scan_lattice(omega_range[1])
+        start = max(int(np.searchsorted(lattice, omega_range[0])) - 2, 1)
+        self._lattice = lattice[start:]
+        self._known = np.zeros(self._lattice.shape, dtype=bool)
         self._fields: list[np.ndarray] = []
 
     def at(self, omegas: np.ndarray) -> CylinderFactors:
@@ -359,15 +354,15 @@ class _CylinderTable:
         rows = np.minimum(np.searchsorted(lattice, omegas), lattice.size - 1)
         if np.any(lattice[rows] != omegas):
             return cylinder_factors(omegas, *self._factors)
-        while self._filled <= rows[-1]:
-            start, stop = self._filled, self._filled + self._piece
-            piece = cylinder_factors(lattice[start:stop], *self._factors)
+        unknown = rows[~self._known[rows]]
+        if unknown.size:
+            computed = cylinder_factors(lattice[unknown], *self._factors)
             if not self._fields:
                 self._fields = [np.empty(lattice.shape + part.shape[1:], part.dtype)
-                                for part in piece]
-            for field, part in zip(self._fields, piece):
-                field[start:stop] = part
-            self._filled = stop
+                                for part in computed]
+            for field, part in zip(self._fields, computed):
+                field[unknown] = part
+            self._known[unknown] = True
         return CylinderFactors(*(field[rows] for field in self._fields))
 
 
@@ -377,9 +372,7 @@ def _chunk(truncation: int) -> int:
 
 
 def _indicator_batches(
-    problem: BlochProblem,
-    omegas: np.ndarray,
-    cylinders: _CylinderTable | None = None,
+    problem: BlochProblem, omegas: np.ndarray, cylinders: _CylinderTable
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The grid ``omegas`` in ascending batches, with their indicator values.
 
@@ -390,26 +383,23 @@ def _indicator_batches(
     one Hermitian eigenvalue call.  Its lattice sums come from one
     ``lattice.LatticeSumFit`` of the whole grid, built when the first batch
     is asked for, or, where the fit is refused, from one lattice-sum batch.
-    Its cylinder factors come from the sweep's table ``cylinders`` or are
-    computed for the batch.  A frequency inside the lattice-sum guard, with
-    unconverged lattice sums or with a non-finite matrix entry gets
-    ``inf``.  A batch is evaluated only when it is asked for.
+    Its cylinder factors come from the table ``cylinders``.  A frequency
+    inside the lattice-sum guard, with unconverged lattice sums or with a
+    non-finite matrix entry gets ``inf``.  A batch is evaluated only when it
+    is asked for.
     """
     if not omegas.size:
         return
     order = max(2 * problem.truncation, 1)
-    material, radius = problem.material, problem.crystal.radius
-    ks = omegas / material.v
+    ks = omegas / problem.material.v
     fit = lattice_sum_fit(order, problem.alpha, ks[0], ks[-1]) if ks.size > 1 else None
     chunk = _chunk(problem.truncation)
     for start in range(0, omegas.size, chunk):
         batch = omegas[start : start + chunk]
         k = ks[start : start + chunk]
         table = fit.table(k) if fit else lattice_sum_table(order, k, problem.alpha)
-        factors = (cylinders.at(batch) if cylinders
-                   else cylinder_factors(batch, material, radius, problem.truncation))
         yield batch, _least_gram_eigenvalues(
-            problem.entries_from(batch, table, factors)
+            problem.entries_from(batch, table, cylinders.at(batch))
         )
 
 
@@ -521,7 +511,7 @@ def _accepted_roots(
     problem: BlochProblem,
     omega_range: tuple[float, float],
     count: int | None,
-    cylinders: _CylinderTable | None = None,
+    cylinders: _CylinderTable,
 ) -> list[tuple[float, RootDiagnostics]]:
     """Accepted roots in ``omega_range``, lowest first, at most ``count``.
 
@@ -530,9 +520,9 @@ def _accepted_roots(
     with the ``count``-th accepted root, so the grid above it is never
     evaluated.  A root within ``1e-7 (1 + omega)`` of the previous one was
     reached again from a neighbouring bracket and is dropped.  ``cylinders``
-    is the sweep's table of cylinder factors, if any.
+    is the search's or the sweep's table of cylinder factors.
     """
-    omegas, _ = _scan_grid(problem, omega_range)
+    omegas = _scan_grid(problem, omega_range)
     brackets = _brackets_at_minima(_indicator_batches(problem, omegas, cylinders))
     roots: list[tuple[float, RootDiagnostics]] = []
     for bracket in brackets:
@@ -565,7 +555,8 @@ def bands_at(
     scanned.  Raises :class:`BandNotFoundError` when fewer bands lie below
     ``omega_max``.
     """
-    return _bands_at(alpha, material, crystal, truncation, omega_max, band_count)
+    return _bands_at(alpha, material, crystal, truncation, omega_max, band_count,
+                     _CylinderTable(material, crystal, truncation, (0.0, omega_max)))
 
 
 def _bands_at(
@@ -575,9 +566,9 @@ def _bands_at(
     truncation: int,
     omega_max: float,
     band_count: int,
-    cylinders: _CylinderTable | None = None,
+    cylinders: _CylinderTable,
 ) -> tuple[tuple[float, ...], tuple[RootDiagnostics, ...]]:
-    """``bands_at``, with the scan reading the sweep's table ``cylinders``."""
+    """``bands_at``, reading ``cylinders``, a table of ``(0, omega_max)``."""
     if band_count < 1:
         raise ValueError("band_count must be at least 1")
     problem = BlochProblem(alpha, material, crystal, truncation)
@@ -601,30 +592,27 @@ def resonance_near(
     material: MaterialParams,
     crystal: DiskCrystal,
     truncation: int,
-    *,
-    window: float = 0.4,
 ) -> float:
     """Accepted characteristic frequency closest to an analytic prediction.
 
     Collects every accepted root in the window
-    ``[(1-window), (1+window)] * omega_guess`` and returns the one nearest
-    the guess.  This identifies the resonance branch even when other bands
-    cross the window; raises :class:`BandNotFoundError` when no root is
-    accepted.
+    ``[(1 - _RESONANCE_WINDOW), (1 + _RESONANCE_WINDOW)] * omega_guess`` and
+    returns the one nearest the guess.  This identifies the resonance branch
+    even when other bands cross the window; raises
+    :class:`BandNotFoundError` when no root is accepted.
     """
     if not omega_guess > 0.0:
         raise ValueError("omega_guess must be positive")
-    if not 0.0 < window < 1.0:
-        raise ValueError("window must lie in (0, 1)")
+    window = ((1.0 - _RESONANCE_WINDOW) * omega_guess,
+              (1.0 + _RESONANCE_WINDOW) * omega_guess)
     roots = _accepted_roots(
-        BlochProblem(alpha, material, crystal, truncation),
-        ((1.0 - window) * omega_guess, (1.0 + window) * omega_guess),
-        None,
+        BlochProblem(alpha, material, crystal, truncation), window, None,
+        _CylinderTable(material, crystal, truncation, window),
     )
     if not roots:
         raise BandNotFoundError(
-            f"no accepted characteristic frequency within {window:.0%} of "
-            f"omega={omega_guess}"
+            f"no accepted characteristic frequency within "
+            f"{_RESONANCE_WINDOW:.0%} of omega={omega_guess}"
         )
     return min((r[0] for r in roots), key=lambda w: abs(w - omega_guess))
 
@@ -748,8 +736,8 @@ def band_structure(
     if resolution < 3:
         raise ValueError("resolution must be at least 3 points per edge")
     samples = _path_samples(resolution)
-    cylinders = _CylinderTable(material, crystal, truncation, omega_max)
-    results: list[tuple | BandNotFoundError] = []
+    cylinders = _CylinderTable(material, crystal, truncation, (0.0, omega_max))
+    results: list[tuple | str] = []
     for _, alpha in samples[:-1]:
         try:
             results.append(_bands_at(
@@ -757,17 +745,13 @@ def band_structure(
                 cylinders,
             ))
         except BandNotFoundError as exc:
-            # without its traceback, whose frames would hold the sweep's
-            # table until the cycle collector reached them
-            results.append(exc.with_traceback(None))
+            results.append(str(exc))
     results.append(results[0])
     points: list[BandPoint] = []
     failures: list[tuple[float, tuple[float, float], str]] = []
     for (s, alpha), result in zip(samples, results):
-        if isinstance(result, BandNotFoundError):
-            failures.append(
-                (s, (float(alpha[0]), float(alpha[1])), str(result))
-            )
+        if isinstance(result, str):
+            failures.append((s, (float(alpha[0]), float(alpha[1])), result))
             continue
         omegas, diagnostics = result
         points.append(BandPoint(

@@ -26,6 +26,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -122,12 +123,11 @@ _COMMAND_KEYS: dict[str, frozenset[str]] = {
 }
 
 
-def load_config(path: str | None, command: str | None = None,
-                **overrides) -> RunConfig:
+def load_config(path: str | None, command: str, **overrides) -> RunConfig:
     """Build a RunConfig from defaults, an optional JSON file, and overrides.
 
-    With ``command`` set, a key of the file that the subcommand does not
-    read (``_COMMAND_KEYS``) is a usage error that names the subcommand.
+    A key of the file that the subcommand ``command`` does not read
+    (``_COMMAND_KEYS``) is a usage error that names the subcommand.
     """
     values: dict = {}
     if path is not None:
@@ -143,7 +143,7 @@ def load_config(path: str | None, command: str | None = None,
         unknown = set(raw) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        unread = set(raw) - _COMMAND_KEYS[command] if command else set()
+        unread = set(raw) - _COMMAND_KEYS[command]
         if unread:
             raise UsageError(
                 f"config keys not read by {command}: {sorted(unread)}")
@@ -395,6 +395,7 @@ def _add_alpha(parser: argparse.ArgumentParser) -> None:
                         help="Bloch vector components in [-pi, pi]")
 
 
+@functools.cache  # once per process: parsing leaves it as it was, and it holds cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bubblebands",

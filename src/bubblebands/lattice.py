@@ -39,8 +39,10 @@ stack axis, so a wavenumber gets bitwise the same table in a batch of any
 size.  (A batch with no complex wavenumber runs in real arithmetic where
 it can, so a real wavenumber gets that table in such batches only.)  The
 guard and the tail test act per wavenumber: a wavenumber that fails either
-is marked and gets NaN values, alone as in a batch.  Muller's iterates and
-the acceptance test of the band search (``bands``) take such tables.
+is marked and gets NaN values, alone as in a batch; the guard searches the
+sorted ``|p|`` the table sums over (``nearest_margins``), and with none
+left guards nothing.  Muller's iterates and the acceptance test of the
+band search (``bands``) take such tables.
 
 The band scan itself reads ``LatticeSumFit``, a Chebyshev fit in z = k^2
 of the sums along one Bloch vector, built once per scan over its real
@@ -126,13 +128,15 @@ def resonance_norms(alpha, k_max: float) -> np.ndarray:
 
 
 def nearest_margins(norms: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Distance from each ``k`` to the nearest empty-lattice resonance ``|q|``.
+    """Distance from each ``k`` to the nearest ``|q|`` of the sorted ``norms``.
 
-    ``norms = resonance_norms(alpha, k_max)`` and ``0 <= ks <= k_max``.  A
-    sorted search finds the two ``|q|`` that bracket each ``k``; the nearer
-    one gives the same floating-point distance as a full minimum of
-    ``|k - |q||`` over the reciprocal points.
+    ``norms`` is ``resonance_norms(alpha, k_max)``, ``0 <= ks <= k_max``, or
+    the ``|p|`` a table sums over, of an engine's window.  A sorted search
+    finds the two norms that bracket each ``k``; the nearer one gives the
+    same float as a full minimum of ``|k - |q||``.  No norms give ``inf``.
     """
+    if not norms.size:
+        return np.full(np.shape(ks), math.inf)
     above = np.searchsorted(norms, ks)
     return np.minimum(
         np.abs(ks - norms[np.maximum(above - 1, 0)]),
@@ -202,6 +206,10 @@ def _upper_gamma_block(t_max: int, t_min: int, x: np.ndarray) -> np.ndarray:
 
     Built from Gamma(1, x) = e^{-x} upward (stable: all terms positive) and
     from Gamma(0, x) = E_1(x), Gamma(-u, x) = x^{-u} E_{u+1}(x) downward.
+    The upward recurrence stays hand-rolled: at t = 1..30 and x = pi r^2 over
+    the lattice points of windows 5 and 8, against 40-digit mpmath, it is
+    within 2.3 and 2.9 eps, where ``scipy.special.gammaincc(t, x) *
+    gamma(t)`` is off by up to 146 and 237 eps.
     """
     rows = t_max - t_min + 1
     out = np.empty((rows, x.size))
@@ -315,6 +323,7 @@ class LatticeSumEngine:
         py = (2.0 * np.pi * ny + self.alpha[1]).ravel()
         self._p_norm2 = px * px + py * py
         self._p_norm = np.sqrt(self._p_norm2)
+        self._norms = np.sort(self._p_norm)
         pc = px + 1j * py
         # powers (px + i py)^s, laid out (point, order) for the contractions
         p_pow = np.empty((pc.size, order_max + 1), dtype=complex)
@@ -350,16 +359,6 @@ class LatticeSumEngine:
             [4.0 * 1j ** (s + 1) for s in range(order_max + 1)]
         )
         self._parity = (-1.0) ** np.arange(order_max + 1)
-
-    # -- helpers ------------------------------------------------------------
-
-    def margin(self, k):
-        """Distance of (the real part of) k to the nearest |p| in the grid.
-
-        Elementwise over an array of wavenumbers.
-        """
-        kr = np.asarray(np.real(k), dtype=float)
-        return np.min(np.abs(kr[..., None] - self._p_norm), axis=-1)
 
     # -- main entry ---------------------------------------------------------
 
@@ -412,8 +411,8 @@ class LatticeSumEngine:
         then looks at the remaining points only.
         """
         S = self.order_max
-        kept = self._p_norm if drop is None else self._p_norm[~drop]
-        in_guard = np.min(np.abs(ks.real[:, None] - kept), axis=-1) <= _GUARD
+        kept = self._norms if drop is None else np.sort(self._p_norm[~drop])
+        in_guard = nearest_margins(kept, ks.real) <= _GUARD
         is_real = not np.any(ks.imag)
 
         # ---- spectral part ------------------------------------------------
@@ -655,7 +654,7 @@ class LatticeSumFit:
         pos, neg = engine._spectral_orders(w, k_pow, engine._p_pow[bordered])
         values[:, :S] += neg[:, :0:-1]
         values[:, S:] += pos
-        in_guard = engine.margin(ks) <= _GUARD
+        in_guard = nearest_margins(engine._norms, ks) <= _GUARD
         values[in_guard] = np.nan
         return LatticeSumTable(
             k=ks,

@@ -199,15 +199,6 @@ class CylinderFactors(NamedTuple):
     b: np.ndarray
 
 
-def _outer_factors(k, radius: float, order_max: int):
-    """``j, jp, s_diag, ds_diag`` of ``CylinderFactors`` at wavenumbers ``k``."""
-    c = -0.5j * math.pi * radius
-    j, jp, h, hp = _cyl_tables(order_max, k * radius)
-    if not np.iscomplexobj(j):
-        jp = jp.real
-    return j, jp, c * j * h, c * k[..., None] * j * hp
-
-
 def cylinder_factors(omega, material: MaterialParams, radius: float,
                      truncation: int) -> CylinderFactors:
     """``CylinderFactors`` of orders ``0..truncation`` at ``omega``.
@@ -215,24 +206,24 @@ def cylinder_factors(omega, material: MaterialParams, radius: float,
     ``omega`` is a frequency (positive real part) or an array of them.
     """
     omega = np.asarray(omega)
-    k_b = omega / material.v_b
+    k, k_b = omega / material.v, omega / material.v_b
     c = -0.5j * math.pi * radius
+    j, jp, h, hp = _cyl_tables(truncation, k * radius)
+    if not np.iscomplexobj(j):
+        jp = jp.real
     j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * radius)
-    return CylinderFactors(
-        *_outer_factors(omega / material.v, radius, truncation),
-        a=c * j_b * h_b,
-        b=c * k_b[..., None] * jp_b * h_b,
-    )
+    return CylinderFactors(j, jp, c * j * h, c * k[..., None] * j * hp,
+                           a=c * j_b * h_b, b=c * k_b[..., None] * jp_b * h_b)
 
 
 def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: int,
-                          factors: CylinderFactors | None = None):
+                          factors: CylinderFactors):
     """Dense ``(S, dS)`` blocks for all row/column orders ``-order_max..order_max``.
 
     For an array of wavenumbers with a batch ``table`` at them, the blocks
-    gain the same leading axes.  ``factors`` holds the cylinder factors at
-    ``k`` (its ``a`` and ``b`` are not read); they are computed here when it
-    is None.
+    gain the same leading axes.  ``factors`` holds the ``cylinder_factors``
+    at the frequencies whose host wavenumbers are ``k``; its ``a`` and ``b``
+    are not read.
     """
     if table.order_max < 2 * order_max:
         raise MissingLatticeOrderError(
@@ -240,9 +231,7 @@ def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: i
             f"{2 * order_max}; table holds {table.order_max}"
         )
     k = np.asarray(k)
-    j, jp, s_diag, ds_diag = (
-        _outer_factors(k, radius, order_max) if factors is None else factors[:4]
-    )
+    j, jp, s_diag, ds_diag = factors[:4]
     orders = np.arange(-order_max, order_max + 1)
     signs = _parity_signs(orders)
     idx = np.abs(orders)

@@ -57,6 +57,7 @@ from bubblebands.multipole import (
     _cyl_tables,
     _outer_block_matrices,
     _parity_signs,
+    cylinder_factors,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -389,7 +390,9 @@ def block_characteristic_matrix(omega, problem: BlochProblem) -> np.ndarray:
     k = omega / material.v
     k_b = omega / material.v_b
     table = lattice_sum_table(max(2 * truncation, 1), k, problem.alpha)
-    s_outer, ds_outer = _outer_block_matrices(k, crystal.radius, table, truncation)
+    factors = cylinder_factors(omega, material, crystal.radius, truncation)
+    s_outer, ds_outer = _outer_block_matrices(k, crystal.radius, table, truncation,
+                                              factors)
 
     idx = np.abs(np.arange(-truncation, truncation + 1))
     j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * crystal.radius)

@@ -361,9 +361,7 @@ def _re_refined_drift(omega, alpha, material, crystal, truncation):
         return abs(moved - omega), moved
     except (RootNotConvergedError, RejectedRootError):
         try:
-            moved = resonance_near(
-                omega, alpha, material, crystal, truncation + 2, window=0.2
-            )
+            moved = resonance_near(omega, alpha, material, crystal, truncation + 2)
             return abs(moved - omega), moved
         except BandNotFoundError:
             return math.inf, None

@@ -203,24 +203,25 @@ def test_muller_acceptance_veto_raises_rejected():
 # ---------------------------------------------------------------------------
 
 def _scan(alpha, material, crystal, truncation, omega_range):
-    """Every bracket of the stream the root search refines, and the flagged zones.
+    """Every bracket of the stream the root search refines.
 
-    Composed as ``bands._accepted_roots`` composes it, run to the end of
-    ``omega_range``.
+    Composed as ``bands._accepted_roots`` composes it, with a cylinder table
+    of ``omega_range``, run to the end of the range.
     """
     problem = BlochProblem(alpha, material, crystal, truncation)
-    omegas, flagged = bands._scan_grid(problem, omega_range)
-    brackets = bands._brackets_at_minima(bands._indicator_batches(problem, omegas))
-    return list(brackets), flagged
+    omegas = bands._scan_grid(problem, omega_range)
+    cylinders = bands._CylinderTable(material, crystal, truncation, omega_range)
+    return list(bands._brackets_at_minima(
+        bands._indicator_batches(problem, omegas, cylinders)))
 
 
 def test_scan_empty_range_yields_no_brackets():
-    brackets, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.2))
+    brackets = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.2))
     assert brackets == []
 
 
 def test_scan_dilute_corner_has_exactly_one_subwavelength_bracket():
-    brackets, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
+    brackets = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
     assert len(brackets) == 1
     lo, mid, hi = brackets[0]
     assert lo < mid < hi
@@ -228,7 +229,7 @@ def test_scan_dilute_corner_has_exactly_one_subwavelength_bracket():
 
 
 def test_scan_brackets_iterate_in_ascending_order():
-    brackets, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0))
+    brackets = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0))
     mids = [mid for _, mid, _ in brackets]
     assert mids == sorted(mids)
     assert len(mids) >= 2  # resonance band plus the folded band above
@@ -243,22 +244,24 @@ def test_scan_brackets_a_root_where_one_row_vanishes(alpha, omega_range, root):
     # vanishes on its own while the other rows stay near unit size.  Scaled
     # by its own max-norm that row would come back to unit size and the scan
     # would see no minimum; the row scale of the block system keeps it small.
-    brackets, _ = _scan(alpha, NONDILUTE_MAT, NONDILUTE_CRYSTAL, 3, omega_range)
+    brackets = _scan(alpha, NONDILUTE_MAT, NONDILUTE_CRYSTAL, 3, omega_range)
     assert [b for b in brackets if b[0] <= root <= b[2]]
 
 
-def test_scan_flags_zone_centre_low_frequency_resonance():
-    # at alpha = 0 the k -> 0 empty-lattice resonance sits at omega -> 0
-    _, flagged = _scan((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.2))
-    assert flagged, "guard zone near omega=0 must be flagged"
-    lo, hi = flagged[0]
-    assert lo < 0.06 and hi <= 0.06
+def test_scan_half_steps_the_zone_centre_low_frequency_resonance():
+    # At alpha = 0 the k -> 0 empty-lattice resonance sits at omega -> 0, so
+    # the grid opens with half steps through its zone, which ends by 0.06.
+    problem = BlochProblem((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3)
+    omegas = bands._scan_grid(problem, (0.0, 0.2))
+    half = np.isclose(np.diff(omegas[:-1]), 0.5 * bands._STEP_LOW, rtol=1e-9, atol=0.0)
+    assert half[0] and not half.all()
+    assert omegas[np.argmin(half)] <= 0.06
 
 
 def test_scan_step_halving_preserves_the_refined_root(monkeypatch):
-    fine, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
+    fine = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
     monkeypatch.setattr(bands, "_STEP_LOW", 2.0 * bands._STEP_LOW)
-    coarse, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
+    coarse = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
     assert len(coarse) == len(fine) == 1
     # both brackets must contain the frozen root
     for lo, _, hi in (coarse[0], fine[0]):
@@ -274,7 +277,7 @@ def test_scan_grid_ends_without_a_roundoff_step(alpha):
     for material, omega_max in ((DILUTE_MAT, 5.0), (NONDILUTE_MAT, 5.2)):
         for omega_range in ((0.0, omega_max), (0.9, 1.7)):
             problem = BlochProblem(alpha, material, DILUTE_CRYSTAL, 3)
-            omegas, _ = bands._scan_grid(problem, omega_range)
+            omegas = bands._scan_grid(problem, omega_range)
             assert omegas[-1] == omega_range[1]
             assert np.min(np.diff(omegas)) >= 0.25 * bands._STEP_LOW
 
@@ -306,8 +309,8 @@ def test_scan_evaluates_the_grid_in_batches(monkeypatch):
     calls.clear()
     monkeypatch.setattr(bands, "lattice_sum_fit", lambda *args: None)
     _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
-    omegas, _ = bands._scan_grid(BlochProblem(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7),
-                                 (0.0, 5.0))
+    omegas = bands._scan_grid(BlochProblem(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7),
+                              (0.0, 5.0))
     chunk = bands._CHUNK_ENTRIES // 15**2
     chunks = -(-omegas.size // chunk)
     assert len(calls) == chunks < 100
@@ -392,7 +395,7 @@ def test_gram_profile_brackets_equal_the_svd_profile_brackets(monkeypatch, name,
     # scales are also given to the SVD.
     material, crystal, omega_max = STREAM_CRYSTALS[name]
     problem = BlochProblem(alpha, material, crystal, truncation)
-    omegas, _ = bands._scan_grid(problem, (0.0, omega_max))
+    omegas = bands._scan_grid(problem, (0.0, omega_max))
     smallest = []
     real = bands._least_gram_eigenvalues
 
@@ -401,7 +404,8 @@ def test_gram_profile_brackets_equal_the_svd_profile_brackets(monkeypatch, name,
         return real(pair)
 
     monkeypatch.setattr(bands, "_least_gram_eigenvalues", with_svd)
-    profile = list(bands._indicator_batches(problem, omegas))
+    cylinders = bands._CylinderTable(material, crystal, truncation, (0.0, omega_max))
+    profile = list(bands._indicator_batches(problem, omegas, cylinders))
     assert np.array_equal(np.concatenate([batch for batch, _ in profile]), omegas)
     gram_brackets = list(bands._brackets_at_minima(profile))
     svd_brackets = list(bands._brackets_at_minima([(omegas, np.concatenate(smallest))]))
@@ -440,7 +444,7 @@ def sweep_tables():
         if (name, truncation) not in tables:
             material, crystal, omega_max = STREAM_CRYSTALS[name]
             tables[name, truncation] = bands._CylinderTable(
-                material, crystal, truncation, omega_max)
+                material, crystal, truncation, (0.0, omega_max))
         return tables[name, truncation]
 
     return table
@@ -454,7 +458,7 @@ def test_fitted_scan_brackets_equal_the_direct_brackets(sweep_tables, name, alph
     # from direct tables, which is what the scan computed before the fit.
     material, crystal, omega_max = STREAM_CRYSTALS[name]
     problem = BlochProblem(alpha, material, crystal, truncation)
-    omegas, _ = bands._scan_grid(problem, (0.0, omega_max))
+    omegas = bands._scan_grid(problem, (0.0, omega_max))
     fitted = list(bands._indicator_batches(problem, omegas,
                                            sweep_tables(name, truncation)))
     direct = _direct_profile(problem, omegas)
@@ -467,9 +471,10 @@ def test_scan_past_the_lattice_sum_domain_uses_direct_tables():
     # takes direct tables, and its indicator values are bitwise those of
     # ``BlochProblem.entries``, the frequencies past k ~ 12.1 at inf.
     problem = BlochProblem((0.3, 2.1), DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    omegas, _ = bands._scan_grid(problem, (11.0, 13.0))
+    omegas = bands._scan_grid(problem, (11.0, 13.0))
     assert bands.lattice_sum_fit(6, problem.alpha, omegas[0], omegas[-1]) is None
-    scanned = list(bands._indicator_batches(problem, omegas))
+    cylinders = bands._CylinderTable(DILUTE_MAT, DILUTE_CRYSTAL, 3, (11.0, 13.0))
+    scanned = list(bands._indicator_batches(problem, omegas, cylinders))
     direct = _direct_profile(problem, omegas)
     assert [b.tobytes() for b, _ in scanned] == [b.tobytes() for b, _ in direct]
     assert [v.tobytes() for _, v in scanned] == [v.tobytes() for _, v in direct]
@@ -480,7 +485,7 @@ def test_sweep_table_factors_equal_the_direct_factors():
     # Batches on the lattice come from the table; one with a frequency off
     # it (a range's top) is computed.  Either way each factor is bitwise
     # the direct one.
-    table = bands._CylinderTable(DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
+    table = bands._CylinderTable(DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
     lattice_points = bands._scan_lattice(5.0)
     for omegas in (lattice_points[1:40:3], lattice_points[600:640:2],
                    np.append(lattice_points[700:720], 4.123456789)):
@@ -489,6 +494,37 @@ def test_sweep_table_factors_equal_the_direct_factors():
         for got, want in zip(stored, direct):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+def test_cylinder_tables_compute_only_the_rows_a_batch_asks_for(monkeypatch):
+    # A sweep's table computes each lattice frequency once, when a batch
+    # first asks for it, and no other: a scan reads every other lattice row.
+    # A batch off the lattice (a range's top) is computed as asked.  The
+    # table of ``resonance_near`` computes nothing below its window.
+    asked, computed = [], []
+    real_at, real_factors = bands._CylinderTable.at, bands.cylinder_factors
+
+    def at(self, omegas):
+        asked.extend(omegas.tolist())
+        return real_at(self, omegas)
+
+    def factors(omegas, *args):
+        computed.extend(np.asarray(omegas).tolist())
+        return real_factors(omegas, *args)
+
+    monkeypatch.setattr(bands._CylinderTable, "at", at)
+    monkeypatch.setattr(bands, "cylinder_factors", factors)
+    band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3, resolution=3, omega_max=5.0)
+    on_lattice = set(bands._scan_lattice(5.0).tolist())
+    rows = [omega for omega in computed if omega in on_lattice]
+    assert len(rows) == len(set(rows)) > 0
+    assert set(computed) <= set(asked)
+
+    asked.clear()
+    computed.clear()
+    resonance_near(DILUTE_M_BAND1, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
+    assert computed and set(computed) <= set(asked)
+    assert min(computed) >= (1.0 - bands._RESONANCE_WINDOW) * DILUTE_M_BAND1
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +621,18 @@ def test_muller_iterate_beyond_the_lattice_sum_domain_is_unconverged():
     assert omegas == pytest.approx((0.064586339, 0.073818847), abs=1e-8)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_slow_host_scan_past_every_reciprocal_point_of_the_window():
+    # At v = 0.01 a ceiling of 0.45 puts k_hi + _FIT_BORDER = 48 past every
+    # |p| of the window at (1, 0): the fit borders them all and is refused,
+    # and the scan takes direct tables, finding the bands of a lower ceiling.
+    # (A grid wavenumber on an empty-lattice line makes its direct table
+    # warn; its row is NaN, inside the guard.)
+    alpha = (1.0, 0.0)
+    found = bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.45)
+    assert found == bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.3)
+
+
 STREAM_CRYSTALS = {
     "dilute": (DILUTE_MAT, DILUTE_CRYSTAL, 5.0),
     "nondilute": (NONDILUTE_MAT, NONDILUTE_CRYSTAL, 5.2),
@@ -606,7 +654,7 @@ def every_accepted_root():
         for alpha in STREAM_ALPHAS:
             accepted = []
             problem = BlochProblem(alpha, material, crystal, 3)
-            brackets, _ = _scan(alpha, material, crystal, 3, (0.0, omega_max))
+            brackets = _scan(alpha, material, crystal, 3, (0.0, omega_max))
             for bracket in brackets:
                 try:
                     omega, diag = bands._refine_bracket(bracket, problem)
@@ -641,10 +689,10 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
     # omega_max = 5: the scan must stop in the chunk that completes band 2's
     # bracket, not evaluate the grid up to 5.
     alpha = np.zeros(2)
-    omegas, _ = bands._scan_grid(BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7),
-                                 (0.0, 5.0))
+    omegas = bands._scan_grid(BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7),
+                              (0.0, 5.0))
     chunk = bands._CHUNK_ENTRIES // 15**2
-    brackets, _ = _scan(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
+    brackets = _scan(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
     band_two = [bracket for bracket in brackets
                 if bracket[0] <= DILUTE_GAMMA_BAND2 <= bracket[2]]
     assert len(band_two) == 1
@@ -668,7 +716,7 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
 
 
 def test_refined_corner_root_lies_inside_its_scan_bracket():
-    brackets, _ = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
+    brackets = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
     lo, _, hi = brackets[0]
     assert lo <= DILUTE_M_BAND1 <= hi
 
@@ -700,8 +748,6 @@ def test_resonance_near_tracks_the_predicted_branch():
 def test_resonance_near_validates_arguments():
     with pytest.raises(ValueError):
         resonance_near(0.0, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    with pytest.raises(ValueError):
-        resonance_near(0.2, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, window=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +848,9 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
 
 
 def test_sweep_drops_its_table_when_a_point_fails(monkeypatch):
-    # A failed point's exception is kept without its traceback, whose frames
-    # would hold the sweep's cylinder table until the cycle collector ran.
+    # A failed point keeps its reason as a string, not the exception, whose
+    # traceback's frames would hold the sweep's cylinder table until the
+    # cycle collector ran.
     tables = []
     real = bands._CylinderTable
 

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, CSV schemas, exit codes."""
 
+import gc
 import json
 import math
 
@@ -57,7 +58,7 @@ def test_config_requires_minimum_path_resolution_and_drops_cutoff_key(
 def test_load_config_merges_file_and_overrides(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"radius": 0.25, "truncation_N": 3}))
-    config = load_config(str(path), output_path="out.csv")
+    config = load_config(str(path), "bands", output_path="out.csv")
     assert config.radius == 0.25
     assert config.truncation_N == 3
     assert config.output_path == "out.csv"
@@ -68,7 +69,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"radiu": 0.25}))
     with pytest.raises(UsageError):
-        load_config(str(path))
+        load_config(str(path), "bands")
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -106,16 +107,16 @@ def test_load_config_rejects_malformed_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
     with pytest.raises(UsageError):
-        load_config(str(path))
+        load_config(str(path), "bands")
     with pytest.raises(UsageError):
-        load_config(str(tmp_path / "missing.json"))
+        load_config(str(tmp_path / "missing.json"), "bands")
 
 
 def test_load_config_rejects_non_object_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("[1, 2, 3]")
     with pytest.raises(UsageError):
-        load_config(str(path))
+        load_config(str(path), "bands")
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +263,29 @@ def test_capacity_report_prints_expected_values(capsys):
     # resonance identity: bloch resonance = free resonance / sqrt(ratio)
     assert float(values["bloch resonance"]) == pytest.approx(
         float(values["free resonance"]) / math.sqrt(ratio), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["capacity"], {"radius": 0.0125, "truncation_N": 3}),
+    (["compare", "--contrasts", "100"], {"radius": 0.0125, "truncation_N": 3}),
+    (["bands"], {"truncation_N": 3, "path_resolution": 3, "omega_max": 5.0}),
+])
+def test_main_leaves_no_cyclic_garbage(tmp_path, capsys, argv, values):
+    # The parser is built once per process: built per call, its reference
+    # cycles were left behind for the cycle collector.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    argv = [*argv, "--config", str(config)]
+    if argv[0] != "capacity":
+        argv += ["--output", str(tmp_path / "out.csv")]
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

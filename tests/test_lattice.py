@@ -331,6 +331,18 @@ def test_nearest_margins_by_search_equal_empty_lattice_margin():
     for alpha, ks in cases:
         margins = lat.nearest_margins(lat.resonance_norms(alpha, 6.0), ks)
         assert margins.tolist() == [empty_lattice_margin(k, alpha) for k in ks]
+        # The engine's guard searches the |p| of its window, or those left
+        # after a drop mask, as a fit borders them; the guard then equals
+        # the full minimum over the kept points.
+        engine = lat.LatticeSumEngine(alpha, 2)
+        for drop in (None, engine._p_norm < 3.0, engine._p_norm < 8.0):
+            kept = engine._p_norm if drop is None else engine._p_norm[~drop]
+            near = np.concatenate([ks[ks > 0.0], kept[kept < 12.0][:8] + 0.005])
+            near = near.astype(complex)
+            in_guard = np.min(np.abs(near.real[:, None] - kept), axis=1) <= lat._GUARD
+            with np.errstate(invalid="ignore"):   # k on a line: a NaN row
+                table = engine._evaluate(near, drop)
+            assert np.array_equal(table.in_guard, in_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +399,7 @@ def _scan_wavenumbers(alpha, omega_max):
 
     unit = MaterialParams(rho=1.0, kappa=1.0, rho_b=1.0, kappa_b=1.0)
     problem = BlochProblem(alpha, unit, DiskCrystal(radius=0.25), 3)
-    return bands._scan_grid(problem, (0.0, omega_max))[0]
+    return bands._scan_grid(problem, (0.0, omega_max))
 
 
 @pytest.mark.parametrize("order", [6, 14])
@@ -424,6 +436,17 @@ def test_fit_is_refused_where_the_sums_fail_the_tail_test():
     assert fit is not None
     with pytest.raises(ValueError):
         fit.table(np.array([1.0 + 0.1j]))
+
+
+def test_fit_bordering_every_reciprocal_point_is_refused():
+    # With k_hi + _FIT_BORDER past every |p| of the window, the fit borders
+    # all of them, leaving none for the guard: nothing is guarded, the nodes
+    # past k ~ 12.1 fail the tail test and the fit is refused.
+    assert lat.lattice_sum_fit(6, (1.0, 0.0), 0.1, 45.0) is None
+    engine = lat.LatticeSumEngine((1.0, 0.0), 6)
+    everything = np.ones(engine._p_norm.shape, dtype=bool)
+    assert not engine._evaluate(np.array([44.0 + 0j]), everything).in_guard.any()
+    assert np.all(lat.nearest_margins(np.empty(0), np.array([1.0, 2.0])) == np.inf)
 
 
 def test_batched_table_validates_wavenumbers():

@@ -345,12 +345,14 @@ LIMIT_CASES = [((np.pi / 8, 0.0), 0.05, 3), (tuple(M_POINT), 0.05, 3),
 @pytest.mark.parametrize("alpha, radius, order", LIMIT_CASES)
 def test_outer_block_limit_matches_small_wavenumber_blocks(alpha, radius, order):
     # The finite-k block approaches the limit like k^2: each decade of k
-    # shrinks the difference about 100-fold.
+    # shrinks the difference about 100-fold.  Unit materials make omega = k.
+    unit = mp.MaterialParams(1.0, 1.0, 1.0, 1.0)
     s0 = mp.outer_block_limit(lattice_sum_limits(2 * order, alpha), radius, order)
     gaps = []
     for k in (1e-3, 1e-4):
         table = lattice_sum_table(2 * order, k, alpha)
-        s_k, _ = mp._outer_block_matrices(k, radius, table, order)
+        factors = mp.cylinder_factors(k, unit, radius, order)
+        s_k, _ = mp._outer_block_matrices(k, radius, table, order, factors)
         gaps.append(np.max(np.abs(s_k - s0)) / np.max(np.abs(s0)))
     assert gaps[0] < 1e-5
     assert gaps[1] < gaps[0] / 50.0
