@@ -26,8 +26,9 @@ ascending batches of ``_CHUNK_ENTRIES // (2N + 1)**2`` frequencies.  Every
 grid frequency but the top of the range lies on one half-step lattice
 (``_scan_lattice``), so equal lattice indices give equal floats at every
 Bloch vector; the zone margins of the whole lattice come from one sorted
-search of the empty-lattice lines per scan.  Per batch the scan builds one
-stack of matrices (``multipole.BlochProblem.entries_from``), one stacked
+search of the |p| of the scan's lattice-sum engine
+(``lattice.empty_lattice_margins``).  Per batch the scan builds one stack
+of matrices (``multipole.BlochProblem.entries_from``), one stacked
 equilibration and one Hermitian eigenvalue call on the stack of Gram
 matrices.  The batch's lattice sums come from one Chebyshev fit of the
 pole-free sums over the scan's range (``lattice.LatticeSumFit``), built
@@ -70,10 +71,9 @@ from .lattice import (
     GAMMA_POINT,
     M_POINT,
     X_POINT,
+    empty_lattice_margins,
     lattice_sum_fit,
     lattice_sum_table,
-    nearest_margins,
-    resonance_norms,
 )
 from .multipole import (
     BlochProblem,
@@ -303,8 +303,8 @@ def _scan_grid(problem: BlochProblem, omega_range: tuple[float, float]) -> np.nd
     v = problem.material.v
     lattice = _scan_lattice(hi)
     # the zone test over the lattice, the bottom and the top at once
-    margins = nearest_margins(
-        resonance_norms(problem.alpha, hi / v), np.append(lattice, [lo, hi]) / v
+    margins = empty_lattice_margins(
+        problem.lattice_order, problem.alpha, np.append(lattice, [lo, hi]) / v
     )
     *zones, zone, top_zone = (margins <= _ZONE_MARGIN).tolist()
     split = int(np.searchsorted(lattice, _STEP_SPLIT))
@@ -390,7 +390,7 @@ def _indicator_batches(
     """
     if not omegas.size:
         return
-    order = max(2 * problem.truncation, 1)
+    order = problem.lattice_order
     ks = omegas / problem.material.v
     fit = lattice_sum_fit(order, problem.alpha, ks[0], ks[-1]) if ks.size > 1 else None
     chunk = _chunk(problem.truncation)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import BandNotFoundError, band_structure, resonance_near
+from .bands import BandNotFoundError, BandStructure, band_structure, resonance_near
 from .capacity import (
     SingularSystemError,
     capacity_disk,
@@ -171,26 +171,33 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _sweep(config: RunConfig, material: MaterialParams, crystal: DiskCrystal,
+           band_count: int, prefix: str = "") -> BandStructure:
+    """The path sweep of ``config``, or a ``ComputationError`` led by ``prefix``."""
+    try:
+        structure = band_structure(
+            material, crystal, config.truncation_N,
+            resolution=config.path_resolution, band_count=band_count,
+            omega_max=config.omega_max,
+        )
+    except BandNotFoundError as exc:
+        raise ComputationError(f"{prefix}{exc}") from exc
+    if structure.failures:
+        s, alpha, reason = structure.failures[0]
+        raise ComputationError(
+            f"{prefix}band search failed at path point s={s:.6f}, "
+            f"alpha=({alpha[0]:.6f}, {alpha[1]:.6f}): {reason}"
+        )
+    return structure
+
+
 # ---------------------------------------------------------------------------
 # bands
 # ---------------------------------------------------------------------------
 
 def run_bands(config: RunConfig) -> Path:
     """Write the two-band path sweep as CSV; returns the output path."""
-    try:
-        structure = band_structure(
-            config.material, config.crystal, config.truncation_N,
-            resolution=config.path_resolution, band_count=2,
-            omega_max=config.omega_max,
-        )
-    except BandNotFoundError as exc:
-        raise ComputationError(str(exc)) from exc
-    if structure.failures:
-        s, alpha, reason = structure.failures[0]
-        raise ComputationError(
-            f"band search failed at path point s={s:.6f}, "
-            f"alpha=({alpha[0]:.6f}, {alpha[1]:.6f}): {reason}"
-        )
+    structure = _sweep(config, config.material, config.crystal, 2)
     lines = ["s,alpha_x,alpha_y,band,omega"]
     for point in structure.points:
         for band, omega in enumerate(point.omegas, start=1):
@@ -288,20 +295,7 @@ def run_dilute(config: RunConfig, radius_list, *,
     warnings: list[str] = []
     for radius in radii:
         crystal = DiskCrystal(radius=radius)
-        try:
-            structure = band_structure(
-                material, crystal, config.truncation_N,
-                resolution=config.path_resolution, band_count=1,
-                omega_max=config.omega_max,
-            )
-        except BandNotFoundError as exc:
-            raise ComputationError(f"radius {radius:g}: {exc}") from exc
-        if structure.failures:
-            s, alpha, reason = structure.failures[0]
-            raise ComputationError(
-                f"radius {radius:g}: band search failed at path point "
-                f"s={s:.6f}, alpha=({alpha[0]:.6f}, {alpha[1]:.6f}): {reason}"
-            )
+        structure = _sweep(config, material, crystal, 1, f"radius {radius:g}: ")
         free_resonance = minnaert_frequency(material.delta, material.v_b,
                                             capacity_disk(radius),
                                             crystal.area)

@@ -71,8 +71,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special as sp
 
-EULER_GAMMA = 0.5772156649015329
-
 #: High-symmetry Bloch vectors of the square-lattice Brillouin zone.
 GAMMA_POINT = np.zeros(2)
 X_POINT = np.array([np.pi, 0.0])
@@ -110,30 +108,13 @@ def as_bloch(alpha) -> np.ndarray:
     return arr.copy()
 
 
-def resonance_norms(alpha, k_max: float) -> np.ndarray:
-    """Sorted ``|q|`` of the reciprocal points with ``|q| <= k_max + 2 pi``.
-
-    The points are ``q = 2 pi nu + alpha``.  Every point of the plane lies
-    within pi sqrt(2) of one, so the ``|q|`` nearest any ``0 <= k <= k_max``
-    is among them.  Built once per frequency scan, for its zone test.
-    """
-    alpha = as_bloch(alpha)
-    top = float(k_max) + 2.0 * np.pi
-    reach = int(np.ceil((top + np.pi * np.sqrt(2.0)) / (2.0 * np.pi))) + 1
-    ii = 2.0 * np.pi * np.arange(-reach, reach + 1)
-    qx = ii + alpha[0]
-    qy = ii + alpha[1]
-    qn = np.sqrt(qx[:, None] ** 2 + qy[None, :] ** 2).ravel()
-    return np.sort(qn[qn <= top])
-
-
 def nearest_margins(norms: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Distance from each ``k`` to the nearest ``|q|`` of the sorted ``norms``.
+    """Distance from each ``k`` to the nearest ``|p|`` of the sorted ``norms``.
 
-    ``norms`` is ``resonance_norms(alpha, k_max)``, ``0 <= ks <= k_max``, or
-    the ``|p|`` a table sums over, of an engine's window.  A sorted search
-    finds the two norms that bracket each ``k``; the nearer one gives the
-    same float as a full minimum of ``|k - |q||``.  No norms give ``inf``.
+    ``norms`` are the ``|p|`` of an engine's window, or those a table sums
+    over.  A sorted search finds the two norms that bracket each ``k``; the
+    nearer one gives the same float as a full minimum of ``|k - |p||``.  No
+    norms give ``inf``.
     """
     if not norms.size:
         return np.full(np.shape(ks), math.inf)
@@ -507,7 +488,7 @@ class LatticeSumEngine:
             w[None, :], 2.0 ** -np.arange(S + 1.0)[None, :],
             self._coeff[None, :, None, 0, :],
         )[0]
-        limits[S] += -1.0 - (1j / np.pi) * (EULER_GAMMA - 2.0 * np.log(_ETA))
+        limits[S] += -1.0 - (1j / np.pi) * (np.euler_gamma - 2.0 * np.log(_ETA))
         return limits
 
     def _spectral_orders(self, w, k_pow, p_pow):
@@ -518,10 +499,12 @@ class LatticeSumEngine:
         reciprocal points summed over.  Returns ``sum_p (px + i py)^s W_p``
         and its conjugate-power twin, each with its prefactor.
         """
-        spec_pos = self._pref_pos * k_pow * (w[:, None] @ p_pow)[:, 0]
-        spec_neg = self._pref_pos * self._parity * k_pow * (
-            w[:, None] @ np.conj(p_pow)
-        )[:, 0]
+        # k on an empty-lattice line: an infinite weight, a NaN row in the guard
+        with np.errstate(invalid="ignore"):
+            spec_pos = self._pref_pos * k_pow * (w[:, None] @ p_pow)[:, 0]
+            spec_neg = self._pref_pos * self._parity * k_pow * (
+                w[:, None] @ np.conj(p_pow)
+            )[:, 0]
         return spec_pos, spec_neg
 
     def _sum_orders(self, w, k_pow, radial, radial_imag=None) -> np.ndarray:
@@ -695,10 +678,19 @@ def lattice_sum_table(order_max: int, k, alpha) -> LatticeSumTable:
     return _engine_for(as_bloch(alpha).tobytes(), order_max).table(k)
 
 
+def empty_lattice_margins(order_max: int, alpha, ks) -> np.ndarray:
+    """``nearest_margins`` of the real ``ks`` over the cached engine's ``|p|``.
+
+    The window holds every ``|p|`` below 11 pi, so the margins equal the
+    full minimum over the empty lattice for ``k`` up to about 34.
+    """
+    engine = _engine_for(as_bloch(alpha).tobytes(), order_max)
+    return nearest_margins(engine._norms, ks)
+
+
 def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:
     """k -> 0 limits ``L_n``, |n| <= order_max; see ``zero_k_limits``."""
-    alpha = as_bloch(alpha)
-    return _engine_for(alpha.tobytes(), order_max).zero_k_limits()
+    return _engine_for(as_bloch(alpha).tobytes(), order_max).zero_k_limits()
 
 
 def lattice_sum_fit(order_max: int, alpha, k_lo: float, k_hi: float):

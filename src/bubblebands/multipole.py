@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.special as sp
 
-from .lattice import EULER_GAMMA, LatticeSumTable, as_bloch, lattice_sum_table
+from .lattice import LatticeSumTable, as_bloch, lattice_sum_table
 
 __all__ = [
     "MaterialParams",
@@ -88,8 +88,7 @@ class MaterialParams:
 
     Derived quantities are exposed as properties so they can never drift
     out of sync with the stored fields: sound speeds ``v = sqrt(kappa/rho)``
-    (host) and ``v_b`` (bubble), density contrast ``delta = rho_b / rho``
-    and speed contrast ``tau = v / v_b``.
+    (host) and ``v_b`` (bubble), and density contrast ``delta = rho_b / rho``.
     """
 
     rho: float
@@ -114,10 +113,6 @@ class MaterialParams:
     @property
     def v_b(self) -> float:
         return math.sqrt(self.kappa_b / self.rho_b)
-
-    @property
-    def tau(self) -> float:
-        return self.v / self.v_b
 
 
 @dataclass(frozen=True)
@@ -289,7 +284,7 @@ def outer_block_limit(
     nonzero = np.flatnonzero(orders)
     s0[nonzero, nonzero] = -radius / (2.0 * idx[nonzero])
     s0[order_max, order_max] = c * (
-        limits[stored] + 1.0 + (2j / math.pi) * (math.log(radius) + EULER_GAMMA)
+        limits[stored] + 1.0 + (2j / math.pi) * (math.log(radius) + np.euler_gamma)
     )
     return s0
 
@@ -317,6 +312,11 @@ class BlochProblem:
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
 
+    @property
+    def lattice_order(self) -> int:
+        """Order of the lattice sums the matrix reads: 2N, at least 1."""
+        return max(2 * self.truncation, 1)
+
     def entries(self, omegas) -> tuple[np.ndarray, np.ndarray]:
         """The characteristic matrix ``T`` and its row scale at ``omegas``.
 
@@ -332,9 +332,8 @@ class BlochProblem:
         frequency as in a stack.
         """
         omega = np.asarray(omegas)
-        table = lattice_sum_table(
-            max(2 * self.truncation, 1), omega / self.material.v, self.alpha
-        )
+        table = lattice_sum_table(self.lattice_order, omega / self.material.v,
+                                  self.alpha)
         factors = cylinder_factors(
             omega, self.material, self.crystal.radius, self.truncation
         )

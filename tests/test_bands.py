@@ -621,13 +621,12 @@ def test_muller_iterate_beyond_the_lattice_sum_domain_is_unconverged():
     assert omegas == pytest.approx((0.064586339, 0.073818847), abs=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
 def test_slow_host_scan_past_every_reciprocal_point_of_the_window():
     # At v = 0.01 a ceiling of 0.45 puts k_hi + _FIT_BORDER = 48 past every
     # |p| of the window at (1, 0): the fit borders them all and is refused,
     # and the scan takes direct tables, finding the bands of a lower ceiling.
-    # (A grid wavenumber on an empty-lattice line makes its direct table
-    # warn; its row is NaN, inside the guard.)
+    # (The grid wavenumber 1.0 lies on the empty-lattice line |alpha|; its
+    # direct table row is NaN, inside the guard, and raises no warning.)
     alpha = (1.0, 0.0)
     found = bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.45)
     assert found == bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.3)

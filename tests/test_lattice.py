@@ -326,23 +326,40 @@ def test_nearest_margins_by_search_equal_empty_lattice_margin():
              for _ in range(100)]
     # k on an empty-lattice line, and in the zone near 0 at the zone centre
     for alpha in (lat.X_POINT, lat.M_POINT, (0.3, 2.1)):
-        cases.append((alpha, lat.resonance_norms(alpha, 6.0)[:12]))
+        cases.append((alpha, lat.LatticeSumEngine(alpha, 2)._norms[:12]))
     cases.append((lat.GAMMA_POINT, np.array([0.0, 1e-4, 0.01, 0.049, 0.05])))
     for alpha, ks in cases:
-        margins = lat.nearest_margins(lat.resonance_norms(alpha, 6.0), ks)
+        margins = lat.empty_lattice_margins(2, alpha, ks)
         assert margins.tolist() == [empty_lattice_margin(k, alpha) for k in ks]
         # The engine's guard searches the |p| of its window, or those left
         # after a drop mask, as a fit borders them; the guard then equals
-        # the full minimum over the kept points.
+        # the full minimum over the kept points.  A k on a line gets a NaN
+        # row, without a warning.
         engine = lat.LatticeSumEngine(alpha, 2)
         for drop in (None, engine._p_norm < 3.0, engine._p_norm < 8.0):
             kept = engine._p_norm if drop is None else engine._p_norm[~drop]
             near = np.concatenate([ks[ks > 0.0], kept[kept < 12.0][:8] + 0.005])
             near = near.astype(complex)
             in_guard = np.min(np.abs(near.real[:, None] - kept), axis=1) <= lat._GUARD
-            with np.errstate(invalid="ignore"):   # k on a line: a NaN row
-                table = engine._evaluate(near, drop)
+            table = engine._evaluate(near, drop)
             assert np.array_equal(table.in_guard, in_guard)
+
+
+@pytest.mark.parametrize("alpha", [
+    lat.GAMMA_POINT, lat.X_POINT, lat.M_POINT, (np.pi / 3, 0.0), (1.0, 0.0),
+    *np.random.default_rng(3).uniform(-np.pi, np.pi, (4, 2)),
+])
+def test_engine_margins_equal_the_full_empty_lattice_minimum_below_34(alpha):
+    # Every reciprocal point outside the window (|nu|_inf >= 6) has
+    # |p| >= 11 pi ~ 34.6, and the engine forms |p| as the oracle does, so
+    # on 0 <= k <= 34 its sorted |p| give the same margin floats as a full
+    # minimum over the empty lattice, on the lines and next to them too.
+    norms = lat.LatticeSumEngine(alpha, 1)._norms
+    lines = norms[norms <= 34.0]
+    ks = np.concatenate([np.linspace(0.0, 34.0, 1361), lines, lines + 0.003,
+                         np.maximum(lines - 0.05, 0.0)])
+    margins = lat.empty_lattice_margins(1, alpha, ks)
+    assert margins.tolist() == [empty_lattice_margin(k, alpha) for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +375,10 @@ def test_batched_table_matches_per_wavenumber_calls(order, alpha):
     # cached engine's table is the engine's own.  A batch of complex k (off
     # the real axis, as Muller's iterates are) is compared with single
     # complex calls.
-    guard = [q - 0.004 for q in lat.resonance_norms(alpha, 5.0) if 0.1 < q < 5.0]
+    engine = lat.LatticeSumEngine(alpha, order)
+    guard = [q - 0.004 for q in engine._norms if 0.1 < q < 5.0]
     ks = np.unique(np.concatenate([np.linspace(0.02, 0.5, 9),
                                    np.linspace(0.6, 5.0, 23), guard]))
-    engine = lat.LatticeSumEngine(alpha, order)
     default = engine.table(ks)
     cached = lat.lattice_sum_table(order, ks, alpha)
     assert default.in_guard.sum() >= 1 and default.converged.all()

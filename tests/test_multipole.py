@@ -36,7 +36,6 @@ def test_material_params_derived_quantities():
     assert mat.delta == pytest.approx(0.25, rel=1e-15)
     assert mat.v == pytest.approx(2.0, rel=1e-15)
     assert mat.v_b == pytest.approx(2.0, rel=1e-15)
-    assert mat.tau == pytest.approx(1.0, rel=1e-15)
 
 
 def test_material_params_rejects_nonpositive():
