@@ -28,33 +28,19 @@ of the spatial part stops at ``_J_CAP`` terms, which bounds the wavenumbers
 to k <~ 12.1: above that its tail misses at every window.  Evaluation is
 organised around per-``alpha`` engines that precompute every k-independent
 quantity, making a full table of Q_{-order_max}..Q_{order_max} an
-O(10^5)-flop operation -- cheap enough to sit inside frequency scans.
-Valid also slightly off the real k axis (Re k > 0), which the complex root
-refinement relies on.
+O(10^5)-flop operation -- cheap enough to sit inside band counts.  The
+wavenumbers are real: every band search works on the real frequency axis.
 
 A table is computed for a 1-D array of wavenumbers in one pass (a batch);
 a single wavenumber is the batch of one.  The spectral and spatial sums
 are contractions over the lattice points that keep the wavenumber as a
 stack axis, so a wavenumber gets bitwise the same table in a batch of any
-size.  (A batch with no complex wavenumber runs in real arithmetic where
-it can, so a real wavenumber gets that table in such batches only.)  The
-guard and the tail test act per wavenumber: a wavenumber that fails either
-is marked and gets NaN values, alone as in a batch; the guard searches the
-sorted ``|p|`` the table sums over (``nearest_margins``), and with none
-left guards nothing.  Muller's iterates and the acceptance test of the
-band search (``bands``) take such tables.
-
-The band scan itself reads ``LatticeSumFit``, a Chebyshev fit in z = k^2
-of the sums along one Bloch vector, built once per scan over its real
-wavenumber range.  Leaving the reciprocal points near the range out of the
-spectral sum (``_evaluate``'s ``drop``) removes their poles, so the sum is
-analytic in z once its k^-|n| growth and the log k of the central term are
-taken out; the left-out terms are added back in closed form.  The fit is
-checked against direct tables between its nodes and refused where it
-misses their ``est_error`` or where the sums fail the tail test (past
-k ~ 12.1); the scan then takes direct batches of ``bands._CHUNK_ENTRIES``
-entries of (2N+1)-square matrices.  The fit is not evaluated off the real
-axis, where its error has not been measured.
+size.  Next to an empty-lattice resonance the sums are large but accurate;
+the tail test acts per wavenumber, and a wavenumber that fails it, or
+whose sums are not finite (one exactly on a resonance), is marked and gets
+NaN values, alone as in a batch.  The sorted ``|p|`` of each engine's
+window also count the resonances below a wavenumber
+(``empty_lattice_count``), which the band count reads.
 
 All conventions (phases, prefactors, the n < 0 continuation) are pinned by
 the test suite against an independent brute-force summation and against
@@ -82,16 +68,9 @@ _ETA = math.sqrt(math.pi)
 #: Largest admissible truncation tail of a table above the roundoff floor
 #: (see ``table``).
 _TABLE_TOL = 1e-8
-#: Smallest admissible distance of Re k from an empty-lattice resonance.
-_GUARD = 0.01
 
 _WINDOW = 5            # Ewald windows |m|_inf <= window (m != 0), |nu|_inf <= window
 _J_CAP = 40            # series depth of the spatial radial functions
-#: Chebyshev fit of a scan's lattice sums (``LatticeSumFit``): the number of
-#: nodes in z = k^2, and how far past the top wavenumber the reciprocal
-#: points whose poles are taken out reach.
-_FIT_NODES = 32
-_FIT_BORDER = 3.0
 
 
 def as_bloch(alpha) -> np.ndarray:
@@ -108,23 +87,6 @@ def as_bloch(alpha) -> np.ndarray:
     return arr.copy()
 
 
-def nearest_margins(norms: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Distance from each ``k`` to the nearest ``|p|`` of the sorted ``norms``.
-
-    ``norms`` are the ``|p|`` of an engine's window, or those a table sums
-    over.  A sorted search finds the two norms that bracket each ``k``; the
-    nearer one gives the same float as a full minimum of ``|k - |p||``.  No
-    norms give ``inf``.
-    """
-    if not norms.size:
-        return np.full(np.shape(ks), math.inf)
-    above = np.searchsorted(norms, ks)
-    return np.minimum(
-        np.abs(ks - norms[np.maximum(above - 1, 0)]),
-        np.abs(ks - norms[np.minimum(above, norms.size - 1)]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # table value object
 # ---------------------------------------------------------------------------
@@ -135,13 +97,12 @@ class LatticeSumTable:
 
     A batch table holds the sums at each wavenumber of a 1-D array ``k``
     (see ``LatticeSumEngine.table``): ``values`` then has one row per
-    wavenumber and ``est_error``, ``in_guard`` and ``converged`` one entry.
+    wavenumber and ``est_error`` and ``converged`` one entry.
 
     Attributes
     ----------
-    k : complex or ndarray
-        Wavenumber (real on the physical axis; complex during refinement),
-        or the 1-D array of wavenumbers of a batch.
+    k : float or ndarray
+        Real wavenumber, or the 1-D array of wavenumbers of a batch.
     alpha : ndarray
         Bloch vector, shape (2,).
     order_max : int
@@ -149,27 +110,25 @@ class LatticeSumTable:
     values : ndarray
         ``Q_{-order_max} .. Q_{order_max}``, length ``2 * order_max + 1``;
         shape ``(K, 2 * order_max + 1)`` for a batch of K wavenumbers.  A
-        row is NaN wherever ``in_guard`` is set or ``converged`` is not.
+        row is NaN wherever ``converged`` is not set.
     est_error : float or ndarray
         Internal absolute error estimate (max over orders): window-tail
         bound plus a roundoff floor proportional to the gross magnitude of
         the summed terms.  May exceed the requested tolerance when the
         high-order sums are intrinsically large (small-k tables); those
         orders are converged relative to their own size instead.
-    in_guard, converged : bool or ndarray
-        Whether Re k lies within ``_GUARD`` of an empty-lattice resonance,
-        and whether every order's truncation tail met ``_TABLE_TOL`` or
-        its roundoff floor (see ``LatticeSumEngine.table``).  ``values`` is
-        NaN wherever either flag marks a failure, at one wavenumber as in a
+    converged : bool or ndarray
+        Whether every order is finite and its truncation tail met
+        ``_TABLE_TOL`` or its roundoff floor (see ``LatticeSumEngine.table``).
+        ``values`` is NaN wherever it is not set, at one wavenumber as in a
         batch.
     """
 
-    k: complex | np.ndarray
+    k: float | np.ndarray
     alpha: np.ndarray = field(repr=False)
     order_max: int
     values: np.ndarray = field(repr=False)
     est_error: float | np.ndarray
-    in_guard: bool | np.ndarray = False
     converged: bool | np.ndarray = True
 
     def value(self, n: int) -> complex:
@@ -319,7 +278,8 @@ class LatticeSumEngine:
         mx, my, r, unit_pow, coeff = _spatial_coefficients(order_max, window)
         self._spat_ring = (np.maximum(np.abs(mx), np.abs(my)) == window).astype(float)
         self._coeff = coeff
-        self._j_cap_abs = np.sum(np.abs(coeff[:, _J_CAP, :]), axis=1)
+        # gross sizes of the last two terms of the radial series, per order
+        self._series_end_abs = np.sum(np.abs(coeff[:, _J_CAP - 1 :, :]), axis=2)
         # The spatial sums contract the real radial functions with the real
         # and imaginary parts of e^{-i alpha.m} e^{+i s phi} and
         # e^{-i alpha.m} e^{-i s phi}, stacked as the last axis, so that no
@@ -347,97 +307,76 @@ class LatticeSumEngine:
         """All Q_n for |n| <= order_max at wavenumber ``k``, or at each k of a 1-D array.
 
         A 1-D array is evaluated in one pass and returns a batch table; a
-        single ``k`` is the batch of one.  The guard and the convergence
-        test act per wavenumber.  A wavenumber with Re k within ``_GUARD``
-        of an empty-lattice resonance is marked in ``in_guard``; one where
-        any order's truncation tail exceeds both ``_TABLE_TOL`` -- measured
-        absolutely for sums of magnitude <= 1 and relative to the sum's own
-        size for larger ones -- and that order's roundoff floor is marked
-        ``converged = False``.  Either gives it NaN values, without
-        affecting the others.
+        single ``k`` is the batch of one.  The convergence test acts per
+        wavenumber: one where any order is not finite (k exactly on an
+        empty-lattice resonance), where the terms of the radial series
+        still grow at its ``_J_CAP`` cap (k >~ 22), or where any order's
+        truncation tail exceeds both ``_TABLE_TOL`` -- measured absolutely
+        for sums of magnitude <= 1 and relative to the sum's own size for
+        larger ones -- and that order's roundoff floor, is marked
+        ``converged = False`` and gets NaN values, without affecting the
+        others.
 
         Raises
         ------
         ValueError
-            If any Re k <= 0 or |Im k| > 1.
+            If any k is complex or not positive.
         """
-        ks = np.asarray(k, dtype=complex)
+        if np.iscomplexobj(k):
+            raise ValueError("lattice sums take real wavenumbers")
+        ks = np.asarray(k, dtype=float)
         if ks.ndim > 1:
             raise ValueError("k must be a scalar or a 1-D array")
-        if np.any(ks.real <= 0.0):
-            raise ValueError("Re k must be positive")
-        if np.any(np.abs(ks.imag) > 1.0):
-            raise ValueError("lattice sums support |Im k| <= 1")
+        if not np.all(ks > 0.0):
+            raise ValueError("k must be positive")
         batch = self._evaluate(ks.reshape(-1))
         if ks.ndim == 1:
             return batch
-        kc = complex(ks)
         return LatticeSumTable(
-            k=kc if kc.imag else complex(kc.real),
+            k=float(ks),
             alpha=self.alpha,
             order_max=self.order_max,
             values=batch.values[0],
             est_error=float(batch.est_error[0]),
-            in_guard=bool(batch.in_guard[0]),
             converged=bool(batch.converged[0]),
         )
 
-    def _evaluate(
-        self, ks: np.ndarray, drop: np.ndarray | None = None
-    ) -> LatticeSumTable:
-        """Batch table at the 1-D complex array ``ks``.
-
-        ``drop`` masks reciprocal points whose spectral terms are left out
-        (their weights set to zero), which removes their poles; the guard
-        then looks at the remaining points only.
-        """
+    def _evaluate(self, ks: np.ndarray) -> LatticeSumTable:
+        """Batch table at the 1-D array of positive wavenumbers ``ks``."""
         S = self.order_max
-        kept = self._norms if drop is None else np.sort(self._p_norm[~drop])
-        in_guard = nearest_margins(kept, ks.real) <= _GUARD
-        is_real = not np.any(ks.imag)
 
         # ---- spectral part ------------------------------------------------
         w = _spectral_weights(ks, self._p_norm2)
-        if drop is not None:
-            w[:, drop] = 0.0
         k_pow = ks[:, None] ** (-np.arange(S + 1.0))
 
         # ---- spatial part -------------------------------------------------
         # povs[k, s, 0, j] = (k/2)^(2j - s); radial[k, s, 0, pt] = sum_j
-        # povs[k, s, 0, j] coeff[s, j, pt], real for real k.  Every
-        # contraction keeps k as a stack axis of one-row products, so a
-        # wavenumber's sums take the same floating-point steps in a batch of
-        # any size: the odd orders at the corner Bloch vectors are roundoff
-        # of huge terms, and a batch must reproduce them exactly.
-        half_k = 0.5 * ks
-        log_half_k = np.log(half_k.real if is_real else half_k)
+        # povs[k, s, 0, j] coeff[s, j, pt].  Every contraction keeps k as a
+        # stack axis of one-row products, so a wavenumber's sums take the
+        # same floating-point steps in a batch of any size: the odd orders
+        # at the corner Bloch vectors are roundoff of huge terms, and a
+        # batch must reproduce them exactly.
+        log_half_k = np.log(0.5 * ks)
         povs = np.exp(log_half_k[:, None, None, None] * self._povs_expo[:, None, :])
-        if is_real:
-            radial, radial_imag = povs @ self._coeff, None
-        else:
-            radial = np.ascontiguousarray(povs.real) @ self._coeff
-            radial_imag = np.ascontiguousarray(povs.imag) @ self._coeff
+        radial = povs @ self._coeff
 
         # ---- assembly and error estimate ----------------------------------
-        values = self._sum_orders(w, k_pow, radial, radial_imag)
+        values = self._sum_orders(w, k_pow, radial)
         values[:, S] += _central_term(ks)
 
-        abs_k_pow = np.abs(k_pow)
         ring_w = np.abs(w[:, None, self._spec_ring])
-        spec_tail = 4.0 * abs_k_pow * (ring_w @ self._ring_p_abs)[:, 0]
+        spec_tail = 4.0 * k_pow * (ring_w @ self._ring_p_abs)[:, 0]
         # |radial|, in place: the radial tensor is no longer needed
-        if radial_imag is None:
-            abs_radial = np.abs(radial, out=radial)[:, :, 0]
-        else:
-            abs_radial = np.hypot(radial, radial_imag, out=radial)[:, :, 0]
+        abs_radial = np.abs(radial, out=radial)[:, :, 0]
         spat_tail = (abs_radial @ self._spat_ring) / np.pi
-        j_tail = np.abs(povs[:, :, 0, _J_CAP]) * self._j_cap_abs / np.pi
+        last_terms = povs[:, :, 0, _J_CAP - 1 :] * self._series_end_abs / np.pi
+        j_tail = last_terms[..., 1]
         # Roundoff floor: the windows truncate far below machine precision,
         # so the estimate must also cover cancellation noise, proportional to
         # the gross (unsigned) magnitude of the summed terms.  Without it,
         # exact zeros (odd orders at the corner Bloch vectors) would sit above
         # a pure tail estimate.
-        gross_spec = 4.0 * abs_k_pow * (np.abs(w)[:, None] @ self._p_pow_abs)[:, 0]
+        gross_spec = 4.0 * k_pow * (np.abs(w)[:, None] @ self._p_pow_abs)[:, 0]
         gross_spat = np.sum(abs_radial, axis=-1) / np.pi
         floors = 32.0 * np.finfo(float).eps * (gross_spec + gross_spat + 2.0)
         tails = spec_tail + spat_tail + 2.0 * j_tail
@@ -451,18 +390,26 @@ class LatticeSumEngine:
         # floor passes too: the sum is already that uncertain, and wider
         # windows cannot reduce cancellation noise (the orders that vanish
         # by symmetry at the corner Bloch vectors are roundoff of huge terms).
+        # Exactly on a resonance the floor is infinite and passes every
+        # tail, so the sums must also be finite.  The last term of the radial
+        # series bounds its tail only while the terms shrink; past k ~ 22 they
+        # still grow at the cap, the partial sums are meaningless and so is
+        # their floor, so the terms must shrink there too.
         scales = np.maximum(
             1.0, np.maximum(np.abs(values[:, S:]), np.abs(values[:, S::-1]))
         )
-        converged = ~np.any(tails > np.maximum(_TABLE_TOL * scales, floors), axis=1)
-        values[in_guard | ~converged] = np.nan
+        converged = (
+            np.all(np.isfinite(values), axis=1)
+            & np.all(last_terms[..., 1] <= last_terms[..., 0], axis=1)
+            & ~np.any(tails > np.maximum(_TABLE_TOL * scales, floors), axis=1)
+        )
+        values[~converged] = np.nan
         return LatticeSumTable(
             k=ks,
             alpha=self.alpha,
             order_max=S,
             values=values,
             est_error=np.max(tails + floors, axis=1),
-            in_guard=in_guard,
             converged=converged,
         )
 
@@ -491,40 +438,24 @@ class LatticeSumEngine:
         limits[S] += -1.0 - (1j / np.pi) * (np.euler_gamma - 2.0 * np.log(_ETA))
         return limits
 
-    def _spectral_orders(self, w, k_pow, p_pow):
-        """Spectral sums of orders ``0..order_max`` and ``0..-order_max``.
-
-        ``w[k, p]`` holds the spectral weights, ``k_pow[k, s]`` the factors
-        ``k^-s`` and ``p_pow[p, s]`` the powers ``(px + i py)^s`` of the
-        reciprocal points summed over.  Returns ``sum_p (px + i py)^s W_p``
-        and its conjugate-power twin, each with its prefactor.
-        """
-        # k on an empty-lattice line: an infinite weight, a NaN row in the guard
-        with np.errstate(invalid="ignore"):
-            spec_pos = self._pref_pos * k_pow * (w[:, None] @ p_pow)[:, 0]
-            spec_neg = self._pref_pos * self._parity * k_pow * (
-                w[:, None] @ np.conj(p_pow)
-            )[:, 0]
-        return spec_pos, spec_neg
-
-    def _sum_orders(self, w, k_pow, radial, radial_imag=None) -> np.ndarray:
+    def _sum_orders(self, w, k_pow, radial) -> np.ndarray:
         """Orders -order_max..order_max of the spectral plus spatial sums.
 
         ``w[k, p]`` holds the spectral weights per wavenumber and reciprocal
         point, ``k_pow[k, s]`` the factors ``k^-s`` and ``radial[k, s, 0, pt]``
-        the (real part of the) radial functions per lattice point, with
-        ``radial_imag`` their imaginary part, ``None`` where it is zero.
-        Returns one row of orders per wavenumber; the order-0 central term
-        is left to the caller.
+        the radial functions per lattice point.  Returns one row of orders
+        per wavenumber; the order-0 central term is left to the caller.
         """
         S = self.order_max
-        spec_pos, spec_neg = self._spectral_orders(w, k_pow, self._p_pow)
+        # k on an empty-lattice line: an infinite weight, a NaN row
+        with np.errstate(invalid="ignore"):
+            spec_pos = self._pref_pos * k_pow * (w[:, None] @ self._p_pow)[:, 0]
+            spec_neg = self._pref_pos * self._parity * k_pow * (
+                w[:, None] @ np.conj(self._p_pow)
+            )[:, 0]
         # sums[k, s, 0 | 1]: radial against the + and - angular kernels
         parts = (radial @ self._spat_kernel)[:, :, 0]
         sums = parts[..., 0::2] + 1j * parts[..., 1::2]
-        if radial_imag is not None:
-            parts = (radial_imag @ self._spat_kernel)[:, :, 0]
-            sums = sums + 1j * (parts[..., 0::2] + 1j * parts[..., 1::2])
         base = -1j / np.pi
         spat_pos = base * self._parity * sums[..., 0]
         spat_neg = base * sums[..., 1]
@@ -532,122 +463,6 @@ class LatticeSumEngine:
         values[:, S::-1] = spec_neg + spat_neg
         values[:, S:] = spec_pos + spat_pos
         return values
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev fit of the pole-free sums along one Bloch vector
-# ---------------------------------------------------------------------------
-
-class LatticeSumFit:
-    """Lattice sums of one engine on a real wavenumber range, from a fit in k^2.
-
-    The reciprocal points with ``|p| < k_hi + _FIT_BORDER`` are bordered:
-    their spectral terms are left out of the engine's sum, which leaves the
-    sum ``Q~`` without poles on the range.  With the ``k^-|n|`` growth and
-    the ``log k`` of the order-0 central term taken out,
-
-        G_n = k^|n| Q~_n  (n != 0),    G_0 = Q~_0 + (2i/pi) log k,
-
-    is analytic in ``z = k^2`` (the spatial part is a polynomial in z, the
-    remaining spectral part meromorphic with its poles beyond the range), so
-    a Chebyshev interpolant at ``_FIT_NODES`` first-kind nodes on
-    ``[k_lo^2, k_hi^2]`` converges geometrically (Trefethen, *Approximation
-    Theory and Approximation Practice*, SIAM 2013, ch. 8).  ``table`` undoes
-    the two factors and adds the bordered spectral terms back in closed form.
-
-    Build it with :meth:`checked`, which compares the fit against direct
-    tables and refuses it when they disagree.
-    """
-
-    def __init__(self, engine: LatticeSumEngine, k_lo: float, k_hi: float) -> None:
-        S = engine.order_max
-        n = _FIT_NODES
-        self._engine = engine
-        self._centre = 0.5 * (k_hi * k_hi + k_lo * k_lo)
-        self._half = 0.5 * (k_hi * k_hi - k_lo * k_lo)
-        self._bordered = engine._p_norm < k_hi + _FIT_BORDER
-        self._orders = np.abs(np.arange(-S, S + 1))
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        ks = np.sqrt(self._centre + self._half * np.cos(theta))
-        # in halves, as the check below: a 32-wavenumber table of order 14
-        # holds about 0.75 MB while it is built, half that in two calls
-        nodes = [engine._evaluate(part, drop=self._bordered)
-                 for part in np.array_split(ks.astype(complex), 2)]
-        self._nodes_converged = all(np.all(part.converged) for part in nodes)
-        g = np.concatenate([part.values for part in nodes])
-        g *= ks[:, None] ** self._orders
-        g[:, S] += (2j / np.pi) * np.log(ks)
-        # cos(m theta_j) with the angle reduced exactly, in multiples of pi / 2n
-        quarter = np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
-        coeffs = (2.0 / n) * np.cos(0.5 * np.pi / n * quarter) @ g
-        coeffs[0] *= 0.5
-        self._coeffs = coeffs
-        self._error = 0.0
-
-    @classmethod
-    def checked(cls, engine: LatticeSumEngine, k_lo: float, k_hi: float):
-        """The fit of ``engine`` on ``[k_lo, k_hi]``, or None where it misses.
-
-        The fit is checked against ``engine.table`` at the ``_FIT_NODES - 1``
-        wavenumbers midway in angle between the nodes, and at ``k_hi``.  It
-        is refused when a node or a check point fails the tail test, or when
-        any order at a check point outside the guard misses the direct
-        table's ``est_error``.
-        """
-        fit = cls(engine, k_lo, k_hi)
-        if not fit._nodes_converged:
-            return None
-        n = _FIT_NODES
-        theta = np.pi * np.arange(1, n) / n
-        ks = np.append(np.sqrt(fit._centre + fit._half * np.cos(theta)), k_hi)
-        error = 0.0
-        for part in np.array_split(ks, 2):
-            direct = engine.table(part)
-            if not np.all(direct.converged):
-                return None
-            outside = ~direct.in_guard
-            miss = np.abs(fit.table(part[outside]).values - direct.values[outside])
-            if np.any(miss > direct.est_error[outside, None]):
-                return None
-            error = max(error, float(np.max(miss, initial=0.0)))
-        fit._error = error
-        return fit
-
-    def table(self, ks) -> LatticeSumTable:
-        """Batch table at the real wavenumbers ``ks`` of the fitted range.
-
-        Rows within ``_GUARD`` of an empty-lattice resonance are marked and
-        NaN, as in ``LatticeSumEngine.table``.  ``est_error`` is the fit's
-        largest deviation from the direct tables at its check points.
-        """
-        if np.iscomplexobj(ks):
-            raise ValueError("the fit is evaluated at real wavenumbers only")
-        engine = self._engine
-        S = engine.order_max
-        ks = np.asarray(ks, dtype=float)
-        x = np.clip((ks * ks - self._centre) / self._half, -1.0, 1.0)
-        basis = np.cos(np.arccos(x)[:, None] * np.arange(_FIT_NODES))
-        values = (basis @ self._coeffs) / ks[:, None] ** self._orders
-        values[:, S] -= (2j / np.pi) * np.log(ks)
-        # the bordered spectral terms; order 0 takes only the positive one,
-        # as in ``LatticeSumEngine._sum_orders``
-        bordered = self._bordered
-        w = _spectral_weights(ks, engine._p_norm2[bordered])
-        k_pow = ks[:, None] ** (-np.arange(S + 1.0))
-        pos, neg = engine._spectral_orders(w, k_pow, engine._p_pow[bordered])
-        values[:, :S] += neg[:, :0:-1]
-        values[:, S:] += pos
-        in_guard = nearest_margins(engine._norms, ks) <= _GUARD
-        values[in_guard] = np.nan
-        return LatticeSumTable(
-            k=ks,
-            alpha=engine.alpha,
-            order_max=S,
-            values=values,
-            est_error=np.full(ks.shape, self._error),
-            in_guard=in_guard,
-            converged=np.ones(ks.shape, dtype=bool),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -671,34 +486,24 @@ def _engine_for(alpha_key: bytes, order_max: int) -> LatticeSumEngine:
 def lattice_sum_table(order_max: int, k, alpha) -> LatticeSumTable:
     """Table of Q_n, |n| <= order_max, from the cached engine of ``alpha``.
 
-    ``k`` is one wavenumber or a 1-D array of them.  A wavenumber in the
-    guard or with unconverged sums is marked, with NaN values (see
-    ``LatticeSumEngine.table``).
+    ``k`` is one real wavenumber or a 1-D array of them.  A wavenumber
+    whose sums are not finite or fail the tail test is marked, with NaN
+    values (see ``LatticeSumEngine.table``).
     """
     return _engine_for(as_bloch(alpha).tobytes(), order_max).table(k)
 
 
-def empty_lattice_margins(order_max: int, alpha, ks) -> np.ndarray:
-    """``nearest_margins`` of the real ``ks`` over the cached engine's ``|p|``.
+def empty_lattice_count(order_max: int, alpha, ks) -> np.ndarray:
+    """``#{p : 0 < |p| < k}``, the empty-lattice resonances below each real ``k``.
 
-    The window holds every ``|p|`` below 11 pi, so the margins equal the
-    full minimum over the empty lattice for ``k`` up to about 34.
+    A sorted search of the ``|p|`` of the cached engine of ``alpha``.  The
+    window holds every ``|p|`` below 11 pi, so the count is that of the
+    full empty lattice for ``k`` up to about 34.
     """
-    engine = _engine_for(as_bloch(alpha).tobytes(), order_max)
-    return nearest_margins(engine._norms, ks)
+    norms = _engine_for(as_bloch(alpha).tobytes(), order_max)._norms
+    return np.searchsorted(norms, ks) - np.searchsorted(norms, 0.0, side="right")
 
 
 def lattice_sum_limits(order_max: int, alpha) -> np.ndarray:
     """k -> 0 limits ``L_n``, |n| <= order_max; see ``zero_k_limits``."""
     return _engine_for(as_bloch(alpha).tobytes(), order_max).zero_k_limits()
-
-
-def lattice_sum_fit(order_max: int, alpha, k_lo: float, k_hi: float):
-    """Checked fit of Q_n, |n| <= order_max, on ``[k_lo, k_hi]``, or None.
-
-    Built on the cached engine of ``alpha``; ``0 <= k_lo < k_hi``.  None
-    means the fit missed its check (see ``LatticeSumFit.checked``) and the
-    caller should use ``lattice_sum_table``.
-    """
-    engine = _engine_for(as_bloch(alpha).tobytes(), order_max)
-    return LatticeSumFit.checked(engine, float(k_lo), float(k_hi))

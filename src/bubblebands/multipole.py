@@ -39,6 +39,14 @@ and leaves row n of the ``(2N+1)``-square characteristic matrix
 an exact k -> 0 limit, formed from the k -> 0 limits of the lattice sums
 (``outer_block_limit``); it feeds the quasi-periodic capacity.
 
+At a real frequency off the empty-lattice resonances ``S`` is Hermitian,
+and so is ``H = diag(b / a) - delta dS S^-1``, the difference of the
+bubble's interior Dirichlet-to-Neumann map and ``delta`` times the
+perforated cell's exterior one; ``det T = det diag(a) det H det S``.  Both
+terms of ``H`` decrease in ``omega`` between its poles, so the inertia of
+``H`` and ``S`` at one frequency counts the bands below it
+(``BlochProblem.counts``), which is how the band search finds them.
+
 Derivative diagonals come from differentiating the one-sided interior /
 exterior expansions directly, which reproduces the unit jump to machine
 precision.  The blocks are built for all orders at once; sign and phase
@@ -50,6 +58,7 @@ truncated reciprocal lattice (the oracles of ``tests/oracles.py``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.special as sp
 
-from .lattice import LatticeSumTable, as_bloch, lattice_sum_table
+from .lattice import LatticeSumTable, as_bloch, empty_lattice_count, lattice_sum_table
 
 __all__ = [
     "MaterialParams",
@@ -66,6 +75,7 @@ __all__ = [
     "ZeroAlphaError",
     "outer_block_limit",
     "BlochProblem",
+    "BandCount",
     "assemble_characteristic_matrix",
 ]
 
@@ -144,11 +154,10 @@ def _cyl_tables(order_hi: int, z):
     ``z`` may also be an array: each table then gains its axes in front,
     shaped ``z.shape + (order_hi + 1,)``.  ``scipy.special.jv`` and
     ``hankel1`` (AMOS, Amos 1986) evaluate orders 0..order_hi+1 in one call
-    each, on the real axis and off it (root refinement at complex
-    frequencies) alike; ``Re z`` must be positive.  ``J`` is computed on its
-    own rather than as ``Re H1``, which would lose it under the dominant
-    ``Y`` at small ``z``.  Derivatives use ``C_n' = (C_{n-1} - C_{n+1}) / 2``
-    and ``C_0' = -C_1``.
+    each, on the real axis and off it alike; ``Re z`` must be positive.
+    ``J`` is computed on its own rather than as ``Re H1``, which would lose
+    it under the dominant ``Y`` at small ``z``.  Derivatives use
+    ``C_n' = (C_{n-1} - C_{n+1}) / 2`` and ``C_0' = -C_1``.
     """
     zc = np.asarray(z, dtype=complex)
     if np.any(zc.real <= 0.0):
@@ -289,6 +298,50 @@ def outer_block_limit(
     return s0
 
 
+#: Positive zeros of ``J_n`` kept per order (``_bessel_zeros``); the 32nd
+#: lies above 98 at every order, far past any ``kR`` or ``k_b R`` in use.
+_ZERO_COUNT = 32
+
+
+@functools.cache
+def _bessel_zeros(order: int) -> np.ndarray:
+    """The first ``_ZERO_COUNT`` positive zeros of ``J_order``, ascending.
+
+    Cached without eviction, which stays bounded: a problem reads orders
+    0..N, and the lattice sums it needs end at order 2N <= 30.
+    """
+    return sp.jn_zeros(order, _ZERO_COUNT)
+
+
+def _zero_count(x: np.ndarray, truncation: int) -> np.ndarray:
+    """Zeros of ``J_|n|`` below each ``x`` over ``n = -N..N``.
+
+    Each order ``n != 0`` counts twice, once for ``n`` and once for ``-n``.
+    """
+    total = np.zeros(x.shape, dtype=int)
+    for order in range(truncation + 1):
+        zeros = _bessel_zeros(order)
+        if np.any(x >= zeros[-1]):
+            raise ValueError("argument past the cached zeros of J_n")
+        total += (2 if order else 1) * np.searchsorted(zeros, x)
+    return total
+
+
+class BandCount(NamedTuple):
+    """The band count of a ``BlochProblem`` at a stack of real frequencies.
+
+    ``bands`` is the number of bands in ``(0, omega)``, ``poles`` the pole
+    count ``P(omega)`` of ``H`` and ``eigenvalues`` the ascending
+    eigenvalues of ``H`` (``BlochProblem.counts``), so that ``bands`` is
+    ``poles`` plus the number of negative eigenvalues.  A frequency
+    without a count has ``bands = poles = -1`` and NaN eigenvalues.
+    """
+
+    bands: np.ndarray
+    poles: np.ndarray
+    eigenvalues: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class BlochProblem:
     """The characteristic-matrix problem of one Bloch vector.
@@ -317,47 +370,38 @@ class BlochProblem:
         """Order of the lattice sums the matrix reads: 2N, at least 1."""
         return max(2 * self.truncation, 1)
 
+    def _blocks(self, omegas) -> tuple[CylinderFactors, np.ndarray, np.ndarray]:
+        """The cylinder factors and the ``(S, delta dS)`` blocks at real ``omegas``.
+
+        One lattice-sum batch at ``omegas / v``, read through
+        ``lattice_sum_table``, and one batch of cylinder factors.
+        """
+        omega = np.asarray(omegas)
+        material, radius = self.material, self.crystal.radius
+        truncation = self.truncation
+        k = omega / material.v
+        table = lattice_sum_table(self.lattice_order, k, self.alpha)
+        factors = cylinder_factors(omega, material, radius, truncation)
+        s_outer, ds_outer = _outer_block_matrices(k, radius, table, truncation, factors)
+        ds_outer *= material.delta
+        return factors, s_outer, ds_outer
+
     def entries(self, omegas) -> tuple[np.ndarray, np.ndarray]:
-        """The characteristic matrix ``T`` and its row scale at ``omegas``.
+        """The characteristic matrix ``T`` and its row scale at real ``omegas``.
 
         Returns ``T`` (module docstring) and its ``(2N+1,)`` row scale, or
-        for a 1-D array of K frequencies (positive real part) a
-        ``(K, 2N+1, 2N+1)`` stack and ``(K, 2N+1)`` scales built from one
-        lattice-sum batch.  ``row_scale[n] = hypot(|a_n| f_n, |b_n| p_n)``,
-        with ``p_n`` and ``f_n`` the max-norms of the block system's
-        pressure and flux rows n, so ``T[n] / row_scale[n]`` is the row that
-        eliminating inner density n by a rotation leaves in the
-        row-equilibrated block system.  A frequency whose lattice sums fail
-        the guard or the tail test gets NaN in every entry and scale, at one
-        frequency as in a stack.
+        for a 1-D array of K frequencies a ``(K, 2N+1, 2N+1)`` stack and
+        ``(K, 2N+1)`` scales built from one lattice-sum batch.
+        ``row_scale[n] = hypot(|a_n| f_n, |b_n| p_n)``, with ``p_n`` and
+        ``f_n`` the max-norms of the block system's pressure and flux rows
+        n, so ``T[n] / row_scale[n]`` is the row that eliminating inner
+        density n by a rotation leaves in the row-equilibrated block
+        system.  A frequency whose lattice sums fail (exactly on an
+        empty-lattice resonance, or past the tail test) gets NaN in every
+        entry and scale, at one frequency as in a stack.
         """
-        omega = np.asarray(omegas)
-        table = lattice_sum_table(self.lattice_order, omega / self.material.v,
-                                  self.alpha)
-        factors = cylinder_factors(
-            omega, self.material, self.crystal.radius, self.truncation
-        )
-        return self.entries_from(omega, table, factors)
-
-    def entries_from(
-        self, omegas, table: LatticeSumTable, factors: CylinderFactors
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``entries`` at ``omegas`` from lattice sums and cylinder factors given there.
-
-        ``table`` holds the lattice sums at ``omegas / v`` (orders up to at
-        least 2N) and ``factors`` the ``cylinder_factors`` at ``omegas``.
-        The frequency scan passes tables it got more cheaply than
-        ``entries`` would (``bands``).
-        """
-        omega = np.asarray(omegas)
-        material, truncation = self.material, self.truncation
-        k = omega / material.v
-        s_outer, ds_outer = _outer_block_matrices(
-            k, self.crystal.radius, table, truncation, factors
-        )
-        ds_outer *= material.delta
-
-        idx = np.abs(np.arange(-truncation, truncation + 1))
+        factors, s_outer, ds_outer = self._blocks(omegas)
+        idx = np.abs(np.arange(-self.truncation, self.truncation + 1))
         a = factors.a[..., idx]
         b = factors.b[..., idx]
         matrix = b[..., None] * s_outer - a[..., None] * ds_outer
@@ -365,6 +409,87 @@ class BlochProblem:
         pressure = np.maximum(np.abs(a), np.max(np.abs(s_outer), axis=-1))
         flux = np.maximum(np.abs(b), np.max(np.abs(ds_outer), axis=-1))
         return matrix, np.hypot(np.abs(a) * flux, np.abs(b) * pressure)
+
+    def hermitian_pair(self, omegas) -> tuple[np.ndarray, np.ndarray]:
+        """The Hermitian matrices ``S`` and ``H`` at the real ``omegas``.
+
+        ``S`` is the outer block of the module docstring and
+        ``H = diag(b / a) - delta dS S^-1``, with ``b_n / a_n =
+        k_b J'_|n|(k_b R) / J_|n|(k_b R)``, the bubble's interior
+        Dirichlet-to-Neumann map; ``dS S^-1`` is the exterior one of the
+        perforated cell.  For a 1-D array of K frequencies both are
+        ``(K, 2N+1, 2N+1)`` stacks from one lattice-sum batch.  Both are
+        Hermitian for real ``omega`` off the empty-lattice resonances and
+        are returned as computed, before any symmetrisation.  A frequency
+        whose matrices are not finite (lattice sums exactly on a resonance
+        or past the tail test) gets NaN in both.  ``det T = det diag(a)
+        det H det S``, so the bands are the frequencies where ``H`` is
+        singular.
+        """
+        factors, s_mat, ds_mat = self._blocks(omegas)
+        truncation = self.truncation
+        idx = np.abs(np.arange(-truncation, truncation + 1))
+        interior = (factors.b / factors.a).real[..., idx]
+        finite = np.all(np.isfinite(s_mat), axis=(-2, -1)) & np.all(
+            np.isfinite(interior), axis=-1)
+        h_mat = np.full_like(s_mat, np.nan)
+        s_mat[~finite] = np.nan
+        if np.any(finite):
+            # dS S^-1 as the transpose of the solve of S^T X = dS^T
+            dtn = np.linalg.solve(np.swapaxes(s_mat[finite], -1, -2),
+                                  np.swapaxes(ds_mat[finite], -1, -2))
+            h = -np.swapaxes(dtn, -1, -2)
+            diag = np.arange(idx.size)
+            h[..., diag, diag] += interior[finite]
+            h_mat[finite] = h
+        return s_mat, h_mat
+
+    def counts(self, omegas) -> BandCount:
+        """The band count at the 1-D array of real, positive ``omegas``.
+
+        The number of bands in ``(0, omega)`` is ``n_-(H) + P(omega)``, the
+        negative eigenvalues of ``H`` (``hermitian_pair``) plus the poles
+        of ``H`` below ``omega``, all from one frequency (Wittrick and
+        Williams, Q. J. Mech. Appl. Math. 24 (1971) 263-284, for dynamic
+        stiffness matrices; Friedlander, Arch. Rational Mech. Anal. 116
+        (1991) 153-160, for Dirichlet-to-Neumann maps):
+
+            P = n_-(S) - n_0 + L(k) - Z(kR) + Z(k_b R),
+
+        with ``n_0 = 2N + 1`` off the zone centre and ``2N`` at it (the
+        negative eigenvalues of ``S`` as k -> 0), ``L(k)`` the empty-lattice
+        resonances below ``k`` (``lattice.empty_lattice_count``) and ``Z``
+        the zeros of ``J_|n|`` below its argument over ``n = -N..N``.  Both
+        terms of ``H`` decrease in ``omega`` between its poles, so the count
+        never decreases.  At the zone centre it includes the zero band.
+        Both matrices are symmetrised, ``(M + M^H) / 2``, before their
+        eigenvalues are taken.  A frequency whose matrices are not finite
+        gets no count (``BandCount``).
+        """
+        s_mat, h_mat = self.hermitian_pair(omegas)
+        omega = np.asarray(omegas, dtype=float)
+        truncation, radius = self.truncation, self.crystal.radius
+        finite = np.all(np.isfinite(h_mat), axis=(-2, -1))
+        eigenvalues = np.full(h_mat.shape[:-1], np.nan)
+        bands = np.full(omega.shape, -1)
+        poles = np.full(omega.shape, -1)
+        if np.any(finite):
+            def hermitian(m):
+                return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+
+            eigenvalues[finite] = np.linalg.eigvalsh(hermitian(h_mat[finite]))
+            outer = np.sum(np.linalg.eigvalsh(hermitian(s_mat[finite])) < 0.0, axis=-1)
+            k = omega[finite] / self.material.v
+            k_b = omega[finite] / self.material.v_b
+            start = 2 * truncation + bool(np.any(self.alpha))
+            poles[finite] = (
+                outer - start
+                + empty_lattice_count(self.lattice_order, self.alpha, k)
+                - _zero_count(k * radius, truncation)
+                + _zero_count(k_b * radius, truncation)
+            )
+            bands[finite] = poles[finite] + np.sum(eigenvalues[finite] < 0.0, axis=-1)
+        return BandCount(bands, poles, eigenvalues)
 
 
 def assemble_characteristic_matrix(
@@ -374,17 +499,11 @@ def assemble_characteristic_matrix(
 
     ``T`` is the dense ``(2N+1)``-square complex matrix of the module
     docstring, rows and columns ordered ``n = -N..N``, whose singular
-    frequencies are the band frequencies.  ``omega`` may sit slightly off
-    the real axis (the complex root refinement needs this); its real part
-    must be positive, and a zero imaginary part is dropped so that the
-    real-frequency tables are used.  Within ``lattice._GUARD`` of an
-    empty-lattice resonance, or where the lattice sums miss their
-    tolerance, every entry is NaN.  This is ``problem.entries`` at one
-    frequency, with the frequency checked.
+    frequencies are the band frequencies.  ``omega`` must be real and
+    positive.  Where the lattice sums fail (exactly on an empty-lattice
+    resonance, or past the tail test), every entry is NaN.  This is
+    ``problem.entries`` at one frequency, with the frequency checked.
     """
-    omega_c = complex(omega)
-    if omega_c.real <= 0.0:
-        raise ValueError("omega must have positive real part")
-    if omega_c.imag == 0.0:
-        omega_c = omega_c.real
-    return problem.entries(omega_c)
+    if np.iscomplexobj(omega) or not float(omega) > 0.0:
+        raise ValueError("omega must be real and positive")
+    return problem.entries(float(omega))

@@ -520,3 +520,18 @@ def empty_lattice_margin(k: float, alpha) -> float:
     if qn.size == 0:
         return k + 2.0 * np.pi
     return float(np.min(np.abs(k - qn)))
+
+
+def empty_lattice_count(k: float, alpha) -> int:
+    """Number of empty-lattice resonances ``0 < |q| < k``, by full enumeration.
+
+    Counts the reciprocal points ``q = 2 pi nu + alpha`` over every ``nu``
+    that can reach below ``k``.
+    """
+    alpha = as_bloch(alpha)
+    reach = int(np.ceil((float(k) + np.pi * np.sqrt(2.0)) / (2.0 * np.pi))) + 1
+    ii = 2.0 * np.pi * np.arange(-reach, reach + 1)
+    qx = (ii + alpha[0])[:, None]
+    qy = (ii + alpha[1])[None, :]
+    qn = np.sqrt(qx * qx + qy * qy).ravel()
+    return int(np.sum((qn > 0.0) & (qn < k)))

@@ -30,8 +30,6 @@ from bubblebands import lattice as lat
 from bubblebands import multipole as mp
 from bubblebands.bands import (
     BandNotFoundError,
-    RejectedRootError,
-    RootNotConvergedError,
     band_structure,
     resonance_near,
     retruncated_root,
@@ -359,7 +357,7 @@ def _re_refined_drift(omega, alpha, material, crystal, truncation):
     try:
         moved = retruncated_root(omega, alpha, material, crystal, truncation)
         return abs(moved - omega), moved
-    except (RootNotConvergedError, RejectedRootError):
+    except BandNotFoundError:
         try:
             moved = resonance_near(omega, alpha, material, crystal, truncation + 2)
             return abs(moved - omega), moved
@@ -442,7 +440,7 @@ def test_acceptance_7_truncation_stability(
                     f"moves only {abs(twice - moved):.1e}, so the drift "
                     f"reflects the pinned low truncation, not the solver"
                 )
-            except (RootNotConvergedError, RejectedRootError):
+            except BandNotFoundError:
                 followup = ""
         detail = (
             f"{exceeded} of {checked} reported roots exceed the stability "

@@ -1,4 +1,9 @@
-"""Root search and band-structure sweep: scan, Muller refinement, path."""
+"""Root search and band-structure sweep: the count search, the polish, the path.
+
+Several tests keep the names they had when the search scanned a frequency
+grid and refined its minima with Muller's method.  Each now checks the part
+of the count search that took that role; its comment says which.
+"""
 
 import gc
 import math
@@ -14,16 +19,14 @@ from bubblebands.bands import (
     BandNotFoundError,
     BandPoint,
     BandStructure,
-    RejectedRootError,
     RootDiagnostics,
-    RootNotConvergedError,
     band_structure,
     bands_at,
-    muller_refine,
     resonance_near,
     retruncated_root,
 )
 from bubblebands.multipole import (
+    BandCount,
     BlochProblem,
     DiskCrystal,
     MaterialParams,
@@ -83,6 +86,20 @@ def test_indicator_of_a_nonfinite_matrix_is_an_inf_row():
     assert np.array_equal(values[[0, 2]], np.ones((2, 4)))
 
 
+# The least eigenvalue of the Gram matrix of each equilibrated matrix is an
+# independent route to the smallest singular value squared: the reference
+# for the SVD indicator in the tests below.
+
+def _least_gram_eigenvalues(pair):
+    stack, row_scale = pair
+    finite = np.all(np.isfinite(stack), axis=(-2, -1))
+    values = np.full(stack.shape[0], math.inf)
+    part = stack[finite] / row_scale[finite][..., None]
+    if part.size:
+        values[finite] = np.linalg.eigvalsh(part.conj().swapaxes(-1, -2) @ part)[:, 0]
+    return values
+
+
 def _gram_roundoff(size, sigma_max):
     """Absolute bound on |lambda_min(E^H E) - sigma_min(E)**2| for ``E`` of ``size``."""
     return 64 * size * np.finfo(float).eps * sigma_max**2
@@ -106,10 +123,10 @@ def _random_stack(seed, count, size):
 def _assert_gram_matches_svd(pair):
     size = pair[0].shape[-1]
     spectra = bands._singular_values(pair)
-    values = bands._least_gram_eigenvalues(pair)
+    values = _least_gram_eigenvalues(pair)
     for value, spectrum in zip(values, spectra):
         assert abs(value - spectrum[-1] ** 2) <= _gram_roundoff(size, spectrum[0])
-    return values
+    return spectra
 
 
 @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
@@ -124,18 +141,19 @@ def test_gram_eigenvalue_is_the_squared_smallest_singular_value(material, crysta
 
 def test_gram_eigenvalue_of_random_stacks_with_a_rank_deficient_matrix():
     for seed, size in ((0, 14), (1, 30)):
-        values = _assert_gram_matches_svd(_random_stack(seed, 6, size))
+        spectra = _assert_gram_matches_svd(_random_stack(seed, 6, size))
         # sigma_max <= size once every entry is at most 1 in modulus
-        assert abs(values[1]) <= _gram_roundoff(size, 1.0 * size)
-        assert np.all(values[[0, 2, 3, 4, 5]] > _gram_roundoff(size, 1.0 * size))
+        assert spectra[1, -1] ** 2 <= _gram_roundoff(size, 1.0 * size)
+        assert np.all(spectra[[0, 2, 3, 4, 5], -1] ** 2
+                      > _gram_roundoff(size, 1.0 * size))
 
 
 def test_gram_eigenvalue_marks_only_nonfinite_matrices():
     stack, scale = _random_stack(2, 5, 14)
-    clean = bands._least_gram_eigenvalues((stack, scale))
+    clean = bands._singular_values((stack, scale))
     stack[1, 3, 5] = np.nan
     stack[3, 0, 0] = np.inf
-    values = bands._least_gram_eigenvalues((stack, scale))
+    values = bands._singular_values((stack, scale))
     assert np.all(np.isinf(values[[1, 3]]))
     assert np.array_equal(values[[0, 2, 4]], clean[[0, 2, 4]])
 
@@ -146,93 +164,108 @@ def test_gram_eigenvalue_in_a_stack_equals_its_batch_of_one(alpha):
     pairs = [BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3).entries(omegas),
              _random_stack(3, 5, 30)]
     for stack, scale in pairs:
-        values = bands._least_gram_eigenvalues((stack, scale))
+        values = bands._singular_values((stack, scale))
         for k, value in enumerate(values):
-            single = bands._least_gram_eigenvalues((stack[k : k + 1], scale[k : k + 1]))
-            assert single[0] == value
+            single = bands._singular_values((stack[k : k + 1], scale[k : k + 1]))
+            assert np.array_equal(single[0], value)
 
 
 # ---------------------------------------------------------------------------
-# Muller refinement on generic functions
+# the polish (Brent's method), on generic functions; these tests once
+# checked Muller's method, which it replaced
 # ---------------------------------------------------------------------------
 
 def test_muller_finds_sqrt_two():
-    result = muller_refine(lambda x: x * x - 2.0, 1.0, 2.0, 1.5)
-    assert result.root.real == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert abs(result.root.imag) < 1e-12
+    root, evaluations = bands._brent(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 2.0)
+    assert root == pytest.approx(math.sqrt(2.0), rel=4e-16)
+    assert 1 <= evaluations <= 12
 
 
 def test_muller_finds_nearest_root_of_quadratic():
-    result = muller_refine(lambda x: (x - 0.3) * (x + 5.0), 0.0, 1.0, 0.5)
-    assert result.root.real == pytest.approx(0.3, abs=1e-10)
-
-
-def test_muller_reaches_complex_root_from_real_starts():
-    result = muller_refine(lambda x: x * x + 1.0, -1.0, 1.0, 0.5)
-    assert abs(result.root.imag) == pytest.approx(1.0, abs=1e-10)
+    # Brent keeps to its bracket: of the roots 0.3 and -5 it finds 0.3.
+    f = lambda x: (x - 0.3) * (x + 5.0)
+    root, _ = bands._brent(f, 0.0, 1.0, f(0.0), f(1.0))
+    assert root == pytest.approx(0.3, abs=1e-15)
 
 
 def test_muller_requires_distinct_starts():
-    with pytest.raises(ValueError):
-        muller_refine(lambda x: x, 1.0, 1.0, 2.0)
+    # A bracket of zero width is its own root: no evaluation is made.
+    def never(x):
+        raise AssertionError("evaluated")
+
+    assert bands._brent(never, 1.5, 1.5, 1.0, -1.0) == (1.5, 0)
 
 
-def test_muller_flat_function_raises_not_converged():
-    with pytest.raises(RootNotConvergedError):
-        muller_refine(lambda x: 1.0 + 0.0 * x, 0.0, 1.0, 2.0)
+def test_muller_flat_function_raises_not_converged(monkeypatch):
+    # A polish evaluation that gets no count (NaN eigenvalues) ends the
+    # search with BandNotFoundError rather than a wrong root.
+    real = BlochProblem.counts
+
+    def no_count_inside(self, omegas):
+        count = real(self, omegas)
+        if np.size(omegas) == 1:
+            count.eigenvalues[:] = np.nan
+        return count
+
+    monkeypatch.setattr(BlochProblem, "counts", no_count_inside)
+    with pytest.raises(BandNotFoundError, match="no count at omega"):
+        bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.3, band_count=1)
 
 
-def test_muller_iteration_budget_exhaustion_carries_best_iterate(monkeypatch):
-    # a root only reachable slowly: |x|^0.1-like kink slows the quadratic model
-    monkeypatch.setattr(bands, "_MULLER_MAX_ITER", 4)
-    with pytest.raises(RootNotConvergedError) as info:
-        muller_refine(lambda x: 1.0 + abs(x) ** 2, 0.3, 1.0, 2.0)
-    assert info.value.iterations == 4
-    assert np.isfinite(info.value.best.real)
+def test_muller_iteration_budget_exhaustion_carries_best_iterate():
+    # A step function leaves Brent only bisection; a root 500 orders of
+    # magnitude below the bracket width needs more bisections than the
+    # evaluation budget, and the error names the last iterate.
+    def step(x):
+        return math.copysign(1.0, x - 1e-200)
+
+    with pytest.raises(BandNotFoundError, match="did not converge near omega="):
+        bands._brent(step, 0.0, 1e300, -1.0, 1.0)
+    root, evaluations = bands._brent(step, 0.0, 1.0, -1.0, 1.0)
+    assert root == pytest.approx(1e-200, abs=1e-15) and evaluations <= 100
 
 
-def test_muller_acceptance_veto_raises_rejected():
-    with pytest.raises(RejectedRootError) as info:
-        muller_refine(lambda x: x * x - 2.0, 1.0, 2.0, 1.5,
-                      accept=lambda root: False)
-    assert info.value.root.real == pytest.approx(math.sqrt(2.0), abs=1e-8)
+def test_muller_acceptance_veto_raises_rejected(monkeypatch):
+    # A polished root whose SVD indicator misses the tolerance is not
+    # reported: the search fails and says so.
+    monkeypatch.setattr(bands, "_INDICATOR_TOL", 0.0)
+    with pytest.raises(BandNotFoundError, match="fails the indicator"):
+        bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.3, band_count=1)
+    with pytest.raises(BandNotFoundError, match="no accepted"):
+        resonance_near(DILUTE_M_BAND1, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
 
 
 # ---------------------------------------------------------------------------
-# scanning and bracketing
+# counting and bracketing; these tests once checked the indicator scan
 # ---------------------------------------------------------------------------
 
-def _scan(alpha, material, crystal, truncation, omega_range):
-    """Every bracket of the stream the root search refines.
-
-    Composed as ``bands._accepted_roots`` composes it, with a cylinder table
-    of ``omega_range``, run to the end of the range.
-    """
+def _counts(alpha, material, crystal, truncation, omega_range):
+    """The counts of a search's first batch over ``omega_range``."""
     problem = BlochProblem(alpha, material, crystal, truncation)
-    omegas = bands._scan_grid(problem, omega_range)
-    cylinders = bands._CylinderTable(material, crystal, truncation, omega_range)
-    return list(bands._brackets_at_minima(
-        bands._indicator_batches(problem, omegas, cylinders)))
+    lo, hi = omega_range
+    return bands._Counts(problem, np.linspace(lo, hi, bands._GRID + 1)[1:], floor=lo)
 
 
 def test_scan_empty_range_yields_no_brackets():
-    brackets = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.2))
-    assert brackets == []
+    counts = _counts(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.25))
+    assert counts.bands.tolist() == [0] * bands._GRID
+    assert counts.failed.size == 0
 
 
 def test_scan_dilute_corner_has_exactly_one_subwavelength_bracket():
-    brackets = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
-    assert len(brackets) == 1
-    lo, mid, hi = brackets[0]
-    assert lo < mid < hi
-    assert 0.25 < mid < 0.27
+    counts = _counts(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
+    assert counts.bands[-1] == 1
+    lo, hi = counts._span(*counts.bracket(1))
+    assert lo < DILUTE_M_BAND1 <= hi
 
 
 def test_scan_brackets_iterate_in_ascending_order():
-    brackets = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0))
-    mids = [mid for _, mid, _ in brackets]
-    assert mids == sorted(mids)
-    assert len(mids) >= 2  # resonance band plus the folded band above
+    counts = _counts(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0))
+    assert counts.bands[-1] >= 2  # resonance band plus the folded bands above
+    brackets = counts.isolate(range(1, counts.bands[-1] + 1))
+    spans = [counts._span(*b) for b in brackets]
+    assert all(lo < hi for lo, hi in spans)
+    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
 @pytest.mark.parametrize("alpha, omega_range, root", [
@@ -241,141 +274,154 @@ def test_scan_brackets_iterate_in_ascending_order():
 ])
 def test_scan_brackets_a_root_where_one_row_vanishes(alpha, omega_range, root):
     # At these two roots of the acceptance-4 crystal T's monopole row
-    # vanishes on its own while the other rows stay near unit size.  Scaled
-    # by its own max-norm that row would come back to unit size and the scan
-    # would see no minimum; the row scale of the block system keeps it small.
-    brackets = _scan(alpha, NONDILUTE_MAT, NONDILUTE_CRYSTAL, 3, omega_range)
-    assert [b for b in brackets if b[0] <= root <= b[2]]
+    # vanishes on its own while the other rows stay near unit size.  The
+    # count does not read T's rows: it jumps across each root all the same,
+    # and the bracket of the band holds it.
+    counts = _counts(alpha, NONDILUTE_MAT, NONDILUTE_CRYSTAL, 3, omega_range)
+    problem = counts.problem
+    around = problem.counts(np.array([root * (1 - 1e-9), root * (1 + 1e-9)]))
+    band = around.bands[1]
+    assert around.bands[0] == band - 1
+    lo, hi = counts._span(*counts.bracket(band))
+    assert lo < root <= hi
 
 
 def test_scan_half_steps_the_zone_centre_low_frequency_resonance():
-    # At alpha = 0 the k -> 0 empty-lattice resonance sits at omega -> 0, so
-    # the grid opens with half steps through its zone, which ends by 0.06.
+    # At alpha = 0 the k -> 0 empty-lattice resonance sits at omega -> 0.
+    # The count needs no special steps there: it counts the zero band from
+    # the lowest frequencies on, and nothing else below band 2.
     problem = BlochProblem((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    omegas = bands._scan_grid(problem, (0.0, 0.2))
-    half = np.isclose(np.diff(omegas[:-1]), 0.5 * bands._STEP_LOW, rtol=1e-9, atol=0.0)
-    assert half[0] and not half.all()
-    assert omegas[np.argmin(half)] <= 0.06
+    count = problem.counts(np.array([1e-4, 1e-3, 0.01, 0.06, 0.2, 1.9]))
+    assert count.bands.tolist() == [1] * 6
+    assert count.poles[:5].tolist() == [0] * 5
 
 
 def test_scan_step_halving_preserves_the_refined_root(monkeypatch):
-    fine = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
-    monkeypatch.setattr(bands, "_STEP_LOW", 2.0 * bands._STEP_LOW)
-    coarse = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.2, 0.3))
-    assert len(coarse) == len(fine) == 1
-    # both brackets must contain the frozen root
-    for lo, _, hi in (coarse[0], fine[0]):
-        assert lo <= DILUTE_M_BAND1 <= hi
+    # The root does not depend on the grid the search starts from: half the
+    # grid and half the sections per batch polish to the same root.
+    (fine,), _ = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.3, band_count=1)
+    monkeypatch.setattr(bands, "_GRID", bands._GRID // 2)
+    monkeypatch.setattr(bands, "_SECTIONS", bands._SECTIONS // 2)
+    (coarse,), _ = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.3, band_count=1)
+    assert coarse == pytest.approx(fine, rel=1e-13)
+    assert coarse == pytest.approx(DILUTE_M_BAND1, abs=1e-9)
+
+
+def _first_batches(monkeypatch):
+    """Record the frequencies of every count batch a search makes."""
+    batches = []
+    real = BlochProblem.counts
+
+    def recorded(self, omegas):
+        batches.append(np.array(omegas))
+        return real(self, omegas)
+
+    monkeypatch.setattr(BlochProblem, "counts", recorded)
+    return batches
 
 
 @pytest.mark.parametrize("alpha", [(0.0, 0.0), (np.pi / 15, 0.0), (np.pi, 0.0),
                                    M_ALPHA, (np.pi, 0.7 * np.pi)])
-def test_scan_grid_ends_without_a_roundoff_step(alpha):
-    # Half-stepping makes steps of exactly half; no step may be shorter.  At
-    # (pi/15, 0) the walk reaches 4.999999999999938 and used to take a final
-    # step of 6e-14 to 5.0.
+def test_scan_grid_ends_without_a_roundoff_step(monkeypatch, alpha):
+    # The first batch of a search is uniform and ends exactly at the top of
+    # its range: at omega_max for bands_at, at 1.4 times the guess for
+    # resonance_near.
+    batches = _first_batches(monkeypatch)
+    window = (1.0 - bands._RESONANCE_WINDOW) * 1.3, (1.0 + bands._RESONANCE_WINDOW) * 1.3
     for material, omega_max in ((DILUTE_MAT, 5.0), (NONDILUTE_MAT, 5.2)):
-        for omega_range in ((0.0, omega_max), (0.9, 1.7)):
-            problem = BlochProblem(alpha, material, DILUTE_CRYSTAL, 3)
-            omegas = bands._scan_grid(problem, omega_range)
-            assert omegas[-1] == omega_range[1]
-            assert np.min(np.diff(omegas)) >= 0.25 * bands._STEP_LOW
+        batches.clear()
+        bands_at(alpha, material, DILUTE_CRYSTAL, 3, omega_max,
+                 band_count=1 if np.any(alpha) else 2)
+        grid = batches[0]
+        assert grid.size == bands._GRID and grid[-1] == omega_max
+        assert np.allclose(np.diff(grid), omega_max / bands._GRID, rtol=1e-12)
+        batches.clear()
+        try:
+            resonance_near(1.3, alpha, material, DILUTE_CRYSTAL, 3)
+        except BandNotFoundError:
+            pass
+        assert (batches[0][0], batches[0][-1]) == window
+        assert np.allclose(np.diff(batches[0]), 0.8 * 1.3 / (bands._GRID - 1))
 
 
 def test_scan_evaluates_the_grid_in_batches(monkeypatch):
-    # One lattice-sum fit per scan, checked against direct tables at its 31
-    # midpoints and the top, in two calls; the batches read the fit and
-    # make no table call of their own.  Where the fit is refused, exactly
-    # one lattice-sum batch per chunk of the grid: tens of table calls
-    # where a call per frequency makes about 720.
-    calls, fits = [], []
+    # One lattice-sum engine per search.  The first table call holds the
+    # whole first grid, each multisection call eight frequencies per open
+    # bracket, and each polish evaluation and indicator one frequency: tens
+    # of table calls, where a call per frequency would make hundreds.
+    calls = []
     real_table = lattice.LatticeSumEngine.table
-    real_fit = bands.lattice_sum_fit
 
     def counted(self, k):
         calls.append((self, np.size(k)))
         return real_table(self, k)
 
-    def fitted(*args):
-        fits.append(args)
-        return real_fit(*args)
-
     monkeypatch.setattr(lattice.LatticeSumEngine, "table", counted)
-    monkeypatch.setattr(bands, "lattice_sum_fit", fitted)
-    _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
-    assert len(fits) == 1
-    assert [size for _, size in calls] == [lattice._FIT_NODES // 2] * 2
-
-    calls.clear()
-    monkeypatch.setattr(bands, "lattice_sum_fit", lambda *args: None)
-    _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
-    omegas = bands._scan_grid(BlochProblem(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7),
-                              (0.0, 5.0))
-    chunk = bands._CHUNK_ENTRIES // 15**2
-    chunks = -(-omegas.size // chunk)
-    assert len(calls) == chunks < 100
+    bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
+    sizes = [size for _, size in calls]
+    assert sizes[0] == bands._GRID
+    assert all(size == 1 or size % bands._SECTIONS == 0 for size in sizes[1:])
+    assert any(size > 1 for size in sizes[1:])
+    assert len(calls) < 100
     assert len({engine for engine, _ in calls}) == 1
-    assert sum(size for _, size in calls) == omegas.size
 
 
 def test_scan_batch_marks_only_its_failed_frequencies():
-    # 2.1253 lies 0.004 above the empty-lattice line |alpha| = 2.12132, inside
-    # the guard.  At 13.0 (k = 13) the radial series of the lattice sums
-    # leaves a tail above the tolerance, so 13.0 fails the tail test.  Both
-    # get inf; the others match the single-frequency path exactly and the
-    # squared SVD indicator to roundoff.  Alone, as in the batch, the two
-    # failed frequencies get NaN in every entry and every row scale: each
-    # entry needs the lattice sums.
-    problem = BlochProblem((0.3, 2.1), DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    omegas = np.array([0.5, 1.0, 2.1253, 3.0, 13.0])
+    # At X, omega = pi puts k exactly on the empty-lattice line |alpha| = pi,
+    # and at 13.0 (k = 13) the radial series of the lattice sums leaves a
+    # tail above the tolerance.  Both get no count and NaN matrices; the
+    # others count as they do alone.
+    problem = BlochProblem((np.pi, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3)
+    omegas = np.array([0.5, 1.0, np.pi, 3.0, 13.0])
+    count = problem.counts(omegas)
+    assert count.bands[[2, 4]].tolist() == [-1, -1]
+    assert count.poles[[2, 4]].tolist() == [-1, -1]
+    assert np.all(np.isnan(count.eigenvalues[[2, 4]]))
+    for i in (0, 1, 3):
+        single = problem.counts(omegas[i : i + 1])
+        assert single.bands[0] == count.bands[i] >= 0
+        assert single.poles[0] == count.poles[i]
     stack, scale = problem.entries(omegas)
     for i in (2, 4):
         single, single_scale = assemble_characteristic_matrix(omegas[i], problem)
         assert np.all(np.isnan(single)) and np.all(np.isnan(single_scale))
         assert np.array_equal(single, stack[i], equal_nan=True)
-        assert np.array_equal(single_scale, scale[i], equal_nan=True)
-    values = bands._least_gram_eigenvalues((stack, scale))
-    assert np.all(np.isinf(values[[2, 4]]))
-    for omega, value in zip(omegas[[0, 1, 3]], values[[0, 1, 3]]):
-        matrix, row_scale = assemble_characteristic_matrix(omega, problem)
-        pair = (matrix[None], row_scale[None])
-        assert value == bands._least_gram_eigenvalues(pair)[0]
-        sigma_max = bands._singular_values(pair)[0, 0]
-        assert abs(value - _indicator(matrix, row_scale) ** 2) <= _gram_roundoff(
-            matrix.shape[0], sigma_max)
+    assert np.all(np.isinf(bands._singular_values((stack, scale))[[2, 4]]))
 
 
-def _per_point_brackets(omegas, values):
-    """The bracket rule as a loop over the whole profile: the reference."""
-    brackets = []
-    for i in range(1, len(omegas) - 1):
-        window = values[i - 1 : i + 2]
-        if not np.all(np.isfinite(window)):
-            continue
-        if values[i] <= values[i - 1] and values[i] <= values[i + 1] and (
-            values[i] < values[i - 1] or values[i] < values[i + 1]
-        ):
-            brackets.append((omegas[i - 1], omegas[i], omegas[i + 1]))
-    return brackets
+class _TabulatedProblem:
+    """A stand-in problem whose count is a step function of the frequency."""
+
+    truncation = 0
+
+    def __init__(self, steps):
+        self.steps = np.asarray(steps)
+
+    def counts(self, omegas):
+        bands_below = np.searchsorted(self.steps, omegas)
+        return BandCount(bands_below, np.zeros_like(bands_below),
+                         np.where(bands_below % 2, -1.0, 1.0)[:, None])
 
 
 @settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf, math.nan]),
-                       max_size=30))
-def test_bracket_rule_in_pieces_matches_the_per_point_loop(values):
-    # Few distinct values make ties and plateaus; inf marks failed
-    # frequencies.  However the profile is cut into pieces, the stream must
-    # yield the brackets of the loop over the whole profile, in order.
-    values = np.array(values)
-    omegas = 0.01 * np.arange(1, values.size + 1)
-    expected = _per_point_brackets(omegas, values)
-    for cut in range(values.size + 1):
-        pieces = [(omegas[:cut], values[:cut]), (omegas[cut:], values[cut:])]
-        assert list(bands._brackets_at_minima(pieces)) == expected
-    for chunk in range(1, values.size + 1):
-        pieces = [(omegas[i : i + chunk], values[i : i + chunk])
-                  for i in range(0, values.size, chunk)]
-        assert list(bands._brackets_at_minima(pieces)) == expected
+@given(steps=st.lists(st.integers(1, 29), max_size=12),
+       cut=st.integers(0, 30), seed=st.integers(0, 2**16))
+def test_bracket_rule_in_pieces_matches_the_per_point_loop(steps, cut, seed):
+    # Bands at steps / 30 (repeats make multiple bands), counted at 0.01 ..
+    # 0.30 in two batches, in any order.  The bracket of each band must be
+    # the one a loop over all the frequencies at once gives: the first
+    # frequency with at least that many bands below it, and the one before.
+    problem = _TabulatedProblem(sorted(s / 30.0 for s in steps))
+    omegas = 0.01 * np.arange(1, 31)
+    shuffled = np.random.default_rng(seed).permutation(omegas)
+    counts = bands._Counts(problem, shuffled[:cut])
+    counts.add(shuffled[cut:])
+    assert counts.omegas.tolist() == omegas.tolist()
+    totals = problem.counts(omegas).bands
+    assert counts.bands.tolist() == totals.tolist()
+    for band in range(1, totals[-1] + 1):
+        hi = next(i for i, total in enumerate(totals) if total >= band)
+        assert counts.bracket(band) == (hi - 1, hi)
 
 
 BRACKET_ALPHAS = [(0.0, 0.0), (np.pi / 5, 0.0), (np.pi, 0.0), (np.pi, 0.5 * np.pi),
@@ -389,40 +435,19 @@ BRACKET_CASES = (
 
 
 @pytest.mark.parametrize("name, alpha, truncation", BRACKET_CASES)
-def test_gram_profile_brackets_equal_the_svd_profile_brackets(monkeypatch, name,
-                                                               alpha, truncation):
-    # The scan's own batches over the whole grid; each stack and its row
-    # scales are also given to the SVD.
+def test_gram_profile_brackets_equal_the_svd_profile_brackets(name, alpha,
+                                                               truncation):
+    # Every band the count finds below omega_max polishes to a root of T
+    # that the SVD indicator accepts, so the count's brackets are brackets
+    # of the SVD profile's roots.
     material, crystal, omega_max = STREAM_CRYSTALS[name]
-    problem = BlochProblem(alpha, material, crystal, truncation)
-    omegas = bands._scan_grid(problem, (0.0, omega_max))
-    smallest = []
-    real = bands._least_gram_eigenvalues
-
-    def with_svd(pair):
-        smallest.append(bands._singular_values(pair)[:, -1])
-        return real(pair)
-
-    monkeypatch.setattr(bands, "_least_gram_eigenvalues", with_svd)
-    cylinders = bands._CylinderTable(material, crystal, truncation, (0.0, omega_max))
-    profile = list(bands._indicator_batches(problem, omegas, cylinders))
-    assert np.array_equal(np.concatenate([batch for batch, _ in profile]), omegas)
-    gram_brackets = list(bands._brackets_at_minima(profile))
-    svd_brackets = list(bands._brackets_at_minima([(omegas, np.concatenate(smallest))]))
-    assert gram_brackets == svd_brackets
-    assert gram_brackets
-
-
-def _direct_profile(problem, omegas):
-    """The indicator profile with every batch built by ``BlochProblem.entries``.
-
-    The direct lattice sums and cylinder functions of each batch, chunked as
-    the scan chunks its grid: the reference for the fitted scan.
-    """
-    chunk = bands._CHUNK_ENTRIES // (2 * problem.truncation + 1) ** 2
-    return [(omegas[i : i + chunk],
-             bands._least_gram_eigenvalues(problem.entries(omegas[i : i + chunk])))
-            for i in range(0, omegas.size, chunk)]
+    counts = _counts(alpha, material, crystal, truncation, (0.0, omega_max))
+    wanted = range(2 if not np.any(alpha) else 1, counts.bands[-1] + 1)
+    assert len(wanted) >= 1
+    for lo, hi in counts.isolate(wanted):
+        root, diagnostics = counts.polish(lo, hi)
+        assert diagnostics is not None
+        assert counts.omegas[lo] < root <= counts.omegas[hi]
 
 
 # The two sweep workloads of the benchmark (``bands-dilute`` and
@@ -435,96 +460,70 @@ FITTED_SCAN_CASES = BRACKET_CASES + [
 ]
 
 
-@pytest.fixture(scope="module")
-def sweep_tables():
-    """One cylinder table per crystal and truncation, shared as a sweep shares it."""
-    tables = {}
-
-    def table(name, truncation):
-        if (name, truncation) not in tables:
-            material, crystal, omega_max = STREAM_CRYSTALS[name]
-            tables[name, truncation] = bands._CylinderTable(
-                material, crystal, truncation, (0.0, omega_max))
-        return tables[name, truncation]
-
-    return table
-
-
 @pytest.mark.parametrize("name, alpha, truncation", FITTED_SCAN_CASES)
-def test_fitted_scan_brackets_equal_the_direct_brackets(sweep_tables, name, alpha,
-                                                         truncation):
-    # The scan's batches read a lattice-sum fit and the sweep's cylinder
-    # table; on the same grid their brackets must be those of batches built
-    # from direct tables, which is what the scan computed before the fit.
+def test_fitted_scan_brackets_equal_the_direct_brackets(name, alpha, truncation):
+    # The search counts in batches (once it scanned with fitted lattice
+    # sums); every count and pole count of the first batch must be the one
+    # the frequency gets alone, so no bracket depends on the batches.
     material, crystal, omega_max = STREAM_CRYSTALS[name]
     problem = BlochProblem(alpha, material, crystal, truncation)
-    omegas = bands._scan_grid(problem, (0.0, omega_max))
-    fitted = list(bands._indicator_batches(problem, omegas,
-                                           sweep_tables(name, truncation)))
-    direct = _direct_profile(problem, omegas)
-    assert list(bands._brackets_at_minima(fitted)) == list(
-        bands._brackets_at_minima(direct))
+    omegas = np.linspace(0.0, omega_max, bands._GRID + 1)[1:]
+    batch = problem.counts(omegas)
+    assert np.all(batch.bands >= 0)
+    for i, omega in enumerate(omegas):
+        single = problem.counts(omegas[i : i + 1])
+        assert (single.bands[0], single.poles[0]) == (batch.bands[i], batch.poles[i])
 
 
 def test_scan_past_the_lattice_sum_domain_uses_direct_tables():
-    # A range reaching k = 13 fails the fit's tail check, so every batch
-    # takes direct tables, and its indicator values are bitwise those of
-    # ``BlochProblem.entries``, the frequencies past k ~ 12.1 at inf.
-    problem = BlochProblem((0.3, 2.1), DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    omegas = bands._scan_grid(problem, (11.0, 13.0))
-    assert bands.lattice_sum_fit(6, problem.alpha, omegas[0], omegas[-1]) is None
-    cylinders = bands._CylinderTable(DILUTE_MAT, DILUTE_CRYSTAL, 3, (11.0, 13.0))
-    scanned = list(bands._indicator_batches(problem, omegas, cylinders))
-    direct = _direct_profile(problem, omegas)
-    assert [b.tobytes() for b, _ in scanned] == [b.tobytes() for b, _ in direct]
-    assert [v.tobytes() for _, v in scanned] == [v.tobytes() for _, v in direct]
-    assert np.isinf(scanned[-1][1][-1])
+    # A ceiling at k = 13 leaves the frequencies past k ~ 12.1 without a
+    # count.  The bands below are found as with a ceiling below 12.1; asking
+    # for more than the count holds names the failed range.
+    alpha = (0.3, 2.1)
+    low, _ = bands_at(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3, 12.0)
+    high, _ = bands_at(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3, 13.0)
+    assert high == pytest.approx(low, rel=1e-12)
+    counts = _counts(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 13.0))
+    assert counts.failed.size and counts.failed.min() > 12.0
+    with pytest.raises(BandNotFoundError,
+                       match=r"bands below omega=13.0; the count is \d+ at "
+                             r"omega=\d+\.\d+; the lattice sums failed at omega in "
+                             r"\[12\.\d+, 13\]"):
+        bands_at(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3, 13.0,
+                 band_count=counts.bands[-1] + 1)
 
 
 def test_sweep_table_factors_equal_the_direct_factors():
-    # Batches on the lattice come from the table; one with a frequency off
-    # it (a range's top) is computed.  Either way each factor is bitwise
-    # the direct one.
-    table = bands._CylinderTable(DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
-    lattice_points = bands._scan_lattice(5.0)
-    for omegas in (lattice_points[1:40:3], lattice_points[600:640:2],
-                   np.append(lattice_points[700:720], 4.123456789)):
-        stored = table.at(omegas)
-        direct = multipole.cylinder_factors(omegas, DILUTE_MAT, 0.05, 7)
-        for got, want in zip(stored, direct):
+    # The count reads the cylinder factors of a whole batch; each factor is
+    # bitwise the one its frequency gets alone.
+    omegas = np.concatenate([np.linspace(0.01, 5.0, 40), [4.123456789]])
+    stacked = multipole.cylinder_factors(omegas, DILUTE_MAT, 0.05, 7)
+    for i, omega in enumerate(omegas):
+        single = multipole.cylinder_factors(omega, DILUTE_MAT, 0.05, 7)
+        for got, want in zip(stacked, single):
             assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+            assert got[i].tobytes() == want.tobytes()
 
 
 def test_cylinder_tables_compute_only_the_rows_a_batch_asks_for(monkeypatch):
-    # A sweep's table computes each lattice frequency once, when a batch
-    # first asks for it, and no other: a scan reads every other lattice row.
-    # A batch off the lattice (a range's top) is computed as asked.  The
-    # table of ``resonance_near`` computes nothing below its window.
-    asked, computed = [], []
-    real_at, real_factors = bands._CylinderTable.at, bands.cylinder_factors
-
-    def at(self, omegas):
-        asked.extend(omegas.tolist())
-        return real_at(self, omegas)
+    # A search computes cylinder factors only at the frequencies it counts,
+    # polishes or checks, within its range: a sweep nothing above omega_max,
+    # and resonance_near nothing below its window.
+    computed = []
+    real_factors = multipole.cylinder_factors
 
     def factors(omegas, *args):
-        computed.extend(np.asarray(omegas).tolist())
+        computed.extend(np.atleast_1d(omegas).tolist())
         return real_factors(omegas, *args)
 
-    monkeypatch.setattr(bands._CylinderTable, "at", at)
-    monkeypatch.setattr(bands, "cylinder_factors", factors)
+    monkeypatch.setattr(multipole, "cylinder_factors", factors)
     band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3, resolution=3, omega_max=5.0)
-    on_lattice = set(bands._scan_lattice(5.0).tolist())
-    rows = [omega for omega in computed if omega in on_lattice]
-    assert len(rows) == len(set(rows)) > 0
-    assert set(computed) <= set(asked)
-
-    asked.clear()
+    assert computed and max(computed) <= 5.0
     computed.clear()
     resonance_near(DILUTE_M_BAND1, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    assert computed and set(computed) <= set(asked)
+    assert computed
     assert min(computed) >= (1.0 - bands._RESONANCE_WINDOW) * DILUTE_M_BAND1
+    assert max(computed) <= (1.0 + bands._RESONANCE_WINDOW) * DILUTE_M_BAND1
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +531,11 @@ def test_cylinder_tables_compute_only_the_rows_a_batch_asks_for(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_first_two_bands_at_corner_matches_frozen_values():
+    # Band 2 lies 8.5e-4 above the fourfold empty-lattice line pi sqrt(2);
+    # a finite-element solve of the cell problem gives 4.44373.
     (w1, w2), _ = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
     assert w1 == pytest.approx(DILUTE_M_BAND1, abs=1e-9)
-    assert w2 == pytest.approx(4.5107, abs=5e-3)
+    assert w2 == pytest.approx(4.443730, abs=1e-6)
     assert w1 < w2
 
 
@@ -545,91 +546,54 @@ def test_first_two_bands_zone_centre_first_band_is_exactly_zero():
 
 
 def test_first_two_bands_raises_when_ceiling_is_too_low():
-    with pytest.raises(BandNotFoundError):
+    with pytest.raises(BandNotFoundError,
+                       match=r"^found 0 of 2 bands below omega=0.1; the count is 0"):
         bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.1)
 
 
 def test_zone_centre_single_band_assembles_no_matrix(monkeypatch):
-    # Every matrix, of the scan or of Muller and acceptance, is built by
-    # ``BlochProblem.entries_from``.
+    # Band 1 at the zone centre is the analytic zero: nothing is counted and
+    # no matrix is built.
     calls = []
-    real = BlochProblem.entries_from
+    real_counts, real_entries = BlochProblem.counts, BlochProblem.entries
 
-    def counted(self, omegas, *args):
+    def counted(self, omegas):
         calls.append(omegas)
-        return real(self, omegas, *args)
+        return real_counts(self, omegas)
 
-    monkeypatch.setattr(BlochProblem, "entries_from", counted)
+    def entries(self, omegas):
+        calls.append(omegas)
+        return real_entries(self, omegas)
+
+    monkeypatch.setattr(BlochProblem, "counts", counted)
+    monkeypatch.setattr(BlochProblem, "entries", entries)
     omegas, _ = bands_at((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.4,
                          band_count=1)
     assert omegas == (0.0,)
     assert len(calls) == 0
 
 
-def test_muller_iterate_inside_the_guard_skips_only_its_bracket(monkeypatch):
-    # All three starts lie at least 0.0101 from the fourfold line
-    # pi sqrt(2) = 4.442883 at M, but Muller steps to k = 4.4373, inside the
-    # lattice-sum guard.  The bracket is put into the stream the root search
-    # consumes, below band 2's bracket; it must be refined, count as
-    # unconverged, and not end the search at this Bloch vector.
-    guard_bracket = (4.453, 4.455, 4.457)
-    real_stream = bands._brackets_at_minima
-    real_refine = bands._refine_bracket
-    outcomes = []
-
-    def with_guard_bracket(profile):
-        pending = [guard_bracket]
-        for bracket in real_stream(profile):
-            if pending and pending[0][1] < bracket[1]:
-                yield pending.pop()
-            yield bracket
-
-    def recorded(bracket, *args):
-        try:
-            result = real_refine(bracket, *args)
-        except RootNotConvergedError as exc:
-            outcomes.append((bracket, exc))
-            raise
-        outcomes.append((bracket, result))
-        return result
-
-    monkeypatch.setattr(bands, "_brackets_at_minima", with_guard_bracket)
-    monkeypatch.setattr(bands, "_refine_bracket", recorded)
-    (w1, w2), _ = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
-    assert w1 == pytest.approx(DILUTE_M_BAND1, abs=1e-9)
-    assert w2 == pytest.approx(4.5107, abs=5e-3)
-    guard = [outcome for bracket, outcome in outcomes if bracket == guard_bracket]
-    assert len(guard) == 1
-    assert isinstance(guard[0], RootNotConvergedError)
-    assert "no characteristic matrix" in str(guard[0])
-    assert outcomes[-1][1][0] == w2
-
-
 SLOW_HOST_MAT = MaterialParams(rho=10000.0, kappa=1.0, rho_b=1.0, kappa_b=1.0)
 
 
 def test_muller_iterate_beyond_the_lattice_sum_domain_is_unconverged():
-    # Host speed v = 0.01: an iterate with |Im omega| > v has |Im k| > 1,
-    # where the lattice sums are not defined.  Muller steps there from the
-    # lowest bracket at (pi/3, 0); that bracket ends as unconverged, and the
-    # search goes on to the two bands above it.
-    alpha = (np.pi / 3, 0.0)
-    problem = BlochProblem(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3)
-    with pytest.raises(RootNotConvergedError, match="admissible"):
-        bands._refine_bracket((0.008, 0.010, 0.011), problem)
-    omegas, _ = bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.3)
-    assert omegas == pytest.approx((0.064586339, 0.073818847), abs=1e-8)
+    # Host speed v = 0.01 puts every band next to an empty-lattice line.  At
+    # (pi/3, 0) bands 1 and 2 lie 8.2e-5 and 3.9e-4 above the lines 0.010472
+    # and 0.052360; a finite-element solve gives 0.010554 and 0.052751.
+    omegas, _ = bands_at((np.pi / 3, 0.0), SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.3)
+    assert omegas == pytest.approx((0.010554, 0.052749), abs=1e-6)
 
 
 def test_slow_host_scan_past_every_reciprocal_point_of_the_window():
-    # At v = 0.01 a ceiling of 0.45 puts k_hi + _FIT_BORDER = 48 past every
-    # |p| of the window at (1, 0): the fit borders them all and is refused,
-    # and the scan takes direct tables, finding the bands of a lower ceiling.
-    # (The grid wavenumber 1.0 lies on the empty-lattice line |alpha|; its
-    # direct table row is NaN, inside the guard, and raises no warning.)
+    # At v = 0.01 a ceiling of 0.45 reaches k = 45, past every |p| of the
+    # window and past the lattice-sum domain; the frequencies above
+    # k ~ 12.1 get no count, and the bands below are those of a lower
+    # ceiling.  Band 1 sits 7.9e-5 above the line omega = |alpha| v = 0.01.
     alpha = (1.0, 0.0)
-    found = bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.45)
-    assert found == bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.3)
+    found, _ = bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.45)
+    lower, _ = bands_at(alpha, SLOW_HOST_MAT, DILUTE_CRYSTAL, 3, 0.3)
+    assert found == pytest.approx((0.0100786, 0.0532235), abs=1e-7)
+    assert found == pytest.approx(lower, rel=1e-9)
 
 
 STREAM_CRYSTALS = {
@@ -642,27 +606,19 @@ STREAM_ALPHAS = [(0.0, 0.0), (np.pi / 5, 0.0), (np.pi, 0.0), (np.pi, 0.5 * np.pi
 
 @pytest.fixture(scope="module")
 def every_accepted_root():
-    """All accepted roots of every scan bracket, by crystal and Bloch vector.
+    """Every band below ``omega_max``, by crystal and Bloch vector.
 
-    The reference for the streamed search: each bracket of the stream, run
-    to ``omega_max``, is refined in order, and a root within
-    ``1e-7 (1 + omega)`` of the previous accepted one is dropped.
+    The reference for a search for the lowest bands: ``bands_at`` asked for
+    all the bands the count finds below ``omega_max``.
     """
     roots = {}
     for name, (material, crystal, omega_max) in STREAM_CRYSTALS.items():
         for alpha in STREAM_ALPHAS:
-            accepted = []
             problem = BlochProblem(alpha, material, crystal, 3)
-            brackets = _scan(alpha, material, crystal, 3, (0.0, omega_max))
-            for bracket in brackets:
-                try:
-                    omega, diag = bands._refine_bracket(bracket, problem)
-                except (RootNotConvergedError, RejectedRootError):
-                    continue
-                if accepted and abs(omega - accepted[-1][0]) < 1e-7 * (1.0 + omega):
-                    continue
-                accepted.append((omega, diag))
-            roots[name, alpha] = accepted
+            total = int(problem.counts(np.array([omega_max])).bands[0])
+            omegas, diagnostics = bands_at(alpha, material, crystal, 3, omega_max,
+                                           total)
+            roots[name, alpha] = list(zip(omegas, diagnostics))
     return roots
 
 
@@ -670,12 +626,11 @@ def every_accepted_root():
 @pytest.mark.parametrize("name", sorted(STREAM_CRYSTALS))
 def test_streamed_search_equals_refining_every_bracket(every_accepted_root, name,
                                                        band_count):
+    # A search for the lowest bands refines only their brackets; it finds
+    # bitwise the roots of a search for every band below omega_max.
     material, crystal, omega_max = STREAM_CRYSTALS[name]
     for alpha in STREAM_ALPHAS:
-        roots = list(every_accepted_root[name, alpha])
-        if alpha == (0.0, 0.0):
-            roots.insert(0, (0.0, RootDiagnostics(0.0, 0)))
-        expected = roots[:band_count]
+        expected = every_accepted_root[name, alpha][:band_count]
         assert len(expected) == band_count
         omegas, diagnostics = bands_at(alpha, material, crystal, 3, omega_max,
                                        band_count)
@@ -685,39 +640,29 @@ def test_streamed_search_equals_refining_every_bracket(every_accepted_root, name
 
 def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
     # At Gamma on the dilute crystal band 2 lies at 1.9038, far below
-    # omega_max = 5: the scan must stop in the chunk that completes band 2's
-    # bracket, not evaluate the grid up to 5.
+    # omega_max = 5: after its first grid the search counts only inside
+    # band 2's first bracket, never above it.
     alpha = np.zeros(2)
-    omegas = bands._scan_grid(BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7),
-                              (0.0, 5.0))
-    chunk = bands._CHUNK_ENTRIES // 15**2
-    brackets = _scan(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, (0.0, 5.0))
-    band_two = [bracket for bracket in brackets
-                if bracket[0] <= DILUTE_GAMMA_BAND2 <= bracket[2]]
-    assert len(band_two) == 1
-    last = int(np.flatnonzero(omegas == band_two[0][2])[0])
-    # The scan's batches are 1-D arrays; Muller and acceptance build their
-    # matrices one frequency at a time.
-    evaluated = []
-    real = BlochProblem.entries_from
-
-    def counted(self, omegas, *args):
-        if np.ndim(omegas):
-            evaluated.extend(omegas)
-        return real(self, omegas, *args)
-
-    monkeypatch.setattr(BlochProblem, "entries_from", counted)
+    batches = _first_batches(monkeypatch)
     (w1, w2), _ = bands_at(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
     assert w1 == 0.0
     assert w2 == pytest.approx(DILUTE_GAMMA_BAND2, abs=1e-8)
-    assert evaluated == list(omegas[: len(evaluated)])
-    assert last + 1 <= len(evaluated) < last + 1 + chunk
+    grid = batches[0]
+    hi = grid[np.searchsorted(grid, DILUTE_GAMMA_BAND2)]
+    lo = hi - grid[0]
+    later = np.concatenate(batches[1:])
+    assert later.size and np.all((later > lo) & (later < hi))
 
 
 def test_refined_corner_root_lies_inside_its_scan_bracket():
-    brackets = _scan(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
-    lo, _, hi = brackets[0]
-    assert lo <= DILUTE_M_BAND1 <= hi
+    counts = _counts(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
+    (bracket,) = counts.isolate([1])
+    root, diagnostics = counts.polish(*bracket)
+    lo, hi = counts._span(*bracket)
+    assert lo < root <= hi
+    assert hi - lo < bands._BRACKET_WIDTH * (1.0 + hi)
+    assert root == pytest.approx(DILUTE_M_BAND1, abs=1e-9)
+    assert diagnostics.iterations >= 1
 
 
 @pytest.mark.parametrize("alpha", [(np.pi, 0.0), M_ALPHA])
@@ -735,6 +680,16 @@ def test_acceptance_indicator_is_the_svd_indicator(name, alpha):
 def test_retruncated_root_is_stable_for_the_dilute_crystal():
     w5 = retruncated_root(DILUTE_M_BAND1, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
     assert abs(w5 - DILUTE_M_BAND1) <= 1e-9 * (1.0 + DILUTE_M_BAND1)
+
+
+def test_retruncated_root_isolates_a_band_next_to_a_pole():
+    # Band 2 of the dilute crystal at M lies within 5.4e-6 of a pole of H at
+    # N = 9, inside the certified bracket; the count isolates it.
+    (_, w2), _ = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
+    moved = retruncated_root(w2, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7)
+    assert abs(moved - w2) <= 1e-6 * (1.0 + w2)
+    with pytest.raises(BandNotFoundError, match="no single band"):
+        retruncated_root(4.0, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7)
 
 
 def test_resonance_near_tracks_the_predicted_branch():
@@ -820,7 +775,7 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
         return (0.1 * n, 0.1 * n + 1.0), (RootDiagnostics(1e-9 * n, n),
                                            RootDiagnostics(2e-9 * n, n))
 
-    monkeypatch.setattr(bands, "_bands_at", numbered)
+    monkeypatch.setattr(bands, "bands_at", numbered)
     structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3,
                                resolution=resolution)
     assert len(calls) == 3 * resolution
@@ -837,7 +792,7 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
         return numbered(alpha, *args)
 
     calls.clear()
-    monkeypatch.setattr(bands, "_bands_at", fails_at_centre)
+    monkeypatch.setattr(bands, "bands_at", fails_at_centre)
     structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3,
                                resolution=resolution)
     assert structure.failures == ((0.0, (0.0, 0.0), "no band at call 1"),
@@ -848,23 +803,23 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
 
 def test_sweep_drops_its_table_when_a_point_fails(monkeypatch):
     # A failed point keeps its reason as a string, not the exception, whose
-    # traceback's frames would hold the sweep's cylinder table until the
-    # cycle collector ran.
+    # traceback's frames would hold the point's counts until the cycle
+    # collector ran.
     tables = []
-    real = bands._CylinderTable
+    real = bands._Counts
 
-    def recorded(*args):
-        table = real(*args)
+    def recorded(*args, **kwargs):
+        table = real(*args, **kwargs)
         tables.append(weakref.ref(table))
         return table
 
-    monkeypatch.setattr(bands, "_CylinderTable", recorded)
+    monkeypatch.setattr(bands, "_Counts", recorded)
     gc.disable()
     try:
         structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3, resolution=3,
                                    band_count=1, omega_max=0.25)
         assert structure.failures
-        assert len(tables) == 1 and tables[0]() is None
+        assert tables and all(table() is None for table in tables)
     finally:
         gc.enable()
 
@@ -880,6 +835,9 @@ def test_band_point_requires_ascending_frequencies():
     with pytest.raises(ValueError):
         BandPoint(s=0.5, alpha=np.array([1.0, 0.0]), omegas=(0.3, 0.2),
                   diagnostics=(RootDiagnostics(0.0, 1), RootDiagnostics(0.0, 1)))
+    # a double band repeats its frequency
+    BandPoint(s=0.5, alpha=np.array([1.0, 0.0]), omegas=(0.2, 0.3, 0.3),
+              diagnostics=(RootDiagnostics(0.0, 1),) * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -175,10 +175,11 @@ def test_unreachable_band_ceiling_is_a_computation_error(tmp_path, capsys):
 
 
 def test_slow_host_band_search_finds_band_two_at_the_corner(tmp_path):
-    # Host speed 0.01 puts Muller iterates outside the lattice sums' domain
-    # |Im k| <= 1; those refinements end as unconverged instead of aborting
-    # the sweep.  Band 2 at M lies at 0.102041 (a search on a ten times finer
-    # grid finds it there too), and the scan on the default grid brackets it.
+    # Host speed 0.01 puts every band next to an empty-lattice line; the
+    # frequencies past k ~ 12.1 (omega 0.121) get no count.  Band 2 at M
+    # lies 8e-6 above the fourfold line 0.044429 at 0.044437 (finite
+    # elements: 0.044438).  The double band 0.102041 above it is bands
+    # 11 and 12.
     out = tmp_path / "bands.csv"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -191,7 +192,7 @@ def test_slow_host_band_search_finds_band_two_at_the_corner(tmp_path):
     at_m = [float(row[4]) for row in rows
             if np.allclose([float(row[1]), float(row[2])], [np.pi, np.pi])
             and row[3] == "2"]
-    assert at_m == [pytest.approx(0.102041, abs=1e-6)]
+    assert at_m == [pytest.approx(0.044437, abs=1e-6)]
 
 
 def _raise_band_not_found(*args, **kwargs):

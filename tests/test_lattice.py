@@ -1,4 +1,4 @@
-"""Ewald-accelerated lattice sums: exact identities, oracle agreement, guards."""
+"""Ewald-accelerated lattice sums: exact identities, oracle agreement, failures."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bubblebands import lattice as lat
-from oracles import brute_lattice_sum, central_series, empty_lattice_margin
+from oracles import (
+    brute_lattice_sum,
+    central_series,
+    empty_lattice_count,
+    empty_lattice_margin,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,26 +147,24 @@ def test_default_tolerance_has_wide_headroom():
 
 
 # ---------------------------------------------------------------------------
-# guards and failure modes
+# failure modes
 # ---------------------------------------------------------------------------
 
-def _assert_guard_rejected(table):
-    assert table.in_guard is True
-    assert np.all(np.isnan(table.values))
-
-
 def test_near_resonance_guard_marks_the_table(monkeypatch):
-    _assert_guard_rejected(lat.lattice_sum_table(2, np.pi - 0.01, lat.X_POINT))
-    # wider guard catches points the production guard accepts
-    with monkeypatch.context() as patch:
-        patch.setattr(lat, "_GUARD", 0.5)
-        _assert_guard_rejected(
-            lat.lattice_sum_table(2, np.pi - 0.2, lat.X_POINT)
-        )
-    # same wavenumber passes at the production guard
-    table = lat.lattice_sum_table(2, np.pi - 0.2, lat.X_POINT)
-    assert table.in_guard is False and table.converged is True
-    assert np.all(np.isfinite(table.values))
+    # Only a wavenumber exactly on a resonance is marked: its spectral weight
+    # is infinite, and the roundoff floor with it, so it is the finiteness
+    # check that marks it.  Next to the line the sums are large but
+    # accurate, and pass.
+    on_line = lat.lattice_sum_table(2, np.pi, lat.X_POINT)
+    assert on_line.converged is False
+    assert np.all(np.isnan(on_line.values))
+    for gap in (0.2, 0.01, 1e-6):
+        table = lat.lattice_sum_table(2, np.pi - gap, lat.X_POINT)
+        assert table.converged is True
+        assert np.all(np.isfinite(table.values))
+        # Re Q_0 = -1 holds up to the pole's own size
+        assert table.value(0).real == pytest.approx(
+            -1.0, abs=1e-9 * max(1.0, np.max(np.abs(table.values))))
 
 
 def _counted_engine_tables(monkeypatch) -> list:
@@ -183,7 +186,7 @@ def test_wavenumber_past_the_radial_series_is_unconverged(monkeypatch):
     calls = _counted_engine_tables(monkeypatch)
     table = lat.lattice_sum_table(2, 13.0, (0.6, 0.6))
     assert len(calls) == 1
-    assert table.converged is False and table.in_guard is False
+    assert table.converged is False
     assert np.all(np.isnan(table.values))
 
 
@@ -211,16 +214,8 @@ def test_one_window_converges_wherever_the_sums_can(monkeypatch):
 def test_central_term_matches_its_series():
     # Ei(z) = log z + gamma + sum_{j>=1} z^j / (j j!): the closed form
     # reproduces the series to 1e-15 relative per unit of |z|, the condition
-    # number of Ei at large z (both routes round z the same way), at real k
-    # and at complex k up to |Im k| = 1, also next to Ei's branch cut.
-    rng = np.random.default_rng(11)
-    ks = np.concatenate([
-        np.linspace(0.002, 12.0, 600),
-        rng.uniform(0.002, 12.0, 600) + 1j * rng.uniform(-1.0, 1.0, 600),
-        0.01 + 1j * np.linspace(-0.99, 0.99, 23),
-        np.linspace(0.002, 0.3, 20) + 0.99j,
-        np.linspace(0.002, 0.3, 20) - 0.99j,
-    ]).astype(complex)
+    # number of Ei at large z (both routes round z the same way).
+    ks = np.linspace(0.002, 12.0, 600)
     series = central_series(ks)
     closed = lat._central_term(ks)
     z = np.abs((0.5 * ks / lat._ETA) ** 2)
@@ -229,18 +224,10 @@ def test_central_term_matches_its_series():
 
 
 def test_wavenumber_domain_checks():
-    with pytest.raises(ValueError):
-        lat.lattice_sum_table(2, -1.0, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        lat.lattice_sum_table(2, 1.0 + 2.0j, (0.5, 0.5))
-
-
-def test_slightly_complex_wavenumber_is_continuous():
-    base = lat.lattice_sum_table(2, 1.3, (0.8, -0.4))
-    shifted = lat.lattice_sum_table(2, 1.3 + 1e-7j, (0.8, -0.4))
-    for n in range(-2, 3):
-        assert abs(base.value(n) - shifted.value(n)) < 1e-4
-    assert shifted.values[2].imag != 0.0  # genuinely complex evaluation
+    # The sums are evaluated on the real axis only.
+    for bad in (-1.0, 0.0, 1.0 + 2.0j, 1.0 + 1e-9j, np.array([1.0, 2.0 + 0j])):
+        with pytest.raises(ValueError):
+            lat.lattice_sum_table(2, bad, (0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +285,7 @@ def test_engine_cache_reuses_within_a_point():
     alpha = (0.77, -1.9)
     lat.lattice_sum_table(6, 1.1, alpha)
     before = lat._engine_for.cache_info()
-    for k in (1.2, 1.3, 1.4 + 1e-3j):
+    for k in (1.2, 1.3, 1.4):
         lat.lattice_sum_table(6, k, alpha)
     after = lat._engine_for.cache_info()
     assert after.misses == before.misses
@@ -317,32 +304,24 @@ def test_revisited_bloch_vector_matches_a_fresh_engine():
 
 
 # ---------------------------------------------------------------------------
-# resonance margins by a sorted search
+# resonance counts by a sorted search
 # ---------------------------------------------------------------------------
 
 def test_nearest_margins_by_search_equal_empty_lattice_margin():
+    # The sorted |p| of an engine's window once gave the distance to the
+    # nearest resonance; they now give the number of resonances below k,
+    # which equals the oracle's full enumeration, on the lines too.  Tables
+    # at the same k, on the lines included, raise no warning.
     rng = np.random.default_rng(7)
-    cases = [(rng.uniform(-np.pi, np.pi, 2), rng.uniform(0.0, 6.0, 3))
+    cases = [(rng.uniform(-np.pi, np.pi, 2), rng.uniform(0.01, 6.0, 3))
              for _ in range(100)]
-    # k on an empty-lattice line, and in the zone near 0 at the zone centre
     for alpha in (lat.X_POINT, lat.M_POINT, (0.3, 2.1)):
         cases.append((alpha, lat.LatticeSumEngine(alpha, 2)._norms[:12]))
-    cases.append((lat.GAMMA_POINT, np.array([0.0, 1e-4, 0.01, 0.049, 0.05])))
+    cases.append((lat.GAMMA_POINT, np.array([1e-4, 0.01, 0.049, 0.05])))
     for alpha, ks in cases:
-        margins = lat.empty_lattice_margins(2, alpha, ks)
-        assert margins.tolist() == [empty_lattice_margin(k, alpha) for k in ks]
-        # The engine's guard searches the |p| of its window, or those left
-        # after a drop mask, as a fit borders them; the guard then equals
-        # the full minimum over the kept points.  A k on a line gets a NaN
-        # row, without a warning.
-        engine = lat.LatticeSumEngine(alpha, 2)
-        for drop in (None, engine._p_norm < 3.0, engine._p_norm < 8.0):
-            kept = engine._p_norm if drop is None else engine._p_norm[~drop]
-            near = np.concatenate([ks[ks > 0.0], kept[kept < 12.0][:8] + 0.005])
-            near = near.astype(complex)
-            in_guard = np.min(np.abs(near.real[:, None] - kept), axis=1) <= lat._GUARD
-            table = engine._evaluate(near, drop)
-            assert np.array_equal(table.in_guard, in_guard)
+        counts = lat.empty_lattice_count(2, alpha, ks)
+        assert counts.tolist() == [empty_lattice_count(k, alpha) for k in ks]
+        lat.LatticeSumEngine(alpha, 2).table(ks)
 
 
 @pytest.mark.parametrize("alpha", [
@@ -352,14 +331,14 @@ def test_nearest_margins_by_search_equal_empty_lattice_margin():
 def test_engine_margins_equal_the_full_empty_lattice_minimum_below_34(alpha):
     # Every reciprocal point outside the window (|nu|_inf >= 6) has
     # |p| >= 11 pi ~ 34.6, and the engine forms |p| as the oracle does, so
-    # on 0 <= k <= 34 its sorted |p| give the same margin floats as a full
-    # minimum over the empty lattice, on the lines and next to them too.
+    # on 0 < k <= 34 its sorted |p| count the resonances below k as the full
+    # empty lattice does, on the lines and next to them too.
     norms = lat.LatticeSumEngine(alpha, 1)._norms
-    lines = norms[norms <= 34.0]
-    ks = np.concatenate([np.linspace(0.0, 34.0, 1361), lines, lines + 0.003,
-                         np.maximum(lines - 0.05, 0.0)])
-    margins = lat.empty_lattice_margins(1, alpha, ks)
-    assert margins.tolist() == [empty_lattice_margin(k, alpha) for k in ks]
+    lines = norms[(norms > 0.0) & (norms <= 34.0)]
+    ks = np.concatenate([np.linspace(0.025, 34.0, 1360), lines, lines + 0.003,
+                         np.maximum(lines - 0.05, 0.01)])
+    counts = lat.empty_lattice_count(1, alpha, ks)
+    assert counts.tolist() == [empty_lattice_count(k, alpha) for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -369,101 +348,77 @@ def test_engine_margins_equal_the_full_empty_lattice_minimum_below_34(alpha):
 @pytest.mark.parametrize("order", [6, 14])
 @pytest.mark.parametrize("alpha", [lat.M_POINT, (np.pi, 0.7 * np.pi), (0.3, 2.1)])
 def test_batched_table_matches_per_wavenumber_calls(order, alpha):
-    # Real k across the scan range plus k 0.004 inside the guard of every
-    # empty-lattice line below 5; at M, order 14, the low-k tables converge
-    # on the default windows, their odd orders at the roundoff floor.  The
-    # cached engine's table is the engine's own.  A batch of complex k (off
-    # the real axis, as Muller's iterates are) is compared with single
-    # complex calls.
+    # Real k across the band range plus k 0.004 below every empty-lattice
+    # line under 5; at M, order 14, the low-k tables converge on the default
+    # windows, their odd orders at the roundoff floor.  The cached engine's
+    # table is the engine's own.
     engine = lat.LatticeSumEngine(alpha, order)
-    guard = [q - 0.004 for q in engine._norms if 0.1 < q < 5.0]
+    near = [q - 0.004 for q in engine._norms if 0.1 < q < 5.0]
     ks = np.unique(np.concatenate([np.linspace(0.02, 0.5, 9),
-                                   np.linspace(0.6, 5.0, 23), guard]))
-    default = engine.table(ks)
+                                   np.linspace(0.6, 5.0, 23), near]))
+    batch = engine.table(ks)
     cached = lat.lattice_sum_table(order, ks, alpha)
-    assert default.in_guard.sum() >= 1 and default.converged.all()
-    assert cached.values.tobytes() == default.values.tobytes()
-    complex_ks = np.array([0.3 + 0.05j, 1.3 + 0.2j, 2.2 - 0.1j, 4.1 + 0.3j])
-    for points, batch, single in (
-        (ks, default, engine.table),
-        (complex_ks, lat.lattice_sum_table(order, complex_ks, alpha),
-         lambda k: lat.lattice_sum_table(order, k, alpha)),
-    ):
-        for i, k in enumerate(points):
-            table = single(k)
-            assert table.in_guard is bool(batch.in_guard[i])
-            assert table.converged is bool(batch.converged[i])
-            if table.in_guard or not table.converged:
-                assert np.all(np.isnan(table.values))
-                assert np.all(np.isnan(batch.values[i]))
-                continue
-            scale = np.maximum(1.0, np.abs(table.values))
-            assert np.max(np.abs(batch.values[i] - table.values) / scale) <= 1e-13
-            assert batch.est_error[i] == pytest.approx(table.est_error, rel=1e-13)
+    assert batch.converged.all()
+    assert cached.values.tobytes() == batch.values.tobytes()
+    for i, k in enumerate(ks):
+        table = engine.table(k)
+        assert table.converged is bool(batch.converged[i])
+        scale = np.maximum(1.0, np.abs(table.values))
+        assert np.max(np.abs(batch.values[i] - table.values) / scale) <= 1e-13
+        assert batch.est_error[i] == pytest.approx(table.est_error, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
-# the scan's Chebyshev fit of the pole-free sums
+# the tables a band count reads
 # ---------------------------------------------------------------------------
 
 FIT_ALPHAS = [lat.GAMMA_POINT, (np.pi / 30, 0.0), lat.X_POINT, lat.M_POINT, (0.3, 2.1)]
 
 
-def _scan_wavenumbers(alpha, omega_max):
-    """The band scan's grid of ``[0, omega_max]`` at unit host speed, k = omega."""
-    from bubblebands import bands
-    from bubblebands.multipole import BlochProblem, DiskCrystal, MaterialParams
-
-    unit = MaterialParams(rho=1.0, kappa=1.0, rho_b=1.0, kappa_b=1.0)
-    problem = BlochProblem(alpha, unit, DiskCrystal(radius=0.25), 3)
-    return bands._scan_grid(problem, (0.0, omega_max))
-
-
 @pytest.mark.parametrize("order", [6, 14])
 @pytest.mark.parametrize("alpha", FIT_ALPHAS)
 def test_fitted_table_matches_the_engine_on_the_scan_grid(order, alpha):
-    # The fit of the grid's range, as the scan builds it, against direct
-    # tables at every grid wavenumber: the same guard rows, NaN there, and
-    # every order within the direct table's error elsewhere.  That error
-    # is est_error plus the roundoff of the radial powers (k/2)^(2j-s),
-    # which the table forms as exp((2j - s) log(k/2)) and its floor leaves
-    # out: a relative error of about s |log(k/2)| eps, 64 eps at order 14
-    # and k = 0.02 against a floor of 32 eps (the fit itself is smooth).
-    ks = _scan_wavenumbers(alpha, 5.2)
-    fit = lat.lattice_sum_fit(order, alpha, ks[0], ks[-1])
-    assert fit is not None
-    fitted = fit.table(ks)
-    direct = lat.lattice_sum_table(order, ks, alpha)
-    assert np.array_equal(fitted.in_guard, direct.in_guard)
-    assert np.array_equal(np.isnan(fitted.values), np.isnan(direct.values))
-    assert direct.converged.all()
-    out = ~direct.in_guard
-    miss = np.max(np.abs(fitted.values[out] - direct.values[out]), axis=1)
-    powers = (np.finfo(float).eps * order * np.abs(np.log(0.5 * ks[out]))
-              * np.max(np.abs(direct.values[out]), axis=1))
-    assert np.all(miss <= direct.est_error[out] + powers)
+    # A band search counts a batch of 24 uniform frequencies and then
+    # batches of multisection points.  (It replaced a scan that read a
+    # Chebyshev fit of these sums.)  Each wavenumber of such a batch gets
+    # bitwise the table it gets alone, so a count does not depend on the
+    # batch it is made in; every table of the range converges, at Gamma
+    # down to the k -> 0 resonance too.
+    grid = np.linspace(0.0, 5.2, 25)[1:]
+    ks = np.concatenate([grid, grid[3] + (grid[4] - grid[3]) * np.arange(1, 9) / 9,
+                         [1e-3, 0.0166]])
+    batch = lat.lattice_sum_table(order, ks, alpha)
+    assert batch.converged.all()
+    for i, k in enumerate(ks):
+        single = lat.lattice_sum_table(order, k, alpha)
+        assert single.values.tobytes() == batch.values[i].tobytes()
 
 
 def test_fit_is_refused_where_the_sums_fail_the_tail_test():
-    # Past k ~ 12.1 the radial series misses the tail test, so a range that
-    # reaches k = 13 gets no fit; a real range below it does.  The fit is
-    # never evaluated off the real axis.
-    assert lat.lattice_sum_fit(6, (0.3, 2.1), 11.0, 13.0) is None
-    fit = lat.lattice_sum_fit(6, (0.3, 2.1), 0.5, 5.0)
-    assert fit is not None
-    with pytest.raises(ValueError):
-        fit.table(np.array([1.0 + 0.1j]))
+    # Past k ~ 12.1 the radial series misses the tail test, so the band
+    # count reads NaN tables there and counts nothing (it replaced a fit
+    # that was refused there); below it every table converges.
+    from bubblebands.multipole import BlochProblem, DiskCrystal, MaterialParams
+
+    unit = MaterialParams(rho=1.0, kappa=1.0, rho_b=1.0, kappa_b=1.0)
+    ks = np.array([0.5, 5.0, 11.0, 12.0, 12.5, 13.0])
+    table = lat.lattice_sum_table(6, ks, (0.3, 2.1))
+    assert table.converged.tolist() == [True] * 4 + [False] * 2
+    count = BlochProblem((0.3, 2.1), unit, DiskCrystal(radius=0.25), 3).counts(ks)
+    assert np.all(count.bands[:4] >= 0)
+    assert count.bands[4:].tolist() == [-1, -1]
 
 
 def test_fit_bordering_every_reciprocal_point_is_refused():
-    # With k_hi + _FIT_BORDER past every |p| of the window, the fit borders
-    # all of them, leaving none for the guard: nothing is guarded, the nodes
-    # past k ~ 12.1 fail the tail test and the fit is refused.
-    assert lat.lattice_sum_fit(6, (1.0, 0.0), 0.1, 45.0) is None
+    # At (1, 0) and k = 48, past every |p| of the window (once the case of a
+    # fit that bordered them all), the tables fail the tail test, with NaN
+    # values and no warning, and the resonance count stops at the window's
+    # 121 points.
     engine = lat.LatticeSumEngine((1.0, 0.0), 6)
-    everything = np.ones(engine._p_norm.shape, dtype=bool)
-    assert not engine._evaluate(np.array([44.0 + 0j]), everything).in_guard.any()
-    assert np.all(lat.nearest_margins(np.empty(0), np.array([1.0, 2.0])) == np.inf)
+    assert engine._norms.max() < 48.0
+    table = engine.table(np.array([44.0, 48.0]))
+    assert not table.converged.any() and np.all(np.isnan(table.values))
+    assert lat.empty_lattice_count(6, (1.0, 0.0), [48.0]).tolist() == [121]
 
 
 def test_batched_table_validates_wavenumbers():

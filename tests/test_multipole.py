@@ -19,7 +19,7 @@ import oracles
 def zero_sum_table(k: float, alpha, order_max: int) -> LatticeSumTable:
     """Table of identically zero lattice sums: the single-bubble limit."""
     return LatticeSumTable(
-        k=complex(k),
+        k=float(k),
         alpha=np.asarray(alpha, dtype=float),
         order_max=order_max,
         values=np.zeros(2 * order_max + 1, dtype=complex),
@@ -230,15 +230,14 @@ def test_density_contrast_scales_flux_lattice_block_only():
 SLOW_BUBBLE_MAT = mp.MaterialParams(rho=1.0, kappa=1.0, rho_b=1.0, kappa_b=0.01)
 
 
+# Explicit ids keep each case's name from the time the list also held
+# complex frequencies, which nothing evaluates any more.
 @pytest.mark.parametrize("material, alpha, omega, truncation", [
-    (GENERIC_MAT, (0.9, -0.4), 1.1, 0),
-    (GENERIC_MAT, (0.9, -0.4), 1.1, 2),
-    (GENERIC_MAT, (0.9, -0.4), 1.1 + 0.05j, 3),
-    (GENERIC_MAT, M_POINT, 0.7 - 0.02j, 7),
-    (GENERIC_MAT, (0.9, -0.4), 4.0, 7),
+    pytest.param(GENERIC_MAT, (0.9, -0.4), 1.1, 0, id="material0-alpha0-1.1-0"),
+    pytest.param(GENERIC_MAT, (0.9, -0.4), 1.1, 2, id="material1-alpha1-1.1-2"),
+    pytest.param(GENERIC_MAT, (0.9, -0.4), 4.0, 7, id="material4-alpha4-4.0-7"),
     # k_b R = 3.0, past the first zero 2.405 of J_0: R divides by no J_n.
-    (SLOW_BUBBLE_MAT, (0.9, -0.4), 1.0, 3),
-    (SLOW_BUBBLE_MAT, (0.9, -0.4), 1.0 + 0.01j, 2),
+    pytest.param(SLOW_BUBBLE_MAT, (0.9, -0.4), 1.0, 3, id="material5-alpha5-1.0-3"),
 ])
 def test_determinant_equals_that_of_the_block_system(material, alpha, omega,
                                                      truncation):
@@ -280,17 +279,8 @@ def test_momentum_reversal_leaves_singular_spectrum_invariant():
     np.testing.assert_allclose(np.sort(scale_neg), np.sort(scale_pos), rtol=1e-8)
 
 
-def test_assembly_continuous_into_complex_frequency():
-    base, base_scale = mp.assemble_characteristic_matrix(1.1, generic_problem(2))
-    shifted, shifted_scale = mp.assemble_characteristic_matrix(
-        1.1 + 1e-8j, generic_problem(2))
-    assert np.max(np.abs(shifted - base)) < 1e-6 * np.max(np.abs(base))
-    assert np.any(shifted.imag != base.imag)
-    assert np.max(np.abs(shifted_scale - base_scale)) < 1e-6 * np.max(base_scale)
-
-
 def test_assemble_rejects_bad_frequency():
-    for bad_omega in (0.0, -1.0, -0.5 + 0.1j):
+    for bad_omega in (0.0, -1.0, -0.5 + 0.1j, 1.1 + 1e-8j):
         with pytest.raises(ValueError):
             mp.assemble_characteristic_matrix(bad_omega, generic_problem(2))
 

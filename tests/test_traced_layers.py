@@ -34,10 +34,17 @@ KNOWN_MISSING = {
     # metrics on these two (``bands.scans``, ``bands.brackets``,
     # ``bands.flagged_zones``, ``bands.scan_self_s``,
     # ``bands.indicator_evals``, ``bands.indicator_s``) already read 0.
-    # ``band_structure``, ``resonance_near`` and ``muller_refine`` keep
-    # the ``bands`` layer present.
+    # ``band_structure`` and ``resonance_near`` keep the ``bands`` layer
+    # present.
     "bubblebands.bands.scan_and_bracket",
     "bubblebands.bands.singular_value_indicator",
+    # Deleted with Muller's method: the search counts the bands and polishes
+    # each root with Brent's method (``bands._brent``), so the tracer's
+    # metrics on it (``bands.refines``, ``bands.muller_iters``,
+    # ``bands.refine_self_s``, ``bands.roots_accepted``, ``bands.rejected``,
+    # ``bands.unconverged``, ``bands.accept_ratio`` and
+    # ``bands.evals_per_root``) read 0.
+    "bubblebands.bands.muller_refine",
 }
 
 
@@ -80,9 +87,6 @@ SWEEP_METRICS = (
     "lattice.table_evals",
     "lattice.tables",
     "multipole.assemblies",
-    "bands.refines",
-    "bands.muller_iters",
-    "bands.roots_accepted",
 )
 
 
