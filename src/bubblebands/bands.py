@@ -19,12 +19,15 @@ multisected down to ``_MULTIPLE_WIDTH (1 + hi)``; what it holds then is one
 root of that multiplicity.  ``H`` decreases in ``omega`` between its poles,
 so in such a bracket the (r+1)-th smallest eigenvalue of ``H``, where r
 counts the negative eigenvalues at ``lo``, changes sign exactly once, at
-the root.  Brent's method polishes it there (``_brent``).  A root is
-reported once per unit of its multiplicity, and only if the smallest
-singular value of the equilibrated characteristic matrix (each row divided
-by the scale ``BlochProblem.entries`` returns with it), from a full SVD,
-is within ``_INDICATOR_TOL`` of its largest: a safety check that the
-polished root is a root of the matrix.
+the root.  Brent's method polishes it there (``_brent_steps``).  The
+searches of all the brackets of a point advance together: each step
+evaluates the eigenvalues of ``H`` once, in one batch that holds one
+frequency per open search.  A root is reported once per unit of its
+multiplicity, and only if the smallest singular value of the equilibrated
+characteristic matrix (each row divided by the scale
+``BlochProblem.entries`` returns with it), from a full SVD, is within
+``_INDICATOR_TOL`` of its largest: a safety check that the polished root
+is a root of the matrix.
 
 The path sweep walks the closed polyline through the zone corners
 (0,0) -> (pi,0) -> (pi,pi) -> (0,0), collects the lowest bands at each
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -120,15 +123,17 @@ class RootDiagnostics:
 # the polish
 # ---------------------------------------------------------------------------
 
-def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
-           fb: float) -> tuple[float, int]:
-    """Root of ``f`` between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
+def _brent_steps(a: float, b: float, fa: float, fb: float
+                 ) -> Generator[float, float, tuple[float, int]]:
+    """Brent's method between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
 
     Brent's method as ``zbrent`` of Press et al., *Numerical Recipes*
     (2nd ed., 1992, section 9.3): inverse quadratic interpolation, falling
     back to bisection, to the tolerance ``2 eps |b| + 0.5e-15 (1 + |b|)``.
-    Returns the root and the number of evaluations of ``f``.  It is written
-    out rather than taken from ``scipy.optimize.brentq``: importing
+    A generator, so that a caller can advance several searches together:
+    it yields each abscissa and is sent the function's value there, and it
+    returns the root and the number of evaluations.  It is written out
+    rather than taken from ``scipy.optimize.brentq``: importing
     ``scipy.optimize`` after ``bubblebands`` raised the peak resident memory
     from 53.6 to 76.5 MB and added 0.18-0.20 s to a 0.30 s import.
     """
@@ -165,7 +170,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
             d = e = xm
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, xm)
-        fb = f(b)
+        fb = yield b
     raise BandNotFoundError(f"Brent's method did not converge near omega={b}")
 
 
@@ -248,31 +253,61 @@ class _Counts:
             fractions = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
             self.add(np.concatenate([lo + (hi - lo) * fractions for lo, hi in spans]))
 
-    def polish(self, lo: int, hi: int) -> tuple[float, RootDiagnostics | None]:
-        """The root in the ready bracket ``(lo, hi)`` and its diagnostics.
+    def polish(self, brackets: Sequence[tuple[int, int]]
+               ) -> Iterator[tuple[float, RootDiagnostics | None]]:
+        """The root in each ready bracket ``(lo, hi)`` and its diagnostics.
 
         Brent's method on the (r+1)-th smallest eigenvalue of ``H``, r the
-        negative eigenvalues at ``lo``.  The diagnostics are None where the
-        indicator misses ``_INDICATOR_TOL``.
+        negative eigenvalues at ``lo``.  The searches of all brackets
+        advance together: each step evaluates ``H`` once, at one frequency
+        per open search (``BlochProblem.h_eigenvalues``).  The results
+        come in bracket order, and each bracket's indicator is computed
+        only when its result is taken, so a caller that stops at a failure
+        checks no later root.  A search that failed raises its
+        :class:`BandNotFoundError` when its result is taken.  The
+        diagnostics are None where the indicator misses ``_INDICATOR_TOL``.
         """
         problem = self.problem
-        index = int(np.sum(self.eigenvalues[lo] < 0.0))
+        indices = [int(np.sum(self.eigenvalues[lo] < 0.0)) for lo, _ in brackets]
+        searches = [
+            _brent_steps(*self.omegas[[lo, hi]].tolist(),
+                         *self.eigenvalues[[lo, hi], index].tolist())
+            for (lo, hi), index in zip(brackets, indices)]
+        outcomes: list = [None] * len(searches)
+        asked: dict[int, float] = {}
 
-        def eigenvalue(omega: float) -> float:
-            value = problem.counts(np.array([omega])).eigenvalues[0, index]
-            if math.isnan(value):
-                raise BandNotFoundError(
-                    f"no count at omega={omega!r} in a band bracket")
-            return float(value)
+        def advance(i: int, value: float | None) -> None:
+            try:
+                asked[i] = searches[i].send(value)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except BandNotFoundError as exc:
+                outcomes[i] = exc
 
-        root, evaluations = _brent(eigenvalue, *self.omegas[[lo, hi]].tolist(),
-                                   *self.eigenvalues[[lo, hi], index].tolist())
-        matrix, scale = assemble_characteristic_matrix(root, problem)
-        spectrum = _singular_values((matrix[None], scale[None]))[0]
-        if not (math.isfinite(spectrum[0])
-                and spectrum[-1] <= _INDICATOR_TOL * spectrum[0]):
-            return root, None
-        return root, RootDiagnostics(float(spectrum[-1]), evaluations)
+        for i in range(len(searches)):
+            advance(i, None)
+        while asked:
+            step = list(asked.items())
+            asked.clear()
+            values = problem.h_eigenvalues(np.array([omega for _, omega in step]))
+            for (i, omega), row in zip(step, values):
+                value = row[indices[i]]
+                if math.isnan(value):
+                    outcomes[i] = BandNotFoundError(
+                        f"no count at omega={omega!r} in a band bracket")
+                else:
+                    advance(i, float(value))
+        for outcome in outcomes:
+            if isinstance(outcome, BandNotFoundError):
+                raise outcome
+            root, evaluations = outcome
+            matrix, scale = assemble_characteristic_matrix(root, problem)
+            spectrum = _singular_values((matrix[None], scale[None]))[0]
+            if not (math.isfinite(spectrum[0])
+                    and spectrum[-1] <= _INDICATOR_TOL * spectrum[0]):
+                yield root, None
+            else:
+                yield root, RootDiagnostics(float(spectrum[-1]), evaluations)
 
 
 def bands_at(
@@ -310,9 +345,8 @@ def bands_at(
             detail += (f"; the lattice sums failed at omega in "
                        f"[{counts.failed.min():.6g}, {counts.failed.max():.6g}]")
         raise BandNotFoundError(f"{found} below omega={omega_max}{detail}")
-    wanted = range(len(roots) + 1, band_count + 1)
-    for lo, hi in counts.isolate(wanted):
-        root, diagnostics = counts.polish(lo, hi)
+    brackets = counts.isolate(range(len(roots) + 1, band_count + 1))
+    for (lo, hi), (root, diagnostics) in zip(brackets, counts.polish(brackets)):
         if diagnostics is None:
             raise BandNotFoundError(
                 f"found {len(roots) - at_centre} of {band_count - at_centre} bands "
@@ -353,11 +387,10 @@ def resonance_near(
         spans = [counts._span(*b) for b in brackets]
         reach = min((max(abs(lo - omega_guess), abs(hi - omega_guess))
                      for lo, hi in spans), default=0.0)
-        for bracket, (lo, hi) in zip(brackets, spans):
-            if max(lo - omega_guess, omega_guess - hi, 0.0) <= reach:
-                root, diagnostics = counts.polish(*bracket)
-                if diagnostics is not None:
-                    roots.append(root)
+        chosen = [bracket for bracket, (lo, hi) in zip(brackets, spans)
+                  if max(lo - omega_guess, omega_guess - hi, 0.0) <= reach]
+        roots = [root for root, diagnostics in counts.polish(chosen)
+                 if diagnostics is not None]
     if not roots:
         raise BandNotFoundError(
             f"no accepted characteristic frequency within "
@@ -388,8 +421,7 @@ def retruncated_root(
         raise BandNotFoundError(
             f"no single band in omega={omega} +/- {spread:.1e} at truncation "
             f"{truncation + 2}")
-    (bracket,) = counts.isolate([counts.bands[1]])
-    root, diagnostics = counts.polish(*bracket)
+    ((root, diagnostics),) = counts.polish(counts.isolate([counts.bands[1]]))
     if diagnostics is None:
         raise BandNotFoundError(f"the root {root!r} fails the indicator")
     return root

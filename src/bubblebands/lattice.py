@@ -35,11 +35,12 @@ A table is computed for a 1-D array of wavenumbers in one pass (a batch);
 a single wavenumber is the batch of one.  The spectral and spatial sums
 are contractions over the lattice points that keep the wavenumber as a
 stack axis, so a wavenumber gets bitwise the same table in a batch of any
-size.  Next to an empty-lattice resonance the sums are large but accurate;
-the tail test acts per wavenumber, and a wavenumber that fails it, or
-whose sums are not finite (one exactly on a resonance), is marked and gets
-NaN values, alone as in a batch.  The sorted ``|p|`` of each engine's
-window also count the resonances below a wavenumber
+size.  Next to an empty-lattice resonance the sums are large but accurate,
+except within ``_LINE_TOL`` of it, where one term swamps the rest.  The
+tail test acts per wavenumber, and a wavenumber that fails it, that lies
+within ``_LINE_TOL`` of a resonance or whose sums are not finite is marked
+and gets NaN values, alone as in a batch.  The sorted ``|p|`` of each
+engine's window also count the resonances below a wavenumber
 (``empty_lattice_count``), which the band count reads.
 
 All conventions (phases, prefactors, the n < 0 continuation) are pinned by
@@ -68,6 +69,11 @@ _ETA = math.sqrt(math.pi)
 #: Largest admissible truncation tail of a table above the roundoff floor
 #: (see ``table``).
 _TABLE_TOL = 1e-8
+#: A wavenumber with ``|k^2 - |p|^2| <= _LINE_TOL max(k^2, 1)`` for some
+#: reciprocal point ``p`` gets no table: there the ``1 / (k^2 - |p|^2)`` term
+#: swamps the sums, and the inertia of the matrices built on them is
+#: roundoff.
+_LINE_TOL = 1e-12
 
 _WINDOW = 5            # Ewald windows |m|_inf <= window (m != 0), |nu|_inf <= window
 _J_CAP = 40            # series depth of the spatial radial functions
@@ -216,11 +222,18 @@ def _spatial_coefficients(order_max: int, window: int):
     return mx, my, r, unit_pow, coeff
 
 
-def _spectral_weights(ks: np.ndarray, p_norm2: np.ndarray) -> np.ndarray:
-    """``W_p = exp((k^2 - |p|^2) / (4 eta^2)) / (k^2 - |p|^2)``, one row per k."""
+def _spectral_weights(ks: np.ndarray,
+                      p_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``W_p = exp((k^2 - |p|^2) / (4 eta^2)) / (k^2 - |p|^2)``, one row per k.
+
+    Also returns which k lie on a line: ``|k^2 - |p|^2| <= _LINE_TOL max(k^2,
+    1)`` for some ``p``.
+    """
     k2 = (ks * ks)[:, None]
+    gap = k2 - p_norm2
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.exp((k2 - p_norm2) / (4.0 * _ETA * _ETA)) / (k2 - p_norm2)
+        weights = np.exp(gap / (4.0 * _ETA * _ETA)) / gap
+    return weights, np.any(np.abs(gap) <= _LINE_TOL * np.maximum(k2, 1.0), axis=1)
 
 
 def _central_term(k):
@@ -308,14 +321,14 @@ class LatticeSumEngine:
 
         A 1-D array is evaluated in one pass and returns a batch table; a
         single ``k`` is the batch of one.  The convergence test acts per
-        wavenumber: one where any order is not finite (k exactly on an
-        empty-lattice resonance), where the terms of the radial series
-        still grow at its ``_J_CAP`` cap (k >~ 22), or where any order's
-        truncation tail exceeds both ``_TABLE_TOL`` -- measured absolutely
-        for sums of magnitude <= 1 and relative to the sum's own size for
-        larger ones -- and that order's roundoff floor, is marked
-        ``converged = False`` and gets NaN values, without affecting the
-        others.
+        wavenumber: one within ``_LINE_TOL`` of an empty-lattice
+        resonance, one where any order is not finite, one where the terms
+        of the radial series still grow at its ``_J_CAP`` cap (k >~ 22),
+        or one where any order's truncation tail exceeds both
+        ``_TABLE_TOL`` -- measured absolutely for sums of magnitude <= 1
+        and relative to the sum's own size for larger ones -- and that
+        order's roundoff floor, is marked ``converged = False`` and gets
+        NaN values, without affecting the others.
 
         Raises
         ------
@@ -346,7 +359,7 @@ class LatticeSumEngine:
         S = self.order_max
 
         # ---- spectral part ------------------------------------------------
-        w = _spectral_weights(ks, self._p_norm2)
+        w, on_line = _spectral_weights(ks, self._p_norm2)
         k_pow = ks[:, None] ** (-np.arange(S + 1.0))
 
         # ---- spatial part -------------------------------------------------
@@ -399,7 +412,8 @@ class LatticeSumEngine:
             1.0, np.maximum(np.abs(values[:, S:]), np.abs(values[:, S::-1]))
         )
         converged = (
-            np.all(np.isfinite(values), axis=1)
+            ~on_line
+            & np.all(np.isfinite(values), axis=1)
             & np.all(last_terms[..., 1] <= last_terms[..., 0], axis=1)
             & ~np.any(tails > np.maximum(_TABLE_TOL * scales, floors), axis=1)
         )

@@ -298,33 +298,56 @@ def outer_block_limit(
     return s0
 
 
-#: Positive zeros of ``J_n`` kept per order (``_bessel_zeros``); the 32nd
+#: Positive zeros of ``J_n`` kept per order (``_merged_zeros``); the 32nd
 #: lies above 98 at every order, far past any ``kR`` or ``k_b R`` in use.
 _ZERO_COUNT = 32
 
 
-@functools.cache
-def _bessel_zeros(order: int) -> np.ndarray:
-    """The first ``_ZERO_COUNT`` positive zeros of ``J_order``, ascending.
+@functools.lru_cache(maxsize=16)
+def _merged_zeros(truncation: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The first ``_ZERO_COUNT`` zeros of ``J_0..J_N``, merged and ascending.
 
-    Cached without eviction, which stays bounded: a problem reads orders
-    0..N, and the lattice sums it needs end at order 2N <= 30.
+    Returns the zeros, the running count of the zeros of ``J_|n|`` over
+    ``n = -N..N`` below each of them (a leading 0, then 1 per zero of
+    ``J_0`` and 2 per zero of any other order), and the last zero kept of
+    ``J_0``, the lowest last zero of any order.  Bessel zeros of different
+    orders never coincide, so the order within the merge does not matter.
+    Cached per truncation; the lattice sums end at order 2N <= 30, so 16
+    entries hold every truncation.
     """
-    return sp.jn_zeros(order, _ZERO_COUNT)
+    zeros = [sp.jn_zeros(order, _ZERO_COUNT) for order in range(truncation + 1)]
+    weights = np.repeat(np.minimum(np.arange(truncation + 1), 1) + 1, _ZERO_COUNT)
+    merged = np.concatenate(zeros)
+    order = np.argsort(merged)
+    return (merged[order], np.concatenate(([0], np.cumsum(weights[order]))),
+            float(zeros[0][-1]))
 
 
 def _zero_count(x: np.ndarray, truncation: int) -> np.ndarray:
     """Zeros of ``J_|n|`` below each ``x`` over ``n = -N..N``.
 
     Each order ``n != 0`` counts twice, once for ``n`` and once for ``-n``.
+    One sorted search of the merged zeros of orders ``0..N``.
     """
-    total = np.zeros(x.shape, dtype=int)
-    for order in range(truncation + 1):
-        zeros = _bessel_zeros(order)
-        if np.any(x >= zeros[-1]):
-            raise ValueError("argument past the cached zeros of J_n")
-        total += (2 if order else 1) * np.searchsorted(zeros, x)
-    return total
+    zeros, below, limit = _merged_zeros(truncation)
+    if np.any(x >= limit):
+        raise ValueError("argument past the cached zeros of J_n")
+    return below[np.searchsorted(zeros, x)]
+
+
+def _hermitian_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``(M + M^H) / 2`` for each matrix ``M`` of a stack.
+
+    A matrix with a non-finite entry gets a row of NaN.  ``eigvalsh``
+    works matrix by matrix, so a matrix gets the same bits in a stack of
+    any size.
+    """
+    finite = np.all(np.isfinite(stack), axis=(-2, -1))
+    values = np.full(stack.shape[:-1], np.nan)
+    if np.any(finite):
+        m = stack[finite]
+        values[finite] = np.linalg.eigvalsh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+    return values
 
 
 class BandCount(NamedTuple):
@@ -396,9 +419,9 @@ class BlochProblem:
         ``f_n`` the max-norms of the block system's pressure and flux rows
         n, so ``T[n] / row_scale[n]`` is the row that eliminating inner
         density n by a rotation leaves in the row-equilibrated block
-        system.  A frequency whose lattice sums fail (exactly on an
-        empty-lattice resonance, or past the tail test) gets NaN in every
-        entry and scale, at one frequency as in a stack.
+        system.  A frequency whose lattice sums fail (on an empty-lattice
+        resonance, or past the tail test) gets NaN in every entry and
+        scale, at one frequency as in a stack.
         """
         factors, s_outer, ds_outer = self._blocks(omegas)
         idx = np.abs(np.arange(-self.truncation, self.truncation + 1))
@@ -421,10 +444,9 @@ class BlochProblem:
         ``(K, 2N+1, 2N+1)`` stacks from one lattice-sum batch.  Both are
         Hermitian for real ``omega`` off the empty-lattice resonances and
         are returned as computed, before any symmetrisation.  A frequency
-        whose matrices are not finite (lattice sums exactly on a resonance
-        or past the tail test) gets NaN in both.  ``det T = det diag(a)
-        det H det S``, so the bands are the frequencies where ``H`` is
-        singular.
+        whose matrices are not finite (lattice sums on a resonance or past
+        the tail test) gets NaN in both.  ``det T = det diag(a) det H det
+        S``, so the bands are the frequencies where ``H`` is singular.
         """
         factors, s_mat, ds_mat = self._blocks(omegas)
         truncation = self.truncation
@@ -443,6 +465,16 @@ class BlochProblem:
             h[..., diag, diag] += interior[finite]
             h_mat[finite] = h
         return s_mat, h_mat
+
+    def h_eigenvalues(self, omegas) -> np.ndarray:
+        """Ascending eigenvalues of the symmetrised ``H`` at the 1-D array ``omegas``.
+
+        One row per frequency, from one lattice-sum batch, and a row of NaN
+        where ``H`` is not finite.  These are the ``eigenvalues`` of
+        ``counts``, from the same arithmetic, without the inertia of ``S``
+        and the pole count.
+        """
+        return _hermitian_eigenvalues(self.hermitian_pair(omegas)[1])
 
     def counts(self, omegas) -> BandCount:
         """The band count at the 1-D array of real, positive ``omegas``.
@@ -463,22 +495,19 @@ class BlochProblem:
         terms of ``H`` decrease in ``omega`` between its poles, so the count
         never decreases.  At the zone centre it includes the zero band.
         Both matrices are symmetrised, ``(M + M^H) / 2``, before their
-        eigenvalues are taken.  A frequency whose matrices are not finite
-        gets no count (``BandCount``).
+        eigenvalues are taken; those of ``H`` are ``h_eigenvalues``.  A
+        frequency whose matrices are not finite gets no count
+        (``BandCount``).
         """
         s_mat, h_mat = self.hermitian_pair(omegas)
         omega = np.asarray(omegas, dtype=float)
         truncation, radius = self.truncation, self.crystal.radius
-        finite = np.all(np.isfinite(h_mat), axis=(-2, -1))
-        eigenvalues = np.full(h_mat.shape[:-1], np.nan)
+        eigenvalues = _hermitian_eigenvalues(h_mat)
+        finite = ~np.isnan(eigenvalues[..., 0])
         bands = np.full(omega.shape, -1)
         poles = np.full(omega.shape, -1)
         if np.any(finite):
-            def hermitian(m):
-                return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-
-            eigenvalues[finite] = np.linalg.eigvalsh(hermitian(h_mat[finite]))
-            outer = np.sum(np.linalg.eigvalsh(hermitian(s_mat[finite])) < 0.0, axis=-1)
+            outer = np.sum(_hermitian_eigenvalues(s_mat[finite]) < 0.0, axis=-1)
             k = omega[finite] / self.material.v
             k_b = omega[finite] / self.material.v_b
             start = 2 * truncation + bool(np.any(self.alpha))
@@ -500,9 +529,9 @@ def assemble_characteristic_matrix(
     ``T`` is the dense ``(2N+1)``-square complex matrix of the module
     docstring, rows and columns ordered ``n = -N..N``, whose singular
     frequencies are the band frequencies.  ``omega`` must be real and
-    positive.  Where the lattice sums fail (exactly on an empty-lattice
-    resonance, or past the tail test), every entry is NaN.  This is
-    ``problem.entries`` at one frequency, with the frequency checked.
+    positive.  Where the lattice sums fail (on an empty-lattice resonance,
+    or past the tail test), every entry is NaN.  This is ``problem.entries``
+    at one frequency, with the frequency checked.
     """
     if np.iscomplexobj(omega) or not float(omega) > 0.0:
         raise ValueError("omega must be real and positive")

@@ -175,8 +175,19 @@ def test_gram_eigenvalue_in_a_stack_equals_its_batch_of_one(alpha):
 # checked Muller's method, which it replaced
 # ---------------------------------------------------------------------------
 
+def _brent(f, a, b, fa, fb):
+    """Drive one Brent search of ``bands._brent_steps`` with ``f``."""
+    steps = bands._brent_steps(a, b, fa, fb)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def test_muller_finds_sqrt_two():
-    root, evaluations = bands._brent(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 2.0)
+    root, evaluations = _brent(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 2.0)
     assert root == pytest.approx(math.sqrt(2.0), rel=4e-16)
     assert 1 <= evaluations <= 12
 
@@ -184,7 +195,7 @@ def test_muller_finds_sqrt_two():
 def test_muller_finds_nearest_root_of_quadratic():
     # Brent keeps to its bracket: of the roots 0.3 and -5 it finds 0.3.
     f = lambda x: (x - 0.3) * (x + 5.0)
-    root, _ = bands._brent(f, 0.0, 1.0, f(0.0), f(1.0))
+    root, _ = _brent(f, 0.0, 1.0, f(0.0), f(1.0))
     assert root == pytest.approx(0.3, abs=1e-15)
 
 
@@ -193,21 +204,16 @@ def test_muller_requires_distinct_starts():
     def never(x):
         raise AssertionError("evaluated")
 
-    assert bands._brent(never, 1.5, 1.5, 1.0, -1.0) == (1.5, 0)
+    assert _brent(never, 1.5, 1.5, 1.0, -1.0) == (1.5, 0)
 
 
 def test_muller_flat_function_raises_not_converged(monkeypatch):
-    # A polish evaluation that gets no count (NaN eigenvalues) ends the
+    # A polish evaluation that gets no eigenvalues of H (a NaN row) ends the
     # search with BandNotFoundError rather than a wrong root.
-    real = BlochProblem.counts
-
     def no_count_inside(self, omegas):
-        count = real(self, omegas)
-        if np.size(omegas) == 1:
-            count.eigenvalues[:] = np.nan
-        return count
+        return np.full((np.size(omegas), 2 * self.truncation + 1), np.nan)
 
-    monkeypatch.setattr(BlochProblem, "counts", no_count_inside)
+    monkeypatch.setattr(BlochProblem, "h_eigenvalues", no_count_inside)
     with pytest.raises(BandNotFoundError, match="no count at omega"):
         bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.3, band_count=1)
 
@@ -220,8 +226,8 @@ def test_muller_iteration_budget_exhaustion_carries_best_iterate():
         return math.copysign(1.0, x - 1e-200)
 
     with pytest.raises(BandNotFoundError, match="did not converge near omega="):
-        bands._brent(step, 0.0, 1e300, -1.0, 1.0)
-    root, evaluations = bands._brent(step, 0.0, 1.0, -1.0, 1.0)
+        _brent(step, 0.0, 1e300, -1.0, 1.0)
+    root, evaluations = _brent(step, 0.0, 1.0, -1.0, 1.0)
     assert root == pytest.approx(1e-200, abs=1e-15) and evaluations <= 100
 
 
@@ -347,23 +353,83 @@ def test_scan_grid_ends_without_a_roundoff_step(monkeypatch, alpha):
 def test_scan_evaluates_the_grid_in_batches(monkeypatch):
     # One lattice-sum engine per search.  The first table call holds the
     # whole first grid, each multisection call eight frequencies per open
-    # bracket, and each polish evaluation and indicator one frequency: tens
-    # of table calls, where a call per frequency would make hundreds.
+    # bracket, each polish step one frequency per open search, and each
+    # indicator one frequency: tens of table calls, where a call per
+    # frequency would make hundreds.
     calls = []
+    steps = []
     real_table = lattice.LatticeSumEngine.table
+    real_eigenvalues = BlochProblem.h_eigenvalues
 
     def counted(self, k):
         calls.append((self, np.size(k)))
         return real_table(self, k)
 
+    def stepped(self, omegas):
+        steps.append(np.size(omegas))
+        return real_eigenvalues(self, omegas)
+
     monkeypatch.setattr(lattice.LatticeSumEngine, "table", counted)
-    bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
+    monkeypatch.setattr(BlochProblem, "h_eigenvalues", stepped)
+    _, diagnostics = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
+    # Search j is open for its first iterations[j] steps.
+    iterations = [d.iterations for d in diagnostics]
+    assert steps == [sum(count > step for count in iterations)
+                     for step in range(max(iterations))]
+    assert steps[0] == 2
     sizes = [size for _, size in calls]
     assert sizes[0] == bands._GRID
-    assert all(size == 1 or size % bands._SECTIONS == 0 for size in sizes[1:])
-    assert any(size > 1 for size in sizes[1:])
+    assert all(size <= 2 or size % bands._SECTIONS == 0 for size in sizes[1:])
+    assert any(size > 2 for size in sizes[1:])
     assert len(calls) < 100
     assert len({engine for engine, _ in calls}) == 1
+
+
+def test_h_eigenvalues_of_a_batch_equal_those_of_single_frequencies():
+    # The polish evaluates H at one frequency per open search in one batch;
+    # each frequency gets the bits it gets alone, and those of the count.
+    # omega = pi at X is on the line |alpha| = pi and gets a NaN row.
+    for alpha in [(np.pi, 0.0), M_ALPHA, (0.3, 2.1)]:
+        problem = BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7)
+        omegas = np.array([0.26, 1.9, np.pi, 3.3, 4.5])
+        batch = problem.h_eigenvalues(omegas)
+        assert np.array_equal(batch, problem.counts(omegas).eigenvalues,
+                              equal_nan=True)
+        assert np.all(np.isnan(batch[2])) == (alpha == (np.pi, 0.0))
+        for i in range(omegas.size):
+            single = problem.h_eigenvalues(omegas[i : i + 1])
+            assert np.array_equal(single[0], batch[i], equal_nan=True)
+
+
+def test_a_point_whose_band_one_fails_reports_band_one(monkeypatch):
+    # Band 2's search gets no eigenvalues: alone, that is the point's
+    # failure.  With band 1 also failing the indicator, both searches ran
+    # together, but the point reports the first failure in band order, as
+    # a search that polished one band at a time would, and checks the
+    # indicator of no later band.
+    real_eigenvalues = BlochProblem.h_eigenvalues
+
+    def no_band_two(self, omegas):
+        values = real_eigenvalues(self, omegas)
+        values[np.asarray(omegas) > 1.0] = np.nan
+        return values
+
+    assemblies = []
+    real_assemble = bands.assemble_characteristic_matrix
+
+    def assemble(omega, problem):
+        assemblies.append(omega)
+        return real_assemble(omega, problem)
+
+    monkeypatch.setattr(BlochProblem, "h_eigenvalues", no_band_two)
+    monkeypatch.setattr(bands, "assemble_characteristic_matrix", assemble)
+    with pytest.raises(BandNotFoundError, match="no count at omega"):
+        bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
+    assemblies.clear()
+    monkeypatch.setattr(bands, "_INDICATOR_TOL", 0.0)
+    with pytest.raises(BandNotFoundError, match="of band 1 fails the indicator"):
+        bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
+    assert assemblies == [pytest.approx(DILUTE_M_BAND1, rel=1e-9)]
 
 
 def test_scan_batch_marks_only_its_failed_frequencies():
@@ -444,8 +510,8 @@ def test_gram_profile_brackets_equal_the_svd_profile_brackets(name, alpha,
     counts = _counts(alpha, material, crystal, truncation, (0.0, omega_max))
     wanted = range(2 if not np.any(alpha) else 1, counts.bands[-1] + 1)
     assert len(wanted) >= 1
-    for lo, hi in counts.isolate(wanted):
-        root, diagnostics = counts.polish(lo, hi)
+    brackets = counts.isolate(wanted)
+    for (lo, hi), (root, diagnostics) in zip(brackets, counts.polish(brackets)):
         assert diagnostics is not None
         assert counts.omegas[lo] < root <= counts.omegas[hi]
 
@@ -473,6 +539,30 @@ def test_fitted_scan_brackets_equal_the_direct_brackets(name, alpha, truncation)
     for i, omega in enumerate(omegas):
         single = problem.counts(omegas[i : i + 1])
         assert (single.bands[0], single.poles[0]) == (batch.bands[i], batch.poles[i])
+
+
+@pytest.mark.parametrize("name, alpha, truncation", FITTED_SCAN_CASES)
+def test_lockstep_polish_equals_polishing_one_bracket_at_a_time(name, alpha,
+                                                                truncation):
+    # Every band below omega_max, polished together, gets bitwise the root
+    # and the evaluation count that a Brent search of its own gets on the
+    # count's eigenvalues at one frequency at a time.
+    material, crystal, omega_max = STREAM_CRYSTALS[name]
+    counts = _counts(alpha, material, crystal, truncation, (0.0, omega_max))
+    problem = counts.problem
+    brackets = counts.isolate(range(2 if not np.any(alpha) else 1,
+                                    counts.bands[-1] + 1))
+    for (lo, hi), (root, diagnostics) in zip(brackets, counts.polish(brackets)):
+        index = int(np.sum(counts.eigenvalues[lo] < 0.0))
+
+        def eigenvalue(omega):
+            return float(problem.counts(np.array([omega])).eigenvalues[0, index])
+
+        alone = _brent(
+            eigenvalue, *counts.omegas[[lo, hi]].tolist(),
+            *counts.eigenvalues[[lo, hi], index].tolist())
+        assert diagnostics is not None
+        assert (root, diagnostics.iterations) == alone
 
 
 def test_scan_past_the_lattice_sum_domain_uses_direct_tables():
@@ -657,7 +747,7 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
 def test_refined_corner_root_lies_inside_its_scan_bracket():
     counts = _counts(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
     (bracket,) = counts.isolate([1])
-    root, diagnostics = counts.polish(*bracket)
+    ((root, diagnostics),) = counts.polish([bracket])
     lo, hi = counts._span(*bracket)
     assert lo < root <= hi
     assert hi - lo < bands._BRACKET_WIDTH * (1.0 + hi)

@@ -8,6 +8,8 @@ eigsh``), which uses no lattice sum: the non-dilute crystal on meshes of up
 to 53,271 nodes, the slow host on 46,298.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,40 @@ def test_count_jumps_at_every_reported_band(crystal, truncation, resolution,
                 continue
             around = problem.counts(np.array([omega * (1 - 1e-7), omega * (1 + 1e-7)]))
             assert around.bands[0] == band - 1 and around.bands[1] >= band
+
+
+# The lowest empty-lattice line k = |alpha| of five Bloch vectors on the
+# non-dilute crystal (v = 1, so omega = k); the line of (pi, pi/2) is double.
+LINE_ALPHAS = [(0.1 / math.sqrt(2.0), 0.1 / math.sqrt(2.0)), (0.01, 0.0),
+               (np.pi / 5, 0.0), (0.3, 2.1), (np.pi, np.pi / 2)]
+
+
+@pytest.mark.parametrize("truncation", [3, 5, 7])
+@pytest.mark.parametrize("alpha", LINE_ALPHAS)
+def test_count_next_to_a_line_is_right_or_refused(alpha, truncation):
+    # Within about 1e-10 relative of a line (at k = 0.01; less at larger k)
+    # the 1/(k^2 - |p|^2) term swamps S and H, and their inertia is
+    # roundoff.  29 offsets from 1e-16 to 1e-4 on each side, 870 probes
+    # over the parametrization: each gets the count 1e-3 away on the same
+    # side, or no count (-1).  Before such frequencies were refused, the
+    # count was wrong at 119 of these probes, and negative at 14 of them;
+    # now 360 are refused, all within 5e-9 relative of their line.
+    problem = _problem(alpha, NONDILUTE, truncation)
+    line = float(np.hypot(*alpha))
+    offsets = np.logspace(-16, -4, 29)
+    for side in (-1.0, 1.0):
+        reference = problem.counts(np.array([line * (1.0 + side * 1e-3)])).bands[0]
+        count = problem.counts(line * (1.0 + side * offsets)).bands
+        assert reference >= 0
+        assert np.all((count == reference) | (count == -1))
+        assert np.all(count[offsets >= 1e-8] == reference)
+
+
+def test_a_ceiling_on_a_line_finds_the_band_below_it():
+    # omega_max = 0.1 lies on the line |p| = |alpha| = 0.1, where the count
+    # once read 0 and the search reported "found 0 of 1 bands".  Near the
+    # root the crossing eigenvalue of H moves by about 1e-14 over 3e-10
+    # relative in omega, which is roundoff, so the root holds to about 1e-10.
+    alpha = (0.1 / math.sqrt(2.0)) * np.array([1.0, 1.0])
+    omegas, _ = bands_at(alpha, *NONDILUTE, 5, omega_max=0.1, band_count=1)
+    assert omegas == pytest.approx((0.008683045779288306,), rel=1e-9)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -376,3 +377,29 @@ def test_outer_block_limit_validation():
         mp.outer_block_limit(limits, 0.05, 3)
     with pytest.raises(ValueError):
         mp.outer_block_limit(limits, -0.05, 2)
+
+
+def _zero_count_per_order(x, truncation):
+    """Zeros of ``J_|n|`` below each ``x`` over ``n = -N..N``, one order at a time."""
+    total = np.zeros(x.shape, dtype=int)
+    for order in range(truncation + 1):
+        zeros = sp.jn_zeros(order, mp._ZERO_COUNT)
+        total += (2 if order else 1) * np.searchsorted(zeros, x)
+    return total
+
+
+@pytest.mark.parametrize("truncation", range(16))
+def test_zero_count_equals_the_per_order_loop(truncation):
+    # One sorted search of the merged zeros of orders 0..N counts what a
+    # search per order counts, on random arguments and exactly on zeros.
+    limit = sp.jn_zeros(0, mp._ZERO_COUNT)[-1]
+    exact = np.concatenate([sp.jn_zeros(order, mp._ZERO_COUNT)
+                            for order in range(truncation + 1)])
+    rng = np.random.default_rng(truncation)
+    x = np.concatenate((rng.uniform(0.0, limit, 400), exact[exact < limit],
+                        [0.0, np.nextafter(limit, 0.0)]))
+    count = mp._zero_count(x, truncation)
+    assert count.dtype == _zero_count_per_order(x, truncation).dtype
+    assert np.array_equal(count, _zero_count_per_order(x, truncation))
+    with pytest.raises(ValueError, match="past the cached zeros"):
+        mp._zero_count(np.array([1.0, limit]), truncation)
