@@ -59,7 +59,6 @@ __all__ = [
     "RootDiagnostics",
     "band_structure",
     "bands_at",
-    "resonance_near",
     "retruncated_root",
 ]
 
@@ -79,8 +78,6 @@ _BRACKET_WIDTH = 2e-3
 _MULTIPLE_WIDTH = 1e-9
 #: Acceptance: equilibrated smallest singular value relative to the largest.
 _INDICATOR_TOL = 1e-6
-#: Relative half-width of the window ``resonance_near`` searches.
-_RESONANCE_WINDOW = 0.4
 #: Relative half-width of the bracket ``retruncated_root`` certifies.
 _RETRUNCATED_SPREAD = 1e-5
 
@@ -183,13 +180,11 @@ class _Counts:
 
     ``omegas`` ascend, with their counts (``multipole.BandCount``) in the
     same order; a frequency that got no count goes to ``failed``.  Below
-    the lowest counted frequency lies ``floor``, with no band below it.
+    the lowest counted frequency lies the floor, zero, with no band below it.
     """
 
-    def __init__(self, problem: BlochProblem, omegas: np.ndarray,
-                 floor: float = 0.0) -> None:
+    def __init__(self, problem: BlochProblem, omegas: np.ndarray) -> None:
         self.problem = problem
-        self.floor = floor
         size = 2 * problem.truncation + 1
         self.omegas = np.empty(0)
         self.bands = self.poles = np.empty(0, dtype=int)
@@ -221,7 +216,7 @@ class _Counts:
         return hi - 1, hi
 
     def _span(self, lo: int, hi: int) -> tuple[float, float]:
-        return (self.omegas[lo] if lo >= 0 else self.floor), self.omegas[hi]
+        return (self.omegas[lo] if lo >= 0 else 0.0), self.omegas[hi]
 
     def _isolated(self, lo: int, hi: int) -> bool:
         """Whether the bracket ``(lo, hi)`` is ready for the polish."""
@@ -355,48 +350,6 @@ def bands_at(
         multiplicity = min(counts.bands[hi], band_count) - counts.bands[lo]
         roots += [(root, diagnostics)] * multiplicity
     return tuple(r[0] for r in roots), tuple(r[1] for r in roots)
-
-
-def resonance_near(
-    omega_guess: float,
-    alpha,
-    material: MaterialParams,
-    crystal: DiskCrystal,
-    truncation: int,
-) -> float:
-    """Accepted characteristic frequency closest to an analytic prediction.
-
-    Counts the bands in the window ``[(1 - _RESONANCE_WINDOW),
-    (1 + _RESONANCE_WINDOW)] * omega_guess`` and isolates each one's
-    bracket.  Only the brackets that could hold the root nearest the guess
-    are polished: those whose nearest point is no farther from the guess
-    than the farthest point of any bracket.  Returns the accepted root
-    nearest the guess.  This identifies the resonance branch even when
-    other bands cross the window; raises :class:`BandNotFoundError` when no
-    root is accepted.
-    """
-    if not omega_guess > 0.0:
-        raise ValueError("omega_guess must be positive")
-    lo_w, hi_w = ((1.0 - _RESONANCE_WINDOW) * omega_guess,
-                  (1.0 + _RESONANCE_WINDOW) * omega_guess)
-    counts = _Counts(BlochProblem(alpha, material, crystal, truncation),
-                     np.linspace(lo_w, hi_w, _GRID), floor=lo_w)
-    roots = []
-    if counts.bands.size:
-        brackets = counts.isolate(range(counts.bands[0] + 1, counts.bands[-1] + 1))
-        spans = [counts._span(*b) for b in brackets]
-        reach = min((max(abs(lo - omega_guess), abs(hi - omega_guess))
-                     for lo, hi in spans), default=0.0)
-        chosen = [bracket for bracket, (lo, hi) in zip(brackets, spans)
-                  if max(lo - omega_guess, omega_guess - hi, 0.0) <= reach]
-        roots = [root for root, diagnostics in counts.polish(chosen)
-                 if diagnostics is not None]
-    if not roots:
-        raise BandNotFoundError(
-            f"no accepted characteristic frequency within "
-            f"{_RESONANCE_WINDOW:.0%} of omega={omega_guess}"
-        )
-    return min(roots, key=lambda w: abs(w - omega_guess))
 
 
 def retruncated_root(

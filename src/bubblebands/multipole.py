@@ -149,25 +149,25 @@ class DiskCrystal:
 # ---------------------------------------------------------------------------
 
 def _cyl_tables(order_hi: int, z):
-    """``J, J', H1, H1'`` for orders 0..order_hi at real or complex ``z``.
+    """``J, J', H1, H1'`` for orders 0..order_hi at real ``z``.
 
     ``z`` may also be an array: each table then gains its axes in front,
     shaped ``z.shape + (order_hi + 1,)``.  ``scipy.special.jv`` and
     ``hankel1`` (AMOS, Amos 1986) evaluate orders 0..order_hi+1 in one call
-    each, on the real axis and off it alike; ``Re z`` must be positive.
-    ``J`` is computed on its own rather than as ``Re H1``, which would lose
-    it under the dominant ``Y`` at small ``z``.  Derivatives use
-    ``C_n' = (C_{n-1} - C_{n+1}) / 2`` and ``C_0' = -C_1``.
+    each; ``z`` must be positive.  ``J`` is computed on its own rather than
+    as ``Re H1``, which would lose it under the dominant ``Y`` at small
+    ``z``.  Derivatives use ``C_n' = (C_{n-1} - C_{n+1}) / 2`` and
+    ``C_0' = -C_1``.
     """
-    zc = np.asarray(z, dtype=complex)
-    if np.any(zc.real <= 0.0):
-        raise ValueError("argument must have positive real part")
-    arg = zc if np.any(zc.imag) else zc.real
+    z = np.asarray(z)
+    if np.iscomplexobj(z) or np.any(z <= 0.0):
+        raise ValueError("argument must be real and positive")
+    z = z.astype(float, copy=False)
     orders = np.arange(order_hi + 2)
-    j = sp.jv(orders, arg[..., None])
-    h = sp.hankel1(orders, arg[..., None])
-    jp = np.empty(zc.shape + (order_hi + 1,), dtype=complex)
-    hp = np.empty_like(jp)
+    j = sp.jv(orders, z[..., None])
+    h = sp.hankel1(orders, z[..., None])
+    jp = np.empty(z.shape + (order_hi + 1,))
+    hp = np.empty_like(jp, dtype=complex)
     jp[..., 0] = -j[..., 1]
     hp[..., 0] = -h[..., 1]
     if order_hi >= 1:
@@ -207,14 +207,12 @@ def cylinder_factors(omega, material: MaterialParams, radius: float,
                      truncation: int) -> CylinderFactors:
     """``CylinderFactors`` of orders ``0..truncation`` at ``omega``.
 
-    ``omega`` is a frequency (positive real part) or an array of them.
+    ``omega`` is a positive frequency or an array of them.
     """
     omega = np.asarray(omega)
     k, k_b = omega / material.v, omega / material.v_b
     c = -0.5j * math.pi * radius
     j, jp, h, hp = _cyl_tables(truncation, k * radius)
-    if not np.iscomplexobj(j):
-        jp = jp.real
     j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * radius)
     return CylinderFactors(j, jp, c * j * h, c * k[..., None] * j * hp,
                            a=c * j_b * h_b, b=c * k_b[..., None] * jp_b * h_b)

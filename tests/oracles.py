@@ -383,9 +383,7 @@ def block_characteristic_matrix(omega, problem: BlochProblem) -> np.ndarray:
     ``multipole.BlochProblem.entries``' matrix, which eliminates the inner
     densities.
     """
-    omega = complex(omega)
-    if omega.imag == 0.0:
-        omega = omega.real
+    omega = float(omega)
     material, crystal, truncation = problem.material, problem.crystal, problem.truncation
     k = omega / material.v
     k_b = omega / material.v_b

@@ -31,7 +31,7 @@ from bubblebands import multipole as mp
 from bubblebands.bands import (
     BandNotFoundError,
     band_structure,
-    resonance_near,
+    bands_at,
     retruncated_root,
 )
 from bubblebands.cli import RunConfig, main, run_compare, run_dilute
@@ -347,19 +347,21 @@ def test_acceptance_6_radius_refinement(capsys, dilute_sweep_result):
 # 7. truncation stability of every reported band frequency
 # ---------------------------------------------------------------------------
 
-def _re_refined_drift(omega, alpha, material, crystal, truncation):
-    """Drift of a band root when the multipole order is raised by two.
+def _re_refined_drift(omega, band, alpha, material, crystal, truncation,
+                      omega_max):
+    """Drift of root ``omega`` of ``band`` when the multipole order is raised by two.
 
     The tight re-refinement bracket spans +/- 1e-5 (1+omega); if the root
-    moves further than that, fall back to a wide search so the report can
-    still show the measured shift.
+    moves further than that, fall back to the same band below ``omega_max``
+    two orders higher, so the report can still show the measured shift.
     """
     try:
         moved = retruncated_root(omega, alpha, material, crystal, truncation)
         return abs(moved - omega), moved
     except BandNotFoundError:
         try:
-            moved = resonance_near(omega, alpha, material, crystal, truncation + 2)
+            moved = bands_at(alpha, material, crystal, truncation + 2,
+                             omega_max, band_count=band)[0][band - 1]
             return abs(moved - omega), moved
         except BandNotFoundError:
             return math.inf, None
@@ -374,43 +376,47 @@ def test_acceptance_7_truncation_stability(
 
     def structure_roots(structure):
         return [
-            (point.alpha, omega)
+            (point.alpha, band, omega)
             for point in structure.points
-            for omega in point.omegas
+            for band, omega in enumerate(point.omegas, start=1)
             if omega != 0.0
         ]
 
+    # Each group: label, material, crystal, truncation, the ceiling its
+    # roots were searched below, and its (alpha, band, omega) roots.
     groups.append((
         "dilute structure (order 7)", DILUTE_MATERIAL, DiskCrystal(0.05), 7,
-        structure_roots(dilute_structure[0]),
+        5.0, structure_roots(dilute_structure[0]),
     ))
     groups.append((
         "non-dilute structure (pinned order 3)", NONDILUTE_MATERIAL,
-        DiskCrystal(0.25), 3, structure_roots(nondilute_structure[0]),
+        DiskCrystal(0.25), 3, 5.2, structure_roots(nondilute_structure[0]),
     ))
     for row in dilute_sweep_result[0]:
         radius = float(row["radius"])
         groups.append((
             f"radius sweep R={radius:g} (order 5)", NONDILUTE_MATERIAL,
-            DiskCrystal(radius), 5, [(M_POINT, float(row["omega_star"]))],
+            DiskCrystal(radius), 5, 0.8,
+            [(M_POINT, 1, float(row["omega_star"]))],
         ))
     csv_roots = [
-        ((float(row["alpha_x"]), float(row["alpha_y"])), float(row["omega"]))
+        ((float(row["alpha_x"]), float(row["alpha_y"])), int(row["band"]),
+         float(row["omega"]))
         for row in _csv_rows(bands_run_pair[0])[0]
         if float(row["omega"]) != 0.0
     ]
     groups.append((
         "determinism-run structure (order 5)", DILUTE_MATERIAL,
-        DiskCrystal(0.05), 5, csv_roots,
+        DiskCrystal(0.05), 5, 5.0, csv_roots,
     ))
 
     checked = 0
     exceeded = 0
     worst = None  # (ratio, drift, bar, omega, alpha, label, moved)
-    for label, material, crystal, truncation, roots in groups:
-        for alpha, omega in roots:
-            drift, moved = _re_refined_drift(omega, alpha, material, crystal,
-                                             truncation)
+    for label, material, crystal, truncation, omega_max, roots in groups:
+        for alpha, band, omega in roots:
+            drift, moved = _re_refined_drift(omega, band, alpha, material,
+                                             crystal, truncation, omega_max)
             bar = 1e-6 * (1.0 + omega)
             checked += 1
             if drift > bar:

@@ -22,7 +22,6 @@ from bubblebands.bands import (
     RootDiagnostics,
     band_structure,
     bands_at,
-    resonance_near,
     retruncated_root,
 )
 from bubblebands.multipole import (
@@ -237,8 +236,6 @@ def test_muller_acceptance_veto_raises_rejected(monkeypatch):
     monkeypatch.setattr(bands, "_INDICATOR_TOL", 0.0)
     with pytest.raises(BandNotFoundError, match="fails the indicator"):
         bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.3, band_count=1)
-    with pytest.raises(BandNotFoundError, match="no accepted"):
-        resonance_near(DILUTE_M_BAND1, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +246,7 @@ def _counts(alpha, material, crystal, truncation, omega_range):
     """The counts of a search's first batch over ``omega_range``."""
     problem = BlochProblem(alpha, material, crystal, truncation)
     lo, hi = omega_range
-    return bands._Counts(problem, np.linspace(lo, hi, bands._GRID + 1)[1:], floor=lo)
+    return bands._Counts(problem, np.linspace(lo, hi, bands._GRID + 1)[1:])
 
 
 def test_scan_empty_range_yields_no_brackets():
@@ -330,10 +327,8 @@ def _first_batches(monkeypatch):
                                    M_ALPHA, (np.pi, 0.7 * np.pi)])
 def test_scan_grid_ends_without_a_roundoff_step(monkeypatch, alpha):
     # The first batch of a search is uniform and ends exactly at the top of
-    # its range: at omega_max for bands_at, at 1.4 times the guess for
-    # resonance_near.
+    # its range, omega_max.
     batches = _first_batches(monkeypatch)
-    window = (1.0 - bands._RESONANCE_WINDOW) * 1.3, (1.0 + bands._RESONANCE_WINDOW) * 1.3
     for material, omega_max in ((DILUTE_MAT, 5.0), (NONDILUTE_MAT, 5.2)):
         batches.clear()
         bands_at(alpha, material, DILUTE_CRYSTAL, 3, omega_max,
@@ -341,13 +336,6 @@ def test_scan_grid_ends_without_a_roundoff_step(monkeypatch, alpha):
         grid = batches[0]
         assert grid.size == bands._GRID and grid[-1] == omega_max
         assert np.allclose(np.diff(grid), omega_max / bands._GRID, rtol=1e-12)
-        batches.clear()
-        try:
-            resonance_near(1.3, alpha, material, DILUTE_CRYSTAL, 3)
-        except BandNotFoundError:
-            pass
-        assert (batches[0][0], batches[0][-1]) == window
-        assert np.allclose(np.diff(batches[0]), 0.8 * 1.3 / (bands._GRID - 1))
 
 
 def test_scan_evaluates_the_grid_in_batches(monkeypatch):
@@ -597,8 +585,7 @@ def test_sweep_table_factors_equal_the_direct_factors():
 
 def test_cylinder_tables_compute_only_the_rows_a_batch_asks_for(monkeypatch):
     # A search computes cylinder factors only at the frequencies it counts,
-    # polishes or checks, within its range: a sweep nothing above omega_max,
-    # and resonance_near nothing below its window.
+    # polishes or checks, within its range: a sweep nothing above omega_max.
     computed = []
     real_factors = multipole.cylinder_factors
 
@@ -609,15 +596,10 @@ def test_cylinder_tables_compute_only_the_rows_a_batch_asks_for(monkeypatch):
     monkeypatch.setattr(multipole, "cylinder_factors", factors)
     band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3, resolution=3, omega_max=5.0)
     assert computed and max(computed) <= 5.0
-    computed.clear()
-    resonance_near(DILUTE_M_BAND1, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    assert computed
-    assert min(computed) >= (1.0 - bands._RESONANCE_WINDOW) * DILUTE_M_BAND1
-    assert max(computed) <= (1.0 + bands._RESONANCE_WINDOW) * DILUTE_M_BAND1
 
 
 # ---------------------------------------------------------------------------
-# bands_at / resonance_near / retruncated_root
+# bands_at / retruncated_root
 # ---------------------------------------------------------------------------
 
 def test_first_two_bands_at_corner_matches_frozen_values():
@@ -782,16 +764,13 @@ def test_retruncated_root_isolates_a_band_next_to_a_pole():
         retruncated_root(4.0, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7)
 
 
-def test_resonance_near_tracks_the_predicted_branch():
+def test_band_one_tracks_the_predicted_branch():
+    # Band 1 below 1.4 times the capacity estimate, as `compare` searches
+    # it at contrast 1000.
     mat = MaterialParams(rho=1000.0, kappa=1000.0, rho_b=1.0, kappa_b=1.0)
     tiny = DiskCrystal(radius=0.0125)
-    root = resonance_near(1.843937, M_ALPHA, mat, tiny, 3)
+    (root,), _ = bands_at(M_ALPHA, mat, tiny, 3, 1.4 * 1.843937, band_count=1)
     assert root == pytest.approx(1.781941897, abs=1e-6)
-
-
-def test_resonance_near_validates_arguments():
-    with pytest.raises(ValueError):
-        resonance_near(0.0, M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Two producers are covered: ``bessel.bessel_j_seq`` (Miller's recurrence on
 long real vectors, behind the quasi-static sum) and the production
-per-frequency tables ``multipole._cyl_tables`` (J, J', H1, H1' at one real
-or complex argument).
+per-frequency tables ``multipole._cyl_tables`` (J, J', H1, H1' at real
+arguments).
 """
 
 import numpy as np
@@ -75,9 +75,8 @@ def test_cyl_tables_match_scipy_on_real_grid():
 
 
 def test_wronskian_constant_across_orders():
-    # J_n H1_n' - J_n' H1_n = 2i / (pi z) for every order, real and complex z
-    for z in (0.05, 0.7, 5.0, 13.2, 13.8, 80.0, 300.0,
-              0.3 + 0.2j, 2.5 - 0.8j, 17.0 + 0.5j):
+    # J_n H1_n' - J_n' H1_n = 2i / (pi z) for every order
+    for z in (0.05, 0.7, 5.0, 13.2, 13.8, 80.0, 300.0):
         j, jp, h, hp = _cyl_tables(16, z)
         w = j * hp - jp * h
         residual = np.abs(w * (np.pi * z / 2j) - 1.0)
@@ -98,6 +97,8 @@ def test_invalid_arguments_raise():
         _cyl_tables(3, 0.0)
     with pytest.raises(ValueError):
         _cyl_tables(3, -2.0)
+    with pytest.raises(ValueError):
+        _cyl_tables(3, 2.0 + 0.5j)
 
 
 def test_high_order_y_overflow_is_loud():
@@ -146,39 +147,3 @@ def test_three_term_recurrence_residual(x, nmax):
 @settings(max_examples=60, deadline=None)
 def test_j_bounded_by_one(x, n):
     assert abs(bs.bessel_j_seq(n, x)[n]) <= 1.0 + 1e-12
-
-
-@given(st.floats(min_value=0.1, max_value=40.0),
-       st.floats(min_value=-0.9, max_value=0.9))
-@settings(max_examples=40, deadline=None)
-def test_complex_branch_agrees_with_scipy(re, im):
-    # Re z up to 40, well past |z| = 12
-    z = complex(re, im)
-    orders = np.arange(9)
-    j, jp, h, hp = _cyl_tables(8, z)
-    for got, ref in ((j, sp.jv(orders, z)), (jp, sp.jvp(orders, z)),
-                     (h, sp.hankel1(orders, z)), (hp, sp.h1vp(orders, z))):
-        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
-
-
-def test_complex_branch_reduces_to_real_axis():
-    for x in (0.4, 2.7, 9.8, 25.0):
-        real = _cyl_tables(10, x)
-        for eps in (1e-9, 1e-13):
-            near = _cyl_tables(10, complex(x, eps))
-            for a, b in zip(near, real):
-                # first-order drift |C'| eps, with |C'| ~ (1 + n/x) |C|
-                bound = 50.0 * eps * (1.0 + 10.0 / x) * np.maximum(1.0, np.abs(b))
-                assert np.all(np.abs(a - b) <= bound)
-
-
-def test_complex_domain_guard():
-    # Re z > 0 is the whole domain, whatever |z| and |Im z|
-    for bad in (0j, -1.0 + 0.5j, -3.0 + 0j):
-        with pytest.raises(ValueError):
-            _cyl_tables(3, bad)
-    for wide in (13.0 + 0j, 3.0 + 1.5j, 60.0 - 2.0j):
-        j, _, h, _ = _cyl_tables(3, wide)
-        np.testing.assert_allclose(h, sp.hankel1(np.arange(4), wide),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(j, sp.jv(np.arange(4), wide), rtol=1e-12)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from bubblebands import cli
-from bubblebands.bands import BandNotFoundError
+from bubblebands.bands import BandNotFoundError, bands_at
 from bubblebands.capacity import capacity_disk, capacity_quasi, minnaert_frequency
 from bubblebands.cli import RunConfig, UsageError, load_config, main
-from bubblebands.multipole import DiskCrystal, ZeroAlphaError
+from bubblebands.lattice import M_POINT
+from bubblebands.multipole import DiskCrystal, MaterialParams, ZeroAlphaError
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,7 @@ def test_dilute_band_search_failure_is_a_computation_error(
 
 
 def test_compare_missing_resonance_is_a_warning_row(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "resonance_near", _raise_band_not_found)
+    monkeypatch.setattr(cli, "bands_at", _raise_band_not_found)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"radius": 0.0125, "truncation_N": 3}))
     out = tmp_path / "compare.csv"
@@ -230,7 +231,7 @@ def test_compare_missing_resonance_is_a_warning_row(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command, target", [
     (["bands"], "band_structure"),
     (["dilute", "--radii", "0.05"], "band_structure"),
-    (["compare", "--contrasts", "100"], "resonance_near"),
+    (["compare", "--contrasts", "100"], "bands_at"),
 ])
 def test_other_band_search_errors_are_not_swallowed(
         command, target, tmp_path, monkeypatch):
@@ -312,6 +313,23 @@ def test_compare_schema_and_monotone_error(compare_csv):
     rel = [float(r[4]) for r in rows]
     assert all(e > 0 for e in rel)
     assert all(b < a for a, b in zip(rel, rel[1:]))
+
+
+def test_compare_reports_band_one(compare_csv):
+    # Every row is band 1 at M, whichever root lies nearest the estimate: at
+    # contrast 100 the double band 3-4 at 4.447142 is nearer the estimate
+    # 5.831002 than band 1 is.
+    crystal = DiskCrystal(radius=0.0125)
+    rows = [line.split(",") for line in compare_csv.splitlines()[1:]
+            if not line.startswith("#")]
+    for row in rows:
+        contrast = float(row[0])
+        material = MaterialParams(rho=contrast, kappa=contrast,
+                                  rho_b=1.0, kappa_b=1.0)
+        (band_one,), _ = bands_at(M_POINT, material, crystal, 3, 8.0,
+                                  band_count=1)
+        assert float(row[2]) == pytest.approx(band_one, rel=1e-9)
+    assert float(rows[0][2]) == pytest.approx(3.9225247243, rel=1e-9)
 
 
 def test_compare_delta_column_is_reciprocal_contrast(compare_csv):
