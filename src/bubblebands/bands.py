@@ -26,30 +26,33 @@ frequency per open search.  A root is reported once per unit of its
 multiplicity, and only if the smallest singular value of the equilibrated
 characteristic matrix (each row divided by the scale
 ``BlochProblem.entries`` returns with it), from a full SVD, is within
-``_INDICATOR_TOL`` of its largest: a safety check that the polished root
-is a root of the matrix.
+``_INDICATOR_TOL`` of its largest: a safety check that the polished roots
+of a point, checked in one batch, are roots of the matrix.
 
 The path sweep walks the closed polyline through the zone corners
-(0,0) -> (pi,0) -> (pi,pi) -> (0,0), collects the lowest bands at each
-sample, and reports the maximum of the first band, where it is attained, and
-the gap between the first and second bands when one opens.  The closing
-corner is the opening one, so it is solved once.
+(0,0) -> (pi,0) -> (pi,pi) -> (0,0), advances the searches of its samples
+together (``_drive``), collects the lowest bands at each sample, and
+reports the maximum of the first band, where it is attained, and the gap
+between the first and second bands when one opens.  The closing corner is
+the opening one, so it is solved once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, Iterator, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .lattice import GAMMA_POINT, M_POINT, X_POINT
+from .lattice import _ENGINE_CACHE_SIZE, GAMMA_POINT, M_POINT, X_POINT
 from .multipole import (
     BlochProblem,
     DiskCrystal,
     MaterialParams,
     assemble_characteristic_matrix,
+    batch_counts,
+    batch_h_eigenvalues,
 )
 
 __all__ = [
@@ -80,6 +83,9 @@ _MULTIPLE_WIDTH = 1e-9
 _INDICATOR_TOL = 1e-6
 #: Relative half-width of the bracket ``retruncated_root`` certifies.
 _RETRUNCATED_SPREAD = 1e-5
+#: Most frequencies in one evaluation call of a sweep's step, which bounds
+#: its transient stacks; only a request larger than this has a call alone.
+_BATCH_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +177,21 @@ def _brent_steps(a: float, b: float, fa: float, fb: float
     raise BandNotFoundError(f"Brent's method did not converge near omega={b}")
 
 
+def _advance(searches: Sequence[Generator], i: int, value, asked: dict,
+             results: list) -> None:
+    """Send ``value`` to search ``i`` and keep what it does next.
+
+    Its next request goes to ``asked[i]``; its result, or the message of its
+    :class:`BandNotFoundError`, to ``results[i]``.
+    """
+    try:
+        asked[i] = searches[i].send(value)
+    except StopIteration as stop:
+        results[i] = stop.value
+    except BandNotFoundError as exc:
+        results[i] = str(exc)
+
+
 # ---------------------------------------------------------------------------
 # the search by the count
 # ---------------------------------------------------------------------------
@@ -181,20 +202,20 @@ class _Counts:
     ``omegas`` ascend, with their counts (``multipole.BandCount``) in the
     same order; a frequency that got no count goes to ``failed``.  Below
     the lowest counted frequency lies the floor, zero, with no band below it.
+    ``add``, ``isolate`` and ``polish`` are generators of requests (``_drive``).
     """
 
-    def __init__(self, problem: BlochProblem, omegas: np.ndarray) -> None:
+    def __init__(self, problem: BlochProblem) -> None:
         self.problem = problem
         size = 2 * problem.truncation + 1
         self.omegas = np.empty(0)
         self.bands = self.poles = np.empty(0, dtype=int)
         self.eigenvalues = np.empty((0, size))
         self.failed = np.empty(0)
-        self.add(omegas)
 
-    def add(self, omegas: np.ndarray) -> None:
-        """Count the bands at ``omegas`` in one batch and keep the counts."""
-        count = self.problem.counts(omegas)
+    def add(self, omegas: np.ndarray) -> Generator:
+        """Count the bands at ``omegas`` in one request and keep the counts."""
+        count = yield batch_counts, self.problem, omegas
         ok = count.bands >= 0
         self.failed = np.append(self.failed, omegas[~ok])
         merged = np.concatenate((self.omegas, omegas[ok]))
@@ -227,7 +248,7 @@ class _Counts:
         limit = _BRACKET_WIDTH if single else _MULTIPLE_WIDTH
         return width < limit * (1.0 + self.omegas[hi])
 
-    def isolate(self, bands: Sequence[int]) -> list[tuple[int, int]]:
+    def isolate(self, bands: Sequence[int]) -> Generator:
         """Multisect until the bracket of each of ``bands`` is ready; return them.
 
         The brackets come back in band order, one per distinct bracket.
@@ -246,21 +267,20 @@ class _Counts:
                     f"of H there")
             stuck = set(spans)
             fractions = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
-            self.add(np.concatenate([lo + (hi - lo) * fractions for lo, hi in spans]))
+            yield from self.add(
+                np.concatenate([lo + (hi - lo) * fractions for lo, hi in spans]))
 
-    def polish(self, brackets: Sequence[tuple[int, int]]
-               ) -> Iterator[tuple[float, RootDiagnostics | None]]:
+    def polish(self, brackets: Sequence[tuple[int, int]]) -> Generator:
         """The root in each ready bracket ``(lo, hi)`` and its diagnostics.
 
         Brent's method on the (r+1)-th smallest eigenvalue of ``H``, r the
         negative eigenvalues at ``lo``.  The searches of all brackets
-        advance together: each step evaluates ``H`` once, at one frequency
-        per open search (``BlochProblem.h_eigenvalues``).  The results
-        come in bracket order, and each bracket's indicator is computed
-        only when its result is taken, so a caller that stops at a failure
-        checks no later root.  A search that failed raises its
-        :class:`BandNotFoundError` when its result is taken.  The
-        diagnostics are None where the indicator misses ``_INDICATOR_TOL``.
+        advance together: each step requests ``H`` once, at one frequency
+        per open search (``multipole.batch_h_eigenvalues``).  Returns the
+        roots, in bracket order, of the brackets before the first whose
+        search failed, checked in one indicator batch; their diagnostics are
+        None where the indicator misses ``_INDICATOR_TOL``.  If none of them
+        misses it, that failure raises :class:`BandNotFoundError`.
         """
         problem = self.problem
         indices = [int(np.sum(self.eigenvalues[lo] < 0.0)) for lo, _ in brackets]
@@ -270,39 +290,138 @@ class _Counts:
             for (lo, hi), index in zip(brackets, indices)]
         outcomes: list = [None] * len(searches)
         asked: dict[int, float] = {}
-
-        def advance(i: int, value: float | None) -> None:
-            try:
-                asked[i] = searches[i].send(value)
-            except StopIteration as stop:
-                outcomes[i] = stop.value
-            except BandNotFoundError as exc:
-                outcomes[i] = exc
-
         for i in range(len(searches)):
-            advance(i, None)
+            _advance(searches, i, None, asked, outcomes)
         while asked:
             step = list(asked.items())
             asked.clear()
-            values = problem.h_eigenvalues(np.array([omega for _, omega in step]))
+            values = yield (batch_h_eigenvalues, problem,
+                            np.array([omega for _, omega in step]))
             for (i, omega), row in zip(step, values):
                 value = row[indices[i]]
                 if math.isnan(value):
-                    outcomes[i] = BandNotFoundError(
-                        f"no count at omega={omega!r} in a band bracket")
+                    outcomes[i] = f"no count at omega={omega!r} in a band bracket"
                 else:
-                    advance(i, float(value))
-        for outcome in outcomes:
-            if isinstance(outcome, BandNotFoundError):
-                raise outcome
-            root, evaluations = outcome
-            matrix, scale = assemble_characteristic_matrix(root, problem)
-            spectrum = _singular_values((matrix[None], scale[None]))[0]
-            if not (math.isfinite(spectrum[0])
-                    and spectrum[-1] <= _INDICATOR_TOL * spectrum[0]):
-                yield root, None
-            else:
-                yield root, RootDiagnostics(float(spectrum[-1]), evaluations)
+                    _advance(searches, i, float(value), asked, outcomes)
+        failed = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, str)]
+        polished = outcomes[:failed[0]] if failed else outcomes
+        roots = []
+        if polished:
+            spectra = _singular_values(assemble_characteristic_matrix(
+                np.array([root for root, _ in polished]), problem))
+            for (root, evaluations), spectrum in zip(polished, spectra):
+                ok = (math.isfinite(spectrum[0])
+                      and spectrum[-1] <= _INDICATOR_TOL * spectrum[0])
+                roots.append((root, RootDiagnostics(float(spectrum[-1]), evaluations)
+                              if ok else None))
+        if failed and all(diagnostics is not None for _, diagnostics in roots):
+            raise BandNotFoundError(outcomes[failed[0]])
+        return roots
+
+
+def _band_search(alpha, material: MaterialParams, crystal: DiskCrystal,
+                 truncation: int, omega_max: float, band_count: int) -> Generator:
+    """The search of :func:`bands_at`, as a generator of requests (``_drive``)."""
+    if band_count < 1:
+        raise ValueError("band_count must be at least 1")
+    problem = BlochProblem(alpha, material, crystal, truncation)
+    at_centre = not np.any(problem.alpha)
+    roots = [(0.0, RootDiagnostics(0.0, 0))] if at_centre else []
+    if band_count == len(roots):
+        return (0.0,), (roots[0][1],)
+    counts = _Counts(problem)
+    yield from counts.add(np.linspace(0.0, omega_max, _GRID + 1)[1:])
+    top = counts.bands[-1] if counts.bands.size else 0
+    if top < band_count:
+        found = f"found {max(top - at_centre, 0)} of {band_count - at_centre} bands"
+        detail = (f"; the count is {top} at omega={counts.omegas[-1]:.6g}"
+                  if counts.bands.size else "; no frequency got a count")
+        if counts.failed.size:
+            detail += (f"; the lattice sums failed at omega in "
+                       f"[{counts.failed.min():.6g}, {counts.failed.max():.6g}]")
+        raise BandNotFoundError(f"{found} below omega={omega_max}{detail}")
+    brackets = yield from counts.isolate(range(len(roots) + 1, band_count + 1))
+    polished = yield from counts.polish(brackets)
+    for (lo, hi), (root, diagnostics) in zip(brackets, polished):
+        if diagnostics is None:
+            raise BandNotFoundError(
+                f"found {len(roots) - at_centre} of {band_count - at_centre} bands "
+                f"below omega={omega_max}; the root {root!r} of band "
+                f"{counts.bands[lo] + 1} fails the indicator")
+        multiplicity = min(counts.bands[hi], band_count) - counts.bands[lo]
+        roots += [(root, diagnostics)] * multiplicity
+    return tuple(r[0] for r in roots), tuple(r[1] for r in roots)
+
+
+def _retruncated_search(omega: float, alpha, material: MaterialParams,
+                        crystal: DiskCrystal, truncation: int) -> Generator:
+    """The search of :func:`retruncated_root`, as a generator of requests."""
+    problem = BlochProblem(alpha, material, crystal, truncation + 2)
+    spread = _RETRUNCATED_SPREAD * (1.0 + abs(omega))
+    counts = _Counts(problem)
+    yield from counts.add(np.array([omega - spread, omega + spread]))
+    if counts.omegas.size != 2 or counts.bands[1] - counts.bands[0] != 1:
+        raise BandNotFoundError(
+            f"no single band in omega={omega} +/- {spread:.1e} at truncation "
+            f"{truncation + 2}")
+    brackets = yield from counts.isolate([counts.bands[1]])
+    ((root, diagnostics),) = yield from counts.polish(brackets)
+    if diagnostics is None:
+        raise BandNotFoundError(f"the root {root!r} fails the indicator")
+    return root
+
+
+def _evaluate(batch: Callable, requests: list[tuple[BlochProblem, np.ndarray]]
+              ) -> list:
+    """``batch`` over ``(problem, omegas)`` requests, one result per request.
+
+    Requests share a call up to ``_BATCH_CAP`` frequencies; one is never cut.
+    """
+    answers, chunk, size = [], [], 0
+    for request in requests:
+        if chunk and size + request[1].size > _BATCH_CAP:
+            answers += batch(chunk)
+            chunk, size = [], 0
+        chunk.append(request)
+        size += request[1].size
+    return answers + batch(chunk)
+
+
+def _drive(searches: Sequence[Generator]) -> list:
+    """Run band searches together; return each one's result or failure reason.
+
+    A search yields requests ``(batch, problem, omegas)``, ``batch`` being
+    ``multipole.batch_counts`` or ``batch_h_eigenvalues``, is sent
+    ``batch([(problem, omegas)])[0]`` for each, and returns its result or
+    raises :class:`BandNotFoundError`.  Each step evaluates the requests of
+    all searches in flight, one ``_evaluate`` per ``batch``.  At most
+    ``_ENGINE_CACHE_SIZE`` run at once, so their engines all stay cached.
+    """
+    results: list = [None] * len(searches)
+    started = 0
+    asked: dict[int, tuple] = {}
+    while True:
+        while len(asked) < _ENGINE_CACHE_SIZE and started < len(searches):
+            started += 1
+            _advance(searches, started - 1, None, asked, results)
+        if not asked:
+            return results
+        groups: dict[Callable, list] = {}
+        for i, (batch, problem, omegas) in asked.items():
+            groups.setdefault(batch, []).append((i, (problem, omegas)))
+        asked.clear()
+        for batch, group in groups.items():
+            answers = _evaluate(batch, [request for _, request in group])
+            for (i, _), answer in zip(group, answers):
+                _advance(searches, i, answer, asked, results)
+
+
+def _alone(search: Generator):
+    """The result of one search, driven alone; its failure is raised."""
+    (result,) = _drive([search])
+    if isinstance(result, str):
+        raise BandNotFoundError(result)
+    return result
 
 
 def bands_at(
@@ -323,33 +442,8 @@ def bands_at(
     Raises :class:`BandNotFoundError` when fewer bands lie below
     ``omega_max``, or when a polished root fails the indicator.
     """
-    if band_count < 1:
-        raise ValueError("band_count must be at least 1")
-    problem = BlochProblem(alpha, material, crystal, truncation)
-    at_centre = not np.any(problem.alpha)
-    roots = [(0.0, RootDiagnostics(0.0, 0))] if at_centre else []
-    if band_count == len(roots):
-        return (0.0,), (roots[0][1],)
-    counts = _Counts(problem, np.linspace(0.0, omega_max, _GRID + 1)[1:])
-    top = counts.bands[-1] if counts.bands.size else 0
-    if top < band_count:
-        found = f"found {max(top - at_centre, 0)} of {band_count - at_centre} bands"
-        detail = (f"; the count is {top} at omega={counts.omegas[-1]:.6g}"
-                  if counts.bands.size else "; no frequency got a count")
-        if counts.failed.size:
-            detail += (f"; the lattice sums failed at omega in "
-                       f"[{counts.failed.min():.6g}, {counts.failed.max():.6g}]")
-        raise BandNotFoundError(f"{found} below omega={omega_max}{detail}")
-    brackets = counts.isolate(range(len(roots) + 1, band_count + 1))
-    for (lo, hi), (root, diagnostics) in zip(brackets, counts.polish(brackets)):
-        if diagnostics is None:
-            raise BandNotFoundError(
-                f"found {len(roots) - at_centre} of {band_count - at_centre} bands "
-                f"below omega={omega_max}; the root {root!r} of band "
-                f"{counts.bands[lo] + 1} fails the indicator")
-        multiplicity = min(counts.bands[hi], band_count) - counts.bands[lo]
-        roots += [(root, diagnostics)] * multiplicity
-    return tuple(r[0] for r in roots), tuple(r[1] for r in roots)
+    return _alone(_band_search(alpha, material, crystal, truncation, omega_max,
+                               band_count))
 
 
 def retruncated_root(
@@ -367,17 +461,7 @@ def retruncated_root(
     :class:`BandNotFoundError`.  Used to verify that reported band
     frequencies are stable under truncation growth.
     """
-    problem = BlochProblem(alpha, material, crystal, truncation + 2)
-    spread = _RETRUNCATED_SPREAD * (1.0 + abs(omega))
-    counts = _Counts(problem, np.array([omega - spread, omega + spread]))
-    if counts.omegas.size != 2 or counts.bands[1] - counts.bands[0] != 1:
-        raise BandNotFoundError(
-            f"no single band in omega={omega} +/- {spread:.1e} at truncation "
-            f"{truncation + 2}")
-    ((root, diagnostics),) = counts.polish(counts.isolate([counts.bands[1]]))
-    if diagnostics is None:
-        raise BandNotFoundError(f"the root {root!r} fails the indicator")
-    return root
+    return _alone(_retruncated_search(omega, alpha, material, crystal, truncation))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +556,9 @@ def band_structure(
     """Sweep the closed zone-boundary path and assemble the band structure.
 
     ``resolution`` samples per edge (three edges plus the repeated closing
-    corner), solved one after another in path order by :func:`bands_at`.
-    Each distinct Bloch vector is solved once: the closing corner at
+    corner), each searched as by :func:`bands_at`, with bitwise the same
+    result; the searches advance together (``_drive``), and the points
+    stay in path order.  Each distinct Bloch vector is solved once: the closing corner at
     ``s = 1`` repeats the result at ``s = 0``, or its failure with the same
     reason, so a sweep makes ``3 * resolution`` searches.  Failed samples
     are recorded with their reason as a string, not fatal.
@@ -481,13 +566,9 @@ def band_structure(
     if resolution < 3:
         raise ValueError("resolution must be at least 3 points per edge")
     samples = _path_samples(resolution)
-    results: list[tuple | str] = []
-    for _, alpha in samples[:-1]:
-        try:
-            results.append(bands_at(
-                alpha, material, crystal, truncation, omega_max, band_count))
-        except BandNotFoundError as exc:
-            results.append(str(exc))
+    results = _drive([
+        _band_search(alpha, material, crystal, truncation, omega_max, band_count)
+        for _, alpha in samples[:-1]])
     results.append(results[0])
     points: list[BandPoint] = []
     failures: list[tuple[float, tuple[float, float], str]] = []

@@ -483,12 +483,14 @@ class LatticeSumEngine:
 # module-level convenience API with engine caching
 # ---------------------------------------------------------------------------
 
-#: Engines kept by ``_engine_for``, one per Bloch vector and order.  A path
-#: point uses at most two (table orders 2N and, when its roots are
-#: re-refined at N + 2, 2N + 4).  A pass over several Bloch vectors, such as
+#: Engines kept by ``_engine_for``, one per Bloch vector and order, and the
+#: most Bloch vectors a sweep searches at once (``bands._drive``): a cache
+#: smaller than that pool would rebuild every engine at every step.  A sweep
+#: steps no faster past about 16 in flight; 32 holds every Bloch vector of a
+#: sweep up to resolution 10.  A pass over several Bloch vectors, such as
 #: the five capacities of ``demos/capacity_report.py``, finds its engines
 #: again on the next pass only if all of them are kept.
-_ENGINE_CACHE_SIZE = 8
+_ENGINE_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_ENGINE_CACHE_SIZE)

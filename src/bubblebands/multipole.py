@@ -59,14 +59,15 @@ truncated reciprocal lattice (the oracles of ``tests/oracles.py``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.special as sp
 
-from .lattice import LatticeSumTable, as_bloch, empty_lattice_count, lattice_sum_table
+from .lattice import as_bloch, empty_lattice_count, lattice_sum_table
 
 __all__ = [
     "MaterialParams",
@@ -76,6 +77,8 @@ __all__ = [
     "outer_block_limit",
     "BlochProblem",
     "BandCount",
+    "batch_counts",
+    "batch_h_eigenvalues",
     "assemble_characteristic_matrix",
 ]
 
@@ -218,19 +221,20 @@ def cylinder_factors(omega, material: MaterialParams, radius: float,
                            a=c * j_b * h_b, b=c * k_b[..., None] * jp_b * h_b)
 
 
-def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: int,
+def _outer_block_matrices(k, radius: float, sums: np.ndarray, order_max: int,
                           factors: CylinderFactors):
     """Dense ``(S, dS)`` blocks for all row/column orders ``-order_max..order_max``.
 
-    For an array of wavenumbers with a batch ``table`` at them, the blocks
-    gain the same leading axes.  ``factors`` holds the ``cylinder_factors``
-    at the frequencies whose host wavenumbers are ``k``; its ``a`` and ``b``
-    are not read.
+    ``sums`` holds ``LatticeSumTable.values`` at ``k``; for an array of
+    wavenumbers, one row each, and the blocks gain the same leading axes.
+    ``factors`` holds the ``cylinder_factors`` at the frequencies whose host
+    wavenumbers are ``k``; its ``a`` and ``b`` are not read.
     """
-    if table.order_max < 2 * order_max:
+    stored = (sums.shape[-1] - 1) // 2
+    if stored < 2 * order_max:
         raise MissingLatticeOrderError(
             f"blocks of order {order_max} need lattice sums up to "
-            f"{2 * order_max}; table holds {table.order_max}"
+            f"{2 * order_max}; table holds {stored}"
         )
     k = np.asarray(k)
     j, jp, s_diag, ds_diag = factors[:4]
@@ -241,7 +245,7 @@ def _outer_block_matrices(k, radius: float, table: LatticeSumTable, order_max: i
     jp_s = signs * jp[..., idx]
 
     diff = orders[None, :] - orders[:, None]          # n - m
-    q_vals = table.values[..., diff + table.order_max]
+    q_vals = sums[..., diff + stored]
     coupling = (-1.0) ** diff * q_vals * j_s[..., None, :]  # row m, column n
 
     c = -0.5j * math.pi * radius
@@ -391,22 +395,6 @@ class BlochProblem:
         """Order of the lattice sums the matrix reads: 2N, at least 1."""
         return max(2 * self.truncation, 1)
 
-    def _blocks(self, omegas) -> tuple[CylinderFactors, np.ndarray, np.ndarray]:
-        """The cylinder factors and the ``(S, delta dS)`` blocks at real ``omegas``.
-
-        One lattice-sum batch at ``omegas / v``, read through
-        ``lattice_sum_table``, and one batch of cylinder factors.
-        """
-        omega = np.asarray(omegas)
-        material, radius = self.material, self.crystal.radius
-        truncation = self.truncation
-        k = omega / material.v
-        table = lattice_sum_table(self.lattice_order, k, self.alpha)
-        factors = cylinder_factors(omega, material, radius, truncation)
-        s_outer, ds_outer = _outer_block_matrices(k, radius, table, truncation, factors)
-        ds_outer *= material.delta
-        return factors, s_outer, ds_outer
-
     def entries(self, omegas) -> tuple[np.ndarray, np.ndarray]:
         """The characteristic matrix ``T`` and its row scale at real ``omegas``.
 
@@ -421,7 +409,7 @@ class BlochProblem:
         resonance, or past the tail test) gets NaN in every entry and
         scale, at one frequency as in a stack.
         """
-        factors, s_outer, ds_outer = self._blocks(omegas)
+        factors, s_outer, ds_outer = _blocks([(self, np.atleast_1d(omegas))])
         idx = np.abs(np.arange(-self.truncation, self.truncation + 1))
         a = factors.a[..., idx]
         b = factors.b[..., idx]
@@ -429,7 +417,8 @@ class BlochProblem:
 
         pressure = np.maximum(np.abs(a), np.max(np.abs(s_outer), axis=-1))
         flux = np.maximum(np.abs(b), np.max(np.abs(ds_outer), axis=-1))
-        return matrix, np.hypot(np.abs(a) * flux, np.abs(b) * pressure)
+        scale = np.hypot(np.abs(a) * flux, np.abs(b) * pressure)
+        return (matrix, scale) if np.ndim(omegas) else (matrix[0], scale[0])
 
     def hermitian_pair(self, omegas) -> tuple[np.ndarray, np.ndarray]:
         """The Hermitian matrices ``S`` and ``H`` at the real ``omegas``.
@@ -446,23 +435,7 @@ class BlochProblem:
         the tail test) gets NaN in both.  ``det T = det diag(a) det H det
         S``, so the bands are the frequencies where ``H`` is singular.
         """
-        factors, s_mat, ds_mat = self._blocks(omegas)
-        truncation = self.truncation
-        idx = np.abs(np.arange(-truncation, truncation + 1))
-        interior = (factors.b / factors.a).real[..., idx]
-        finite = np.all(np.isfinite(s_mat), axis=(-2, -1)) & np.all(
-            np.isfinite(interior), axis=-1)
-        h_mat = np.full_like(s_mat, np.nan)
-        s_mat[~finite] = np.nan
-        if np.any(finite):
-            # dS S^-1 as the transpose of the solve of S^T X = dS^T
-            dtn = np.linalg.solve(np.swapaxes(s_mat[finite], -1, -2),
-                                  np.swapaxes(ds_mat[finite], -1, -2))
-            h = -np.swapaxes(dtn, -1, -2)
-            diag = np.arange(idx.size)
-            h[..., diag, diag] += interior[finite]
-            h_mat[finite] = h
-        return s_mat, h_mat
+        return _hermitian_pair([(self, np.asarray(omegas))])
 
     def h_eigenvalues(self, omegas) -> np.ndarray:
         """Ascending eigenvalues of the symmetrised ``H`` at the 1-D array ``omegas``.
@@ -470,9 +443,9 @@ class BlochProblem:
         One row per frequency, from one lattice-sum batch, and a row of NaN
         where ``H`` is not finite.  These are the ``eigenvalues`` of
         ``counts``, from the same arithmetic, without the inertia of ``S``
-        and the pole count.
+        and the pole count.  The one-problem case of ``batch_h_eigenvalues``.
         """
-        return _hermitian_eigenvalues(self.hermitian_pair(omegas)[1])
+        return batch_h_eigenvalues([(self, np.asarray(omegas))])[0]
 
     def counts(self, omegas) -> BandCount:
         """The band count at the 1-D array of real, positive ``omegas``.
@@ -495,28 +468,96 @@ class BlochProblem:
         Both matrices are symmetrised, ``(M + M^H) / 2``, before their
         eigenvalues are taken; those of ``H`` are ``h_eigenvalues``.  A
         frequency whose matrices are not finite gets no count
-        (``BandCount``).
+        (``BandCount``).  The one-problem case of ``batch_counts``.
         """
-        s_mat, h_mat = self.hermitian_pair(omegas)
-        omega = np.asarray(omegas, dtype=float)
-        truncation, radius = self.truncation, self.crystal.radius
-        eigenvalues = _hermitian_eigenvalues(h_mat)
-        finite = ~np.isnan(eigenvalues[..., 0])
-        bands = np.full(omega.shape, -1)
-        poles = np.full(omega.shape, -1)
-        if np.any(finite):
-            outer = np.sum(_hermitian_eigenvalues(s_mat[finite]) < 0.0, axis=-1)
-            k = omega[finite] / self.material.v
-            k_b = omega[finite] / self.material.v_b
-            start = 2 * truncation + bool(np.any(self.alpha))
-            poles[finite] = (
-                outer - start
-                + empty_lattice_count(self.lattice_order, self.alpha, k)
-                - _zero_count(k * radius, truncation)
-                + _zero_count(k_b * radius, truncation)
-            )
-            bands[finite] = poles[finite] + np.sum(eigenvalues[finite] < 0.0, axis=-1)
-        return BandCount(bands, poles, eigenvalues)
+        return batch_counts([(self, np.asarray(omegas, dtype=float))])[0]
+
+
+def _blocks(batch: Sequence[tuple[BlochProblem, np.ndarray]]
+            ) -> tuple[CylinderFactors, np.ndarray, np.ndarray]:
+    """The cylinder factors and ``(S, delta dS)`` blocks of a batch, stacked.
+
+    ``batch`` pairs problems of one material, crystal and truncation with
+    1-D arrays of real frequencies.  One lattice-sum batch per pair, read
+    through ``lattice_sum_table``, and one batch of cylinder factors.
+    """
+    first = batch[0][0]
+    material, crystal, truncation = first.material, first.crystal, first.truncation
+    if any((p.material, p.crystal, p.truncation) != (material, crystal, truncation)
+           for p, _ in batch):
+        raise ValueError("a batch needs one material, crystal and truncation")
+    omega = np.concatenate([omegas for _, omegas in batch])
+    sums = np.concatenate([
+        lattice_sum_table(p.lattice_order, omegas / material.v, p.alpha).values
+        for p, omegas in batch])
+    factors = cylinder_factors(omega, material, crystal.radius, truncation)
+    s_outer, ds_outer = _outer_block_matrices(omega / material.v, crystal.radius,
+                                              sums, truncation, factors)
+    ds_outer *= material.delta
+    return factors, s_outer, ds_outer
+
+
+def _hermitian_pair(batch: Sequence[tuple[BlochProblem, np.ndarray]]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``BlochProblem.hermitian_pair`` over a batch (``_blocks``)."""
+    factors, s_mat, ds_mat = _blocks(batch)
+    idx = np.abs(np.arange(-batch[0][0].truncation, batch[0][0].truncation + 1))
+    interior = (factors.b / factors.a).real[..., idx]
+    finite = np.all(np.isfinite(s_mat), axis=(-2, -1)) & np.all(
+        np.isfinite(interior), axis=-1)
+    h_mat = np.full_like(s_mat, np.nan)
+    s_mat[~finite] = np.nan
+    if np.any(finite):
+        # dS S^-1 as the transpose of the solve of S^T X = dS^T
+        dtn = np.linalg.solve(np.swapaxes(s_mat[finite], -1, -2),
+                              np.swapaxes(ds_mat[finite], -1, -2))
+        h = -np.swapaxes(dtn, -1, -2)
+        diag = np.arange(idx.size)
+        h[..., diag, diag] += interior[finite]
+        h_mat[finite] = h
+    return s_mat, h_mat
+
+
+def _per_pair(stack: np.ndarray, batch) -> list[np.ndarray]:
+    """``stack``, whose first axis runs over the frequencies of ``batch``, per pair."""
+    ends = itertools.accumulate(omegas.size for _, omegas in batch)
+    return [stack[end - omegas.size:end] for (_, omegas), end in zip(batch, ends)]
+
+
+def batch_h_eigenvalues(batch: Sequence[tuple[BlochProblem, np.ndarray]]
+                        ) -> list[np.ndarray]:
+    """``BlochProblem.h_eigenvalues`` of every pair of a batch (``_blocks``)."""
+    return _per_pair(_hermitian_eigenvalues(_hermitian_pair(batch)[1]), batch)
+
+
+def batch_counts(batch: Sequence[tuple[BlochProblem, np.ndarray]]) -> list[BandCount]:
+    """``BlochProblem.counts`` of every pair of a batch (``_blocks``)."""
+    s_mat, h_mat = _hermitian_pair(batch)
+    problem = batch[0][0]
+    material, truncation = problem.material, problem.truncation
+    omega = np.concatenate([omegas for _, omegas in batch])
+    # n_0 and L(k) of each frequency's own problem
+    start = np.concatenate([np.full(omegas.size, 2 * truncation + bool(np.any(p.alpha)))
+                            for p, omegas in batch])
+    lines = np.concatenate([
+        empty_lattice_count(p.lattice_order, p.alpha, omegas / material.v)
+        for p, omegas in batch])
+    eigenvalues = _hermitian_eigenvalues(h_mat)
+    finite = ~np.isnan(eigenvalues[..., 0])
+    bands = np.full(omega.shape, -1)
+    poles = np.full(omega.shape, -1)
+    if np.any(finite):
+        outer = np.sum(_hermitian_eigenvalues(s_mat[finite]) < 0.0, axis=-1)
+        k = omega[finite] / material.v
+        k_b = omega[finite] / material.v_b
+        poles[finite] = (
+            outer - start[finite] + lines[finite]
+            - _zero_count(k * problem.crystal.radius, truncation)
+            + _zero_count(k_b * problem.crystal.radius, truncation)
+        )
+        bands[finite] = poles[finite] + np.sum(eigenvalues[finite] < 0.0, axis=-1)
+    return [BandCount(*parts) for parts in zip(
+        *(_per_pair(values, batch) for values in (bands, poles, eigenvalues)))]
 
 
 def assemble_characteristic_matrix(
@@ -526,11 +567,13 @@ def assemble_characteristic_matrix(
 
     ``T`` is the dense ``(2N+1)``-square complex matrix of the module
     docstring, rows and columns ordered ``n = -N..N``, whose singular
-    frequencies are the band frequencies.  ``omega`` must be real and
-    positive.  Where the lattice sums fail (on an empty-lattice resonance,
-    or past the tail test), every entry is NaN.  This is ``problem.entries``
-    at one frequency, with the frequency checked.
+    frequencies are the band frequencies.  ``omega`` is one real, positive
+    frequency or a 1-D array of them; an array gets a stack of matrices and
+    scales.  Where the lattice sums fail (on an empty-lattice resonance, or
+    past the tail test), every entry is NaN.  This is ``problem.entries``
+    with the frequencies checked.
     """
-    if np.iscomplexobj(omega) or not float(omega) > 0.0:
+    omega = np.asarray(omega)
+    if np.iscomplexobj(omega) or omega.ndim > 1 or not np.all(omega > 0.0):
         raise ValueError("omega must be real and positive")
-    return problem.entries(float(omega))
+    return problem.entries(omega.astype(float))

@@ -389,8 +389,8 @@ def block_characteristic_matrix(omega, problem: BlochProblem) -> np.ndarray:
     k_b = omega / material.v_b
     table = lattice_sum_table(max(2 * truncation, 1), k, problem.alpha)
     factors = cylinder_factors(omega, material, crystal.radius, truncation)
-    s_outer, ds_outer = _outer_block_matrices(k, crystal.radius, table, truncation,
-                                              factors)
+    s_outer, ds_outer = _outer_block_matrices(k, crystal.radius, table.values,
+                                              truncation, factors)
 
     idx = np.abs(np.arange(-truncation, truncation + 1))
     j_b, jp_b, h_b, _ = _cyl_tables(truncation, k_b * crystal.radius)

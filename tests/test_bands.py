@@ -209,10 +209,11 @@ def test_muller_requires_distinct_starts():
 def test_muller_flat_function_raises_not_converged(monkeypatch):
     # A polish evaluation that gets no eigenvalues of H (a NaN row) ends the
     # search with BandNotFoundError rather than a wrong root.
-    def no_count_inside(self, omegas):
-        return np.full((np.size(omegas), 2 * self.truncation + 1), np.nan)
+    def no_count_inside(batch):
+        return [np.full((omegas.size, 2 * problem.truncation + 1), np.nan)
+                for problem, omegas in batch]
 
-    monkeypatch.setattr(BlochProblem, "h_eigenvalues", no_count_inside)
+    monkeypatch.setattr(bands, "batch_h_eigenvalues", no_count_inside)
     with pytest.raises(BandNotFoundError, match="no count at omega"):
         bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.3, band_count=1)
 
@@ -242,11 +243,28 @@ def test_muller_acceptance_veto_raises_rejected(monkeypatch):
 # counting and bracketing; these tests once checked the indicator scan
 # ---------------------------------------------------------------------------
 
+def _answered(steps, answer=None):
+    """Run one step of a search alone; return its result.
+
+    Each request ``(batch, problem, omegas)`` is answered by
+    ``batch([(problem, omegas)])[0]``, or by ``answer(problem, omegas)``.
+    """
+    try:
+        request = next(steps)
+        while True:
+            batch, problem, omegas = request
+            request = steps.send(answer(problem, omegas) if answer
+                                 else batch([(problem, omegas)])[0])
+    except StopIteration as stop:
+        return stop.value
+
+
 def _counts(alpha, material, crystal, truncation, omega_range):
     """The counts of a search's first batch over ``omega_range``."""
-    problem = BlochProblem(alpha, material, crystal, truncation)
+    counts = bands._Counts(BlochProblem(alpha, material, crystal, truncation))
     lo, hi = omega_range
-    return bands._Counts(problem, np.linspace(lo, hi, bands._GRID + 1)[1:])
+    _answered(counts.add(np.linspace(lo, hi, bands._GRID + 1)[1:]))
+    return counts
 
 
 def test_scan_empty_range_yields_no_brackets():
@@ -265,7 +283,7 @@ def test_scan_dilute_corner_has_exactly_one_subwavelength_bracket():
 def test_scan_brackets_iterate_in_ascending_order():
     counts = _counts(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 5.0))
     assert counts.bands[-1] >= 2  # resonance band plus the folded bands above
-    brackets = counts.isolate(range(1, counts.bands[-1] + 1))
+    brackets = _answered(counts.isolate(range(1, counts.bands[-1] + 1)))
     spans = [counts._span(*b) for b in brackets]
     assert all(lo < hi for lo, hi in spans)
     assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
@@ -313,13 +331,13 @@ def test_scan_step_halving_preserves_the_refined_root(monkeypatch):
 def _first_batches(monkeypatch):
     """Record the frequencies of every count batch a search makes."""
     batches = []
-    real = BlochProblem.counts
+    real = bands.batch_counts
 
-    def recorded(self, omegas):
-        batches.append(np.array(omegas))
-        return real(self, omegas)
+    def recorded(batch):
+        batches.extend(np.array(omegas) for _, omegas in batch)
+        return real(batch)
 
-    monkeypatch.setattr(BlochProblem, "counts", recorded)
+    monkeypatch.setattr(bands, "batch_counts", recorded)
     return batches
 
 
@@ -347,18 +365,18 @@ def test_scan_evaluates_the_grid_in_batches(monkeypatch):
     calls = []
     steps = []
     real_table = lattice.LatticeSumEngine.table
-    real_eigenvalues = BlochProblem.h_eigenvalues
+    real_eigenvalues = bands.batch_h_eigenvalues
 
     def counted(self, k):
         calls.append((self, np.size(k)))
         return real_table(self, k)
 
-    def stepped(self, omegas):
-        steps.append(np.size(omegas))
-        return real_eigenvalues(self, omegas)
+    def stepped(batch):
+        steps.append(sum(omegas.size for _, omegas in batch))
+        return real_eigenvalues(batch)
 
     monkeypatch.setattr(lattice.LatticeSumEngine, "table", counted)
-    monkeypatch.setattr(BlochProblem, "h_eigenvalues", stepped)
+    monkeypatch.setattr(bands, "batch_h_eigenvalues", stepped)
     _, diagnostics = bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 7, 5.0)
     # Search j is open for its first iterations[j] steps.
     iterations = [d.iterations for d in diagnostics]
@@ -395,11 +413,12 @@ def test_a_point_whose_band_one_fails_reports_band_one(monkeypatch):
     # together, but the point reports the first failure in band order, as
     # a search that polished one band at a time would, and checks the
     # indicator of no later band.
-    real_eigenvalues = BlochProblem.h_eigenvalues
+    real_eigenvalues = bands.batch_h_eigenvalues
 
-    def no_band_two(self, omegas):
-        values = real_eigenvalues(self, omegas)
-        values[np.asarray(omegas) > 1.0] = np.nan
+    def no_band_two(batch):
+        values = real_eigenvalues(batch)
+        for (_, omegas), rows in zip(batch, values):
+            rows[omegas > 1.0] = np.nan
         return values
 
     assemblies = []
@@ -409,7 +428,7 @@ def test_a_point_whose_band_one_fails_reports_band_one(monkeypatch):
         assemblies.append(omega)
         return real_assemble(omega, problem)
 
-    monkeypatch.setattr(BlochProblem, "h_eigenvalues", no_band_two)
+    monkeypatch.setattr(bands, "batch_h_eigenvalues", no_band_two)
     monkeypatch.setattr(bands, "assemble_characteristic_matrix", assemble)
     with pytest.raises(BandNotFoundError, match="no count at omega"):
         bands_at(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, 5.0)
@@ -468,8 +487,9 @@ def test_bracket_rule_in_pieces_matches_the_per_point_loop(steps, cut, seed):
     problem = _TabulatedProblem(sorted(s / 30.0 for s in steps))
     omegas = 0.01 * np.arange(1, 31)
     shuffled = np.random.default_rng(seed).permutation(omegas)
-    counts = bands._Counts(problem, shuffled[:cut])
-    counts.add(shuffled[cut:])
+    counts = bands._Counts(problem)
+    for part in (shuffled[:cut], shuffled[cut:]):
+        _answered(counts.add(part), lambda problem, omegas: problem.counts(omegas))
     assert counts.omegas.tolist() == omegas.tolist()
     totals = problem.counts(omegas).bands
     assert counts.bands.tolist() == totals.tolist()
@@ -498,8 +518,10 @@ def test_gram_profile_brackets_equal_the_svd_profile_brackets(name, alpha,
     counts = _counts(alpha, material, crystal, truncation, (0.0, omega_max))
     wanted = range(2 if not np.any(alpha) else 1, counts.bands[-1] + 1)
     assert len(wanted) >= 1
-    brackets = counts.isolate(wanted)
-    for (lo, hi), (root, diagnostics) in zip(brackets, counts.polish(brackets)):
+    brackets = _answered(counts.isolate(wanted))
+    polished = _answered(counts.polish(brackets))
+    assert len(polished) == len(brackets)
+    for (lo, hi), (root, diagnostics) in zip(brackets, polished):
         assert diagnostics is not None
         assert counts.omegas[lo] < root <= counts.omegas[hi]
 
@@ -538,9 +560,11 @@ def test_lockstep_polish_equals_polishing_one_bracket_at_a_time(name, alpha,
     material, crystal, omega_max = STREAM_CRYSTALS[name]
     counts = _counts(alpha, material, crystal, truncation, (0.0, omega_max))
     problem = counts.problem
-    brackets = counts.isolate(range(2 if not np.any(alpha) else 1,
-                                    counts.bands[-1] + 1))
-    for (lo, hi), (root, diagnostics) in zip(brackets, counts.polish(brackets)):
+    brackets = _answered(counts.isolate(range(2 if not np.any(alpha) else 1,
+                                              counts.bands[-1] + 1)))
+    polished = _answered(counts.polish(brackets))
+    assert len(polished) == len(brackets)
+    for (lo, hi), (root, diagnostics) in zip(brackets, polished):
         index = int(np.sum(counts.eigenvalues[lo] < 0.0))
 
         def eigenvalue(omega):
@@ -627,17 +651,17 @@ def test_zone_centre_single_band_assembles_no_matrix(monkeypatch):
     # Band 1 at the zone centre is the analytic zero: nothing is counted and
     # no matrix is built.
     calls = []
-    real_counts, real_entries = BlochProblem.counts, BlochProblem.entries
+    real_counts, real_entries = bands.batch_counts, BlochProblem.entries
 
-    def counted(self, omegas):
-        calls.append(omegas)
-        return real_counts(self, omegas)
+    def counted(batch):
+        calls.append(batch)
+        return real_counts(batch)
 
     def entries(self, omegas):
         calls.append(omegas)
         return real_entries(self, omegas)
 
-    monkeypatch.setattr(BlochProblem, "counts", counted)
+    monkeypatch.setattr(bands, "batch_counts", counted)
     monkeypatch.setattr(BlochProblem, "entries", entries)
     omegas, _ = bands_at((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.4,
                          band_count=1)
@@ -728,8 +752,8 @@ def test_zone_centre_search_stops_within_a_chunk_of_band_two(monkeypatch):
 
 def test_refined_corner_root_lies_inside_its_scan_bracket():
     counts = _counts(M_ALPHA, DILUTE_MAT, DILUTE_CRYSTAL, 3, (0.0, 0.3))
-    (bracket,) = counts.isolate([1])
-    ((root, diagnostics),) = counts.polish([bracket])
+    (bracket,) = _answered(counts.isolate([1]))
+    ((root, diagnostics),) = _answered(counts.polish([bracket]))
     lo, hi = counts._span(*bracket)
     assert lo < root <= hi
     assert hi - lo < bands._BRACKET_WIDTH * (1.0 + hi)
@@ -835,7 +859,8 @@ def test_sweep_rerun_is_bitwise_deterministic(small_sweep):
 @pytest.mark.parametrize("resolution", [3, 5])
 def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
     # Each search returns values unique to its call, so the closing corner
-    # shows whether it was solved again or carries the opening result.
+    # shows whether it was solved again or carries the opening result.  A
+    # search is a generator; these ask for no evaluation.
     calls = []
 
     def numbered(alpha, *args):
@@ -843,8 +868,9 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
         n = len(calls)
         return (0.1 * n, 0.1 * n + 1.0), (RootDiagnostics(1e-9 * n, n),
                                            RootDiagnostics(2e-9 * n, n))
+        yield
 
-    monkeypatch.setattr(bands, "bands_at", numbered)
+    monkeypatch.setattr(bands, "_band_search", numbered)
     structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3,
                                resolution=resolution)
     assert len(calls) == 3 * resolution
@@ -858,10 +884,10 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
         if not np.any(alpha):
             calls.append(np.array(alpha))
             raise BandNotFoundError(f"no band at call {len(calls)}")
-        return numbered(alpha, *args)
+        return (yield from numbered(alpha, *args))
 
     calls.clear()
-    monkeypatch.setattr(bands, "bands_at", fails_at_centre)
+    monkeypatch.setattr(bands, "_band_search", fails_at_centre)
     structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3,
                                resolution=resolution)
     assert structure.failures == ((0.0, (0.0, 0.0), "no band at call 1"),
@@ -873,7 +899,8 @@ def test_sweep_solves_the_closing_corner_once(monkeypatch, resolution):
 def test_sweep_drops_its_table_when_a_point_fails(monkeypatch):
     # A failed point keeps its reason as a string, not the exception, whose
     # traceback's frames would hold the point's counts until the cycle
-    # collector ran.
+    # collector ran: a point whose count finds too few bands, and one whose
+    # polish fails.
     tables = []
     real = bands._Counts
 
@@ -889,8 +916,143 @@ def test_sweep_drops_its_table_when_a_point_fails(monkeypatch):
                                    band_count=1, omega_max=0.25)
         assert structure.failures
         assert tables and all(table() is None for table in tables)
+        tables.clear()
+        _nan_above_one_at_x(monkeypatch)
+        structure = band_structure(DILUTE_MAT, DILUTE_CRYSTAL, 3, resolution=3,
+                                   omega_max=5.0)
+        assert [reason.startswith("no count at omega=")
+                for *_, reason in structure.failures] == [True]
+        assert tables and all(table() is None for table in tables)
     finally:
         gc.enable()
+
+
+# The searches of a sweep advance together (``bands._drive``).
+NONDILUTE_SWEEP = (NONDILUTE_MAT, NONDILUTE_CRYSTAL, 3,
+                   dict(resolution=6, band_count=2, omega_max=5.2))
+LOCKSTEP_SWEEPS = {
+    "nondilute": NONDILUTE_SWEEP,
+    "dilute": (DILUTE_MAT, DILUTE_CRYSTAL, 7,
+               dict(resolution=3, band_count=2, omega_max=5.0)),
+    # 8 of its 13 points find fewer than 4 bands below omega_max
+    "nondilute-N5": (NONDILUTE_MAT, NONDILUTE_CRYSTAL, 5,
+                     dict(resolution=4, band_count=4, omega_max=7.0)),
+}
+
+
+def _nan_above_one_at_x(monkeypatch):
+    """Band 2's polish at X gets no eigenvalues of H, as in a failed count."""
+    real_eigenvalues = bands.batch_h_eigenvalues
+
+    def no_band_two_at_x(batch):
+        values = real_eigenvalues(batch)
+        for (problem, omegas), rows in zip(batch, values):
+            if np.array_equal(problem.alpha, lattice.X_POINT):
+                rows[omegas > 1.0] = np.nan
+        return values
+
+    monkeypatch.setattr(bands, "batch_h_eigenvalues", no_band_two_at_x)
+
+
+@pytest.mark.parametrize("name, inject", [
+    ("nondilute", False), ("dilute", False), ("nondilute-N5", False),
+    ("dilute", True)])
+def test_sweep_equals_its_points_searched_one_at_a_time(monkeypatch, name, inject):
+    # Every root, diagnostic and failure reason of a sweep is bitwise the
+    # one bands_at gives its point alone.
+    material, crystal, truncation, settings = LOCKSTEP_SWEEPS[name]
+    if inject:
+        _nan_above_one_at_x(monkeypatch)
+    structure = band_structure(material, crystal, truncation, **settings)
+    alone = {}
+    for s, alpha in bands._path_samples(settings["resolution"]):
+        try:
+            alone[s] = bands_at(alpha, material, crystal, truncation,
+                                settings["omega_max"], settings["band_count"])
+        except BandNotFoundError as exc:
+            alone[s] = str(exc)
+    swept = {p.s: (p.omegas, p.diagnostics) for p in structure.points}
+    swept.update({s: reason for s, _, reason in structure.failures})
+    assert swept == alone
+    failures = [reason for s, _, reason in structure.failures]
+    if name == "nondilute-N5":
+        assert len(failures) == 8 and all(f.startswith("found ") for f in failures)
+    if inject:
+        assert failures == [alone[1.0 / 3.0]]
+        assert failures[0].startswith("no count at omega=")
+
+
+def test_sweep_builds_one_engine_per_bloch_vector():
+    # The engine cache holds every search in flight, so no engine of a
+    # sweep is built twice: 18 distinct Bloch vectors, 18 engines.
+    material, crystal, truncation, settings = NONDILUTE_SWEEP
+    lattice._engine_for.cache_clear()
+    band_structure(material, crystal, truncation, **settings)
+    assert lattice._engine_for.cache_info().misses == 18
+
+
+def _batch_sizes(monkeypatch):
+    """Record the frequencies of every cylinder and lattice-sum batch."""
+    sizes = {"cylinder": [], "lattice": []}
+    real_factors = multipole.cylinder_factors
+    real_table = lattice.LatticeSumEngine.table
+
+    def factors(omegas, *args):
+        sizes["cylinder"].append(np.size(omegas))
+        return real_factors(omegas, *args)
+
+    def table(self, k):
+        sizes["lattice"].append(np.size(k))
+        return real_table(self, k)
+
+    monkeypatch.setattr(multipole, "cylinder_factors", factors)
+    monkeypatch.setattr(lattice.LatticeSumEngine, "table", table)
+    return sizes
+
+
+def test_sweep_batches_stay_within_the_cap(monkeypatch):
+    # The first step counts 18 x _GRID frequencies in calls of at most
+    # _BATCH_CAP, each holding the grids of several points.
+    sizes = _batch_sizes(monkeypatch)
+    material, crystal, truncation, settings = NONDILUTE_SWEEP
+    band_structure(material, crystal, truncation, **settings)
+    for kind in ("cylinder", "lattice"):
+        assert max(sizes[kind]) <= bands._BATCH_CAP
+    assert sizes["cylinder"][0] > bands._GRID
+
+
+def test_sweep_steps_all_its_bloch_vectors_together(monkeypatch):
+    # One cylinder batch per chunk of a step's counts or H spectra, and one
+    # per point for its indicator: 58 calls, where a sweep that searched
+    # its points one after another made 281.
+    sizes = _batch_sizes(monkeypatch)
+    material, crystal, truncation, settings = NONDILUTE_SWEEP
+    band_structure(material, crystal, truncation, **settings)
+    assert len(sizes["cylinder"]) == 58
+
+
+def test_a_step_packs_whole_requests_into_capped_calls(monkeypatch):
+    # With a cap of 7 frequencies, a request of 10 gets a call of its own
+    # and the next two share one; each gets bitwise its result alone.
+    monkeypatch.setattr(bands, "_BATCH_CAP", 7)
+    requests = [
+        (BlochProblem(alpha, NONDILUTE_MAT, NONDILUTE_CRYSTAL, 3), omegas)
+        for alpha, omegas in [((0.0, 0.0), np.linspace(0.3, 5.0, 10)),
+                              (M_ALPHA, np.array([0.2, 4.1])),
+                              ((np.pi, 0.0), np.linspace(1.0, 4.0, 5))]]
+    for batch in (multipole.batch_counts, multipole.batch_h_eigenvalues):
+        calls = []
+
+        def recorded(pairs):
+            calls.append([omegas.size for _, omegas in pairs])
+            return batch(pairs)
+
+        results = bands._evaluate(recorded, requests)
+        assert calls == [[10], [2, 5]]
+        for got, (problem, omegas) in zip(results, requests):
+            (alone,) = batch([(problem, omegas)])
+            got, alone = (r if isinstance(r, tuple) else (r,) for r in (got, alone))
+            assert [g.tobytes() for g in got] == [a.tobytes() for a in alone]
 
 
 def test_sweep_validates_resolution_and_band_count():

@@ -342,7 +342,7 @@ def test_outer_block_limit_matches_small_wavenumber_blocks(alpha, radius, order)
     for k in (1e-3, 1e-4):
         table = lattice_sum_table(2 * order, k, alpha)
         factors = mp.cylinder_factors(k, unit, radius, order)
-        s_k, _ = mp._outer_block_matrices(k, radius, table, order, factors)
+        s_k, _ = mp._outer_block_matrices(k, radius, table.values, order, factors)
         gaps.append(np.max(np.abs(s_k - s0)) / np.max(np.abs(s0)))
     assert gaps[0] < 1e-5
     assert gaps[1] < gaps[0] / 50.0
