@@ -4,8 +4,8 @@ A frequency ``omega`` belongs to the band structure at Bloch vector ``alpha``
 when the ``(2N+1)``-square characteristic matrix of its
 ``multipole.BlochProblem``, which each search builds once, becomes singular
 there.  The search never looks for that directly: it counts the bands.
-``BlochProblem.counts`` gives the exact number N(omega) of bands below any
-real frequency, from the inertia of two Hermitian matrices at that
+``multipole.batch_counts`` gives the exact number N(omega) of bands below
+any real frequency, from the inertia of two Hermitian matrices at that
 frequency, and N never decreases.  So band j is the least frequency where
 N reaches j, and its multiplicity is the jump of N there.
 
@@ -24,10 +24,10 @@ searches of all the brackets of a point advance together: each step
 evaluates the eigenvalues of ``H`` once, in one batch that holds one
 frequency per open search.  A root is reported once per unit of its
 multiplicity, and only if the smallest singular value of the equilibrated
-characteristic matrix (each row divided by the scale
-``BlochProblem.entries`` returns with it), from a full SVD, is within
-``_INDICATOR_TOL`` of its largest: a safety check that the polished roots
-of a point, checked in one batch, are roots of the matrix.
+characteristic matrix (each row divided by the scale that
+``assemble_characteristic_matrix`` returns with it), from a full SVD, is
+within ``_INDICATOR_TOL`` of its largest: a safety check that the polished
+roots of a point, checked in one batch, are roots of the matrix.
 
 The path sweep walks the closed polyline through the zone corners
 (0,0) -> (pi,0) -> (pi,pi) -> (0,0), advances the searches of its samples
@@ -96,9 +96,9 @@ def _singular_values(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Singular values, largest first, of each equilibrated matrix of a stack.
 
     ``pair`` is a ``(K, n, n)`` stack and its ``(K, n)`` row scales, as
-    ``BlochProblem.entries`` returns them; each row is divided by its
-    scale.  A matrix with a non-finite entry gets a row of ``inf`` and is
-    left out of the SVD.
+    ``assemble_characteristic_matrix`` returns them; each row is divided by
+    its scale.  A matrix with a non-finite entry gets a row of ``inf`` and
+    is left out of the SVD.
     """
     stack, row_scale = pair
     finite = np.all(np.isfinite(stack), axis=(-2, -1))

@@ -45,7 +45,7 @@ bubble's interior Dirichlet-to-Neumann map and ``delta`` times the
 perforated cell's exterior one; ``det T = det diag(a) det H det S``.  Both
 terms of ``H`` decrease in ``omega`` between its poles, so the inertia of
 ``H`` and ``S`` at one frequency counts the bands below it
-(``BlochProblem.counts``), which is how the band search finds them.
+(``batch_counts``), which is how the band search finds them.
 
 Derivative diagonals come from differentiating the one-sided interior /
 exterior expansions directly, which reproduces the unit jump to machine
@@ -357,7 +357,7 @@ class BandCount(NamedTuple):
 
     ``bands`` is the number of bands in ``(0, omega)``, ``poles`` the pole
     count ``P(omega)`` of ``H`` and ``eigenvalues`` the ascending
-    eigenvalues of ``H`` (``BlochProblem.counts``), so that ``bands`` is
+    eigenvalues of ``H`` (``batch_counts``), so that ``bands`` is
     ``poles`` plus the number of negative eigenvalues.  A frequency
     without a count has ``bands = poles = -1`` and NaN eigenvalues.
     """
@@ -395,83 +395,6 @@ class BlochProblem:
         """Order of the lattice sums the matrix reads: 2N, at least 1."""
         return max(2 * self.truncation, 1)
 
-    def entries(self, omegas) -> tuple[np.ndarray, np.ndarray]:
-        """The characteristic matrix ``T`` and its row scale at real ``omegas``.
-
-        Returns ``T`` (module docstring) and its ``(2N+1,)`` row scale, or
-        for a 1-D array of K frequencies a ``(K, 2N+1, 2N+1)`` stack and
-        ``(K, 2N+1)`` scales built from one lattice-sum batch.
-        ``row_scale[n] = hypot(|a_n| f_n, |b_n| p_n)``, with ``p_n`` and
-        ``f_n`` the max-norms of the block system's pressure and flux rows
-        n, so ``T[n] / row_scale[n]`` is the row that eliminating inner
-        density n by a rotation leaves in the row-equilibrated block
-        system.  A frequency whose lattice sums fail (on an empty-lattice
-        resonance, or past the tail test) gets NaN in every entry and
-        scale, at one frequency as in a stack.
-        """
-        factors, s_outer, ds_outer = _blocks([(self, np.atleast_1d(omegas))])
-        idx = np.abs(np.arange(-self.truncation, self.truncation + 1))
-        a = factors.a[..., idx]
-        b = factors.b[..., idx]
-        matrix = b[..., None] * s_outer - a[..., None] * ds_outer
-
-        pressure = np.maximum(np.abs(a), np.max(np.abs(s_outer), axis=-1))
-        flux = np.maximum(np.abs(b), np.max(np.abs(ds_outer), axis=-1))
-        scale = np.hypot(np.abs(a) * flux, np.abs(b) * pressure)
-        return (matrix, scale) if np.ndim(omegas) else (matrix[0], scale[0])
-
-    def hermitian_pair(self, omegas) -> tuple[np.ndarray, np.ndarray]:
-        """The Hermitian matrices ``S`` and ``H`` at the real ``omegas``.
-
-        ``S`` is the outer block of the module docstring and
-        ``H = diag(b / a) - delta dS S^-1``, with ``b_n / a_n =
-        k_b J'_|n|(k_b R) / J_|n|(k_b R)``, the bubble's interior
-        Dirichlet-to-Neumann map; ``dS S^-1`` is the exterior one of the
-        perforated cell.  For a 1-D array of K frequencies both are
-        ``(K, 2N+1, 2N+1)`` stacks from one lattice-sum batch.  Both are
-        Hermitian for real ``omega`` off the empty-lattice resonances and
-        are returned as computed, before any symmetrisation.  A frequency
-        whose matrices are not finite (lattice sums on a resonance or past
-        the tail test) gets NaN in both.  ``det T = det diag(a) det H det
-        S``, so the bands are the frequencies where ``H`` is singular.
-        """
-        return _hermitian_pair([(self, np.asarray(omegas))])
-
-    def h_eigenvalues(self, omegas) -> np.ndarray:
-        """Ascending eigenvalues of the symmetrised ``H`` at the 1-D array ``omegas``.
-
-        One row per frequency, from one lattice-sum batch, and a row of NaN
-        where ``H`` is not finite.  These are the ``eigenvalues`` of
-        ``counts``, from the same arithmetic, without the inertia of ``S``
-        and the pole count.  The one-problem case of ``batch_h_eigenvalues``.
-        """
-        return batch_h_eigenvalues([(self, np.asarray(omegas))])[0]
-
-    def counts(self, omegas) -> BandCount:
-        """The band count at the 1-D array of real, positive ``omegas``.
-
-        The number of bands in ``(0, omega)`` is ``n_-(H) + P(omega)``, the
-        negative eigenvalues of ``H`` (``hermitian_pair``) plus the poles
-        of ``H`` below ``omega``, all from one frequency (Wittrick and
-        Williams, Q. J. Mech. Appl. Math. 24 (1971) 263-284, for dynamic
-        stiffness matrices; Friedlander, Arch. Rational Mech. Anal. 116
-        (1991) 153-160, for Dirichlet-to-Neumann maps):
-
-            P = n_-(S) - n_0 + L(k) - Z(kR) + Z(k_b R),
-
-        with ``n_0 = 2N + 1`` off the zone centre and ``2N`` at it (the
-        negative eigenvalues of ``S`` as k -> 0), ``L(k)`` the empty-lattice
-        resonances below ``k`` (``lattice.empty_lattice_count``) and ``Z``
-        the zeros of ``J_|n|`` below its argument over ``n = -N..N``.  Both
-        terms of ``H`` decrease in ``omega`` between its poles, so the count
-        never decreases.  At the zone centre it includes the zero band.
-        Both matrices are symmetrised, ``(M + M^H) / 2``, before their
-        eigenvalues are taken; those of ``H`` are ``h_eigenvalues``.  A
-        frequency whose matrices are not finite gets no count
-        (``BandCount``).  The one-problem case of ``batch_counts``.
-        """
-        return batch_counts([(self, np.asarray(omegas, dtype=float))])[0]
-
 
 def _blocks(batch: Sequence[tuple[BlochProblem, np.ndarray]]
             ) -> tuple[CylinderFactors, np.ndarray, np.ndarray]:
@@ -499,7 +422,20 @@ def _blocks(batch: Sequence[tuple[BlochProblem, np.ndarray]]
 
 def _hermitian_pair(batch: Sequence[tuple[BlochProblem, np.ndarray]]
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """``BlochProblem.hermitian_pair`` over a batch (``_blocks``)."""
+    """The Hermitian matrices ``S`` and ``H`` at every frequency of a batch.
+
+    ``S`` is the outer block of the module docstring and
+    ``H = diag(b / a) - delta dS S^-1``, with ``b_n / a_n =
+    k_b J'_|n|(k_b R) / J_|n|(k_b R)``, the bubble's interior
+    Dirichlet-to-Neumann map; ``dS S^-1`` is the exterior one of the
+    perforated cell.  Both are ``(K, 2N+1, 2N+1)`` stacks over the K
+    frequencies of the batch (``_blocks``), Hermitian for real ``omega``
+    off the empty-lattice resonances and returned as computed, before any
+    symmetrisation.  A frequency whose matrices are not finite (lattice
+    sums on a resonance or past the tail test) gets NaN in both.
+    ``det T = det diag(a) det H det S``, so the bands are the frequencies
+    where ``H`` is singular.
+    """
     factors, s_mat, ds_mat = _blocks(batch)
     idx = np.abs(np.arange(-batch[0][0].truncation, batch[0][0].truncation + 1))
     interior = (factors.b / factors.a).real[..., idx]
@@ -526,12 +462,39 @@ def _per_pair(stack: np.ndarray, batch) -> list[np.ndarray]:
 
 def batch_h_eigenvalues(batch: Sequence[tuple[BlochProblem, np.ndarray]]
                         ) -> list[np.ndarray]:
-    """``BlochProblem.h_eigenvalues`` of every pair of a batch (``_blocks``)."""
+    """Ascending eigenvalues of the symmetrised ``H`` of every pair of a batch.
+
+    One row per frequency, from one lattice-sum batch (``_blocks``), and a
+    row of NaN where ``H`` is not finite.  These are the ``eigenvalues`` of
+    ``batch_counts``, from the same arithmetic, without the inertia of
+    ``S`` and the pole count.
+    """
     return _per_pair(_hermitian_eigenvalues(_hermitian_pair(batch)[1]), batch)
 
 
 def batch_counts(batch: Sequence[tuple[BlochProblem, np.ndarray]]) -> list[BandCount]:
-    """``BlochProblem.counts`` of every pair of a batch (``_blocks``)."""
+    """The band count of every pair of a batch at its real, positive frequencies.
+
+    The number of bands in ``(0, omega)`` is ``n_-(H) + P(omega)``, the
+    negative eigenvalues of ``H`` (``_hermitian_pair``) plus the poles of
+    ``H`` below ``omega``, all from one frequency (Wittrick and Williams,
+    Q. J. Mech. Appl. Math. 24 (1971) 263-284, for dynamic stiffness
+    matrices; Friedlander, Arch. Rational Mech. Anal. 116 (1991) 153-160,
+    for Dirichlet-to-Neumann maps):
+
+        P = n_-(S) - n_0 + L(k) - Z(kR) + Z(k_b R),
+
+    with ``n_0 = 2N + 1`` off the zone centre and ``2N`` at it (the
+    negative eigenvalues of ``S`` as k -> 0), ``L(k)`` the empty-lattice
+    resonances below ``k`` (``lattice.empty_lattice_count``) and ``Z`` the
+    zeros of ``J_|n|`` below its argument over ``n = -N..N``.  Both terms
+    of ``H`` decrease in ``omega`` between its poles, so the count never
+    decreases.  At the zone centre it includes the zero band.  Both
+    matrices are symmetrised, ``(M + M^H) / 2``, before their eigenvalues
+    are taken; those of ``H`` are ``batch_h_eigenvalues``.  One lattice-sum
+    batch (``_blocks``); a frequency whose matrices are not finite gets no
+    count (``BandCount``).
+    """
     s_mat, h_mat = _hermitian_pair(batch)
     problem = batch[0][0]
     material, truncation = problem.material, problem.truncation
@@ -568,12 +531,27 @@ def assemble_characteristic_matrix(
     ``T`` is the dense ``(2N+1)``-square complex matrix of the module
     docstring, rows and columns ordered ``n = -N..N``, whose singular
     frequencies are the band frequencies.  ``omega`` is one real, positive
-    frequency or a 1-D array of them; an array gets a stack of matrices and
-    scales.  Where the lattice sums fail (on an empty-lattice resonance, or
-    past the tail test), every entry is NaN.  This is ``problem.entries``
-    with the frequencies checked.
+    frequency or a 1-D array of K of them; an array gets a
+    ``(K, 2N+1, 2N+1)`` stack and ``(K, 2N+1)`` scales built from one
+    lattice-sum batch.  ``row_scale[n] = hypot(|a_n| f_n, |b_n| p_n)``, with
+    ``p_n`` and ``f_n`` the max-norms of the block system's pressure and
+    flux rows n, so ``T[n] / row_scale[n]`` is the row that eliminating
+    inner density n by a rotation leaves in the row-equilibrated block
+    system.  A frequency whose lattice sums fail (on an empty-lattice
+    resonance, or past the tail test) gets NaN in every entry and scale,
+    at one frequency as in a stack.
     """
     omega = np.asarray(omega)
     if np.iscomplexobj(omega) or omega.ndim > 1 or not np.all(omega > 0.0):
         raise ValueError("omega must be real and positive")
-    return problem.entries(omega.astype(float))
+    factors, s_outer, ds_outer = _blocks(
+        [(problem, np.atleast_1d(omega.astype(float)))])
+    idx = np.abs(np.arange(-problem.truncation, problem.truncation + 1))
+    a = factors.a[..., idx]
+    b = factors.b[..., idx]
+    matrix = b[..., None] * s_outer - a[..., None] * ds_outer
+
+    pressure = np.maximum(np.abs(a), np.max(np.abs(s_outer), axis=-1))
+    flux = np.maximum(np.abs(b), np.max(np.abs(ds_outer), axis=-1))
+    scale = np.hypot(np.abs(a) * flux, np.abs(b) * pressure)
+    return (matrix, scale) if omega.ndim else (matrix[0], scale[0])

@@ -380,8 +380,8 @@ def block_characteristic_matrix(omega, problem: BlochProblem) -> np.ndarray:
 
     with the inner layer's diagonals ``a_n = c J_|n| H_|n|`` and
     ``b_n = c k_b J'_|n| H_|n|`` at ``k_b R``.  Its determinant equals that of
-    ``multipole.BlochProblem.entries``' matrix, which eliminates the inner
-    densities.
+    the matrix of ``multipole.assemble_characteristic_matrix``, which
+    eliminates the inner densities.
     """
     omega = float(omega)
     material, crystal, truncation = problem.material, problem.crystal, problem.truncation

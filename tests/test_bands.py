@@ -30,6 +30,8 @@ from bubblebands.multipole import (
     DiskCrystal,
     MaterialParams,
     assemble_characteristic_matrix,
+    batch_counts,
+    batch_h_eigenvalues,
 )
 
 DILUTE_MAT = MaterialParams(rho=5000.0, kappa=5000.0, rho_b=1.0, kappa_b=1.0)
@@ -37,15 +39,20 @@ NONDILUTE_MAT = MaterialParams(rho=1000.0, kappa=1000.0, rho_b=1.0, kappa_b=1.0)
 DILUTE_CRYSTAL = DiskCrystal(radius=0.05)
 M_ALPHA = (np.pi, np.pi)
 
-# First band of the dilute crystal at the zone corner, refined until the
-# Muller step stalls; identical at truncations 5, 7 and 9.
+# First band of the dilute crystal at the zone corner; the count search
+# finds it to within 2e-12 at truncations 5, 7 and 9 (1.2e-11 at 3).
 DILUTE_M_BAND1 = 0.259140642470186
 # Second band of the same crystal at the zone centre (upper gap edge).
 DILUTE_GAMMA_BAND2 = 1.903817916843799
 
 
+def _count(problem, omegas):
+    """The band count of ``problem`` at the 1-D array ``omegas``."""
+    return batch_counts([(problem, np.asarray(omegas, dtype=float))])[0]
+
+
 # ---------------------------------------------------------------------------
-# singular value indicator
+# the acceptance check: singular values of the equilibrated matrix
 # ---------------------------------------------------------------------------
 
 def _indicator(matrix, row_scale):
@@ -133,7 +140,8 @@ def _assert_gram_matches_svd(pair):
 def test_gram_eigenvalue_is_the_squared_smallest_singular_value(material, crystal,
                                                                  alpha):
     omegas = np.array([0.26, 0.9, 1.9, 3.3, 4.5])
-    pair = BlochProblem(alpha, material, crystal, 3).entries(omegas)
+    problem = BlochProblem(alpha, material, crystal, 3)
+    pair = assemble_characteristic_matrix(omegas, problem)
     assert np.all(np.isfinite(pair[0]))
     _assert_gram_matches_svd(pair)
 
@@ -160,7 +168,8 @@ def test_gram_eigenvalue_marks_only_nonfinite_matrices():
 @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
 def test_gram_eigenvalue_in_a_stack_equals_its_batch_of_one(alpha):
     omegas = np.array([0.26, 0.9, 1.9, 3.3, 4.5])
-    pairs = [BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3).entries(omegas),
+    problem = BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 3)
+    pairs = [assemble_characteristic_matrix(omegas, problem),
              _random_stack(3, 5, 30)]
     for stack, scale in pairs:
         values = bands._singular_values((stack, scale))
@@ -170,8 +179,9 @@ def test_gram_eigenvalue_in_a_stack_equals_its_batch_of_one(alpha):
 
 
 # ---------------------------------------------------------------------------
-# the polish (Brent's method), on generic functions; these tests once
-# checked Muller's method, which it replaced
+# the polish: Brent's method on generic functions, the polish's failures
+# and the acceptance veto (the ``test_muller_*`` names are those of
+# Muller's method, which Brent's replaced)
 # ---------------------------------------------------------------------------
 
 def _brent(f, a, b, fa, fb):
@@ -240,7 +250,8 @@ def test_muller_acceptance_veto_raises_rejected(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# counting and bracketing; these tests once checked the indicator scan
+# counting and multisection (the ``test_scan_*`` names are those of the
+# frequency scan, which the count replaced)
 # ---------------------------------------------------------------------------
 
 def _answered(steps, answer=None):
@@ -300,7 +311,7 @@ def test_scan_brackets_a_root_where_one_row_vanishes(alpha, omega_range, root):
     # and the bracket of the band holds it.
     counts = _counts(alpha, NONDILUTE_MAT, NONDILUTE_CRYSTAL, 3, omega_range)
     problem = counts.problem
-    around = problem.counts(np.array([root * (1 - 1e-9), root * (1 + 1e-9)]))
+    around = _count(problem, [root * (1 - 1e-9), root * (1 + 1e-9)])
     band = around.bands[1]
     assert around.bands[0] == band - 1
     lo, hi = counts._span(*counts.bracket(band))
@@ -312,7 +323,7 @@ def test_scan_half_steps_the_zone_centre_low_frequency_resonance():
     # The count needs no special steps there: it counts the zero band from
     # the lowest frequencies on, and nothing else below band 2.
     problem = BlochProblem((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3)
-    count = problem.counts(np.array([1e-4, 1e-3, 0.01, 0.06, 0.2, 1.9]))
+    count = _count(problem, [1e-4, 1e-3, 0.01, 0.06, 0.2, 1.9])
     assert count.bands.tolist() == [1] * 6
     assert count.poles[:5].tolist() == [0] * 5
 
@@ -398,12 +409,12 @@ def test_h_eigenvalues_of_a_batch_equal_those_of_single_frequencies():
     for alpha in [(np.pi, 0.0), M_ALPHA, (0.3, 2.1)]:
         problem = BlochProblem(alpha, DILUTE_MAT, DILUTE_CRYSTAL, 7)
         omegas = np.array([0.26, 1.9, np.pi, 3.3, 4.5])
-        batch = problem.h_eigenvalues(omegas)
-        assert np.array_equal(batch, problem.counts(omegas).eigenvalues,
+        batch = batch_h_eigenvalues([(problem, omegas)])[0]
+        assert np.array_equal(batch, _count(problem, omegas).eigenvalues,
                               equal_nan=True)
         assert np.all(np.isnan(batch[2])) == (alpha == (np.pi, 0.0))
         for i in range(omegas.size):
-            single = problem.h_eigenvalues(omegas[i : i + 1])
+            single = batch_h_eigenvalues([(problem, omegas[i : i + 1])])[0]
             assert np.array_equal(single[0], batch[i], equal_nan=True)
 
 
@@ -446,19 +457,24 @@ def test_scan_batch_marks_only_its_failed_frequencies():
     # others count as they do alone.
     problem = BlochProblem((np.pi, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3)
     omegas = np.array([0.5, 1.0, np.pi, 3.0, 13.0])
-    count = problem.counts(omegas)
+    count = _count(problem, omegas)
     assert count.bands[[2, 4]].tolist() == [-1, -1]
     assert count.poles[[2, 4]].tolist() == [-1, -1]
     assert np.all(np.isnan(count.eigenvalues[[2, 4]]))
     for i in (0, 1, 3):
-        single = problem.counts(omegas[i : i + 1])
+        single = _count(problem, omegas[i : i + 1])
         assert single.bands[0] == count.bands[i] >= 0
         assert single.poles[0] == count.poles[i]
-    stack, scale = problem.entries(omegas)
+    stack, scale = assemble_characteristic_matrix(omegas, problem)
     for i in (2, 4):
         single, single_scale = assemble_characteristic_matrix(omegas[i], problem)
         assert np.all(np.isnan(single)) and np.all(np.isnan(single_scale))
         assert np.array_equal(single, stack[i], equal_nan=True)
+    for i in (0, 1, 3):
+        single, single_scale = assemble_characteristic_matrix(omegas[i], problem)
+        assert np.all(np.isfinite(single))
+        assert np.array_equal(single, stack[i])
+        assert np.array_equal(single_scale, scale[i])
     assert np.all(np.isinf(bands._singular_values((stack, scale))[[2, 4]]))
 
 
@@ -544,10 +560,10 @@ def test_fitted_scan_brackets_equal_the_direct_brackets(name, alpha, truncation)
     material, crystal, omega_max = STREAM_CRYSTALS[name]
     problem = BlochProblem(alpha, material, crystal, truncation)
     omegas = np.linspace(0.0, omega_max, bands._GRID + 1)[1:]
-    batch = problem.counts(omegas)
+    batch = _count(problem, omegas)
     assert np.all(batch.bands >= 0)
     for i, omega in enumerate(omegas):
-        single = problem.counts(omegas[i : i + 1])
+        single = _count(problem, omegas[i : i + 1])
         assert (single.bands[0], single.poles[0]) == (batch.bands[i], batch.poles[i])
 
 
@@ -568,7 +584,7 @@ def test_lockstep_polish_equals_polishing_one_bracket_at_a_time(name, alpha,
         index = int(np.sum(counts.eigenvalues[lo] < 0.0))
 
         def eigenvalue(omega):
-            return float(problem.counts(np.array([omega])).eigenvalues[0, index])
+            return float(_count(problem, [omega]).eigenvalues[0, index])
 
         alone = _brent(
             eigenvalue, *counts.omegas[[lo, hi]].tolist(),
@@ -651,18 +667,19 @@ def test_zone_centre_single_band_assembles_no_matrix(monkeypatch):
     # Band 1 at the zone centre is the analytic zero: nothing is counted and
     # no matrix is built.
     calls = []
-    real_counts, real_entries = bands.batch_counts, BlochProblem.entries
+    real_counts = bands.batch_counts
+    real_assemble = bands.assemble_characteristic_matrix
 
     def counted(batch):
         calls.append(batch)
         return real_counts(batch)
 
-    def entries(self, omegas):
-        calls.append(omegas)
-        return real_entries(self, omegas)
+    def assemble(omega, problem):
+        calls.append(omega)
+        return real_assemble(omega, problem)
 
     monkeypatch.setattr(bands, "batch_counts", counted)
-    monkeypatch.setattr(BlochProblem, "entries", entries)
+    monkeypatch.setattr(bands, "assemble_characteristic_matrix", assemble)
     omegas, _ = bands_at((0.0, 0.0), DILUTE_MAT, DILUTE_CRYSTAL, 3, 0.4,
                          band_count=1)
     assert omegas == (0.0,)
@@ -711,7 +728,7 @@ def every_accepted_root():
     for name, (material, crystal, omega_max) in STREAM_CRYSTALS.items():
         for alpha in STREAM_ALPHAS:
             problem = BlochProblem(alpha, material, crystal, 3)
-            total = int(problem.counts(np.array([omega_max])).bands[0])
+            total = int(_count(problem, [omega_max]).bands[0])
             omegas, diagnostics = bands_at(alpha, material, crystal, 3, omega_max,
                                            total)
             roots[name, alpha] = list(zip(omegas, diagnostics))

@@ -1,9 +1,9 @@
 """Cylinder functions against scipy.special and classical identities.
 
-Two producers are covered: ``bessel.bessel_j_seq`` (Miller's recurrence on
-long real vectors, behind the quasi-static sum) and the production
-per-frequency tables ``multipole._cyl_tables`` (J, J', H1, H1' at real
-arguments).
+Two producers are covered: ``bessel.bessel_j_seq`` (``J_0..J_N`` on long
+real vectors, behind the quasi-static sum of the test oracles) and the
+production per-frequency tables ``multipole._cyl_tables`` (J, J', H1, H1'
+at real arguments).
 """
 
 import numpy as np

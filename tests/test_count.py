@@ -1,11 +1,11 @@
 """The band count: Hermitian matrices, monotonicity and agreement with finite elements.
 
-``BlochProblem.counts`` gives the number of bands below a real frequency
-from the inertia of ``H`` and ``S`` at that frequency.  The reference counts
-and bands below come from a finite-element solve of the Bloch cell problem
-(P1 elements, quasi-periodic boundary conditions, ``scipy.sparse.linalg.
-eigsh``), which uses no lattice sum: the non-dilute crystal on meshes of up
-to 53,271 nodes, the slow host on 46,298.
+``multipole.batch_counts`` gives the number of bands below a real
+frequency from the inertia of ``H`` and ``S`` at that frequency.  The
+reference counts and bands below come from a finite-element solve of the
+Bloch cell problem (P1 elements, quasi-periodic boundary conditions,
+``scipy.sparse.linalg.eigsh``), which uses no lattice sum: the non-dilute
+crystal on meshes of up to 53,271 nodes, the slow host on 46,298.
 """
 
 import math
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from bubblebands.bands import bands_at
-from bubblebands.multipole import BlochProblem, DiskCrystal, MaterialParams
+from bubblebands.multipole import (BlochProblem, DiskCrystal, MaterialParams,
+                                   _hermitian_pair, batch_counts)
 
 DILUTE = (MaterialParams(rho=5000.0, kappa=5000.0, rho_b=1.0, kappa_b=1.0),
           DiskCrystal(radius=0.05))
@@ -32,6 +33,11 @@ def _problem(alpha, crystal, truncation):
     return BlochProblem(alpha, material, disk, truncation)
 
 
+def _count(problem, omegas):
+    """The band count of ``problem`` at the 1-D array ``omegas``."""
+    return batch_counts([(problem, np.asarray(omegas, dtype=float))])[0]
+
+
 def _relative_asymmetry(stack):
     """``||M - M^H|| / ||M||`` per matrix of a stack (Frobenius norms)."""
     gap = np.linalg.norm(stack - np.conj(np.swapaxes(stack, -1, -2)), axis=(-2, -1))
@@ -44,7 +50,7 @@ def test_s_and_h_are_hermitian(alpha):
     # crystal: both matrices are Hermitian to roundoff before they are
     # symmetrised for the count.
     omegas = np.array([0.3, 1.3, 2.5, 3.7, 4.9])
-    s_mat, h_mat = _problem(alpha, NONDILUTE, 3).hermitian_pair(omegas)
+    s_mat, h_mat = _hermitian_pair([(_problem(alpha, NONDILUTE, 3), omegas)])
     assert np.all(_relative_asymmetry(s_mat) <= 1e-12)
     assert np.all(_relative_asymmetry(h_mat) <= 1e-12)
 
@@ -54,7 +60,7 @@ def test_s_and_h_are_hermitian(alpha):
     (DILUTE, 7, 5.0), (NONDILUTE, 3, 5.2), (SLOW_HOST, 4, 0.12)])
 def test_count_never_decreases(crystal, truncation, omega_max, alpha):
     omegas = np.linspace(omega_max / 1000, omega_max, 1000)
-    count = _problem(alpha, crystal, truncation).counts(omegas)
+    count = _count(_problem(alpha, crystal, truncation), omegas)
     assert np.all(count.bands >= 0)
     assert np.all(np.diff(count.bands) >= 0)
     assert count.bands[-1] >= 2
@@ -71,18 +77,18 @@ def test_count_never_decreases(crystal, truncation, omega_max, alpha):
 ])
 def test_count_equals_the_finite_element_count(alpha, crystal, truncation, omegas,
                                                expected):
-    count = _problem(alpha, crystal, truncation).counts(np.array(omegas))
+    count = _count(_problem(alpha, crystal, truncation), omegas)
     assert count.bands.tolist() == expected
 
 
 def test_count_at_the_zone_centre_includes_the_zero_band():
-    count = _problem(GAMMA, DILUTE, 7).counts(np.array([1e-3]))
+    count = _count(_problem(GAMMA, DILUTE, 7), [1e-3])
     assert count.bands.tolist() == [1]
 
 
 def test_frequency_past_the_lattice_sum_domain_gets_no_count():
     # k = 12.0 lies inside the lattice sums' domain, k = 12.5 past it.
-    count = _problem(SEEDED_ALPHA, DILUTE, 3).counts(np.array([12.0, 12.5]))
+    count = _count(_problem(SEEDED_ALPHA, DILUTE, 3), [12.0, 12.5])
     assert count.bands.tolist()[1] == -1 and count.poles.tolist()[1] == -1
     assert count.bands[0] >= 0
     assert np.all(np.isnan(count.eigenvalues[1]))
@@ -107,7 +113,7 @@ def test_nondilute_bands_below_eight_with_their_multiplicities(alpha, band_count
                                                                expected):
     omegas, _ = bands_at(alpha, *NONDILUTE, 7, 8.0, band_count=band_count)
     assert omegas == pytest.approx(expected, abs=1e-6)
-    assert _problem(alpha, NONDILUTE, 7).counts(np.array([8.0])).bands[0] == band_count
+    assert _count(_problem(alpha, NONDILUTE, 7), [8.0]).bands[0] == band_count
 
 
 def test_slow_host_corner_bands_at_four_harmonics():
@@ -137,7 +143,7 @@ def test_count_jumps_at_every_reported_band(crystal, truncation, resolution,
         for band, omega in enumerate(point.omegas, start=1):
             if omega == 0.0:
                 continue
-            around = problem.counts(np.array([omega * (1 - 1e-7), omega * (1 + 1e-7)]))
+            around = _count(problem, [omega * (1 - 1e-7), omega * (1 + 1e-7)])
             assert around.bands[0] == band - 1 and around.bands[1] >= band
 
 
@@ -161,8 +167,8 @@ def test_count_next_to_a_line_is_right_or_refused(alpha, truncation):
     line = float(np.hypot(*alpha))
     offsets = np.logspace(-16, -4, 29)
     for side in (-1.0, 1.0):
-        reference = problem.counts(np.array([line * (1.0 + side * 1e-3)])).bands[0]
-        count = problem.counts(line * (1.0 + side * offsets)).bands
+        reference = _count(problem, [line * (1.0 + side * 1e-3)]).bands[0]
+        count = _count(problem, line * (1.0 + side * offsets)).bands
         assert reference >= 0
         assert np.all((count == reference) | (count == -1))
         assert np.all(count[offsets >= 1e-8] == reference)

@@ -398,13 +398,15 @@ def test_fit_is_refused_where_the_sums_fail_the_tail_test():
     # Past k ~ 12.1 the radial series misses the tail test, so the band
     # count reads NaN tables there and counts nothing (it replaced a fit
     # that was refused there); below it every table converges.
-    from bubblebands.multipole import BlochProblem, DiskCrystal, MaterialParams
+    from bubblebands.multipole import (BlochProblem, DiskCrystal, MaterialParams,
+                                       batch_counts)
 
     unit = MaterialParams(rho=1.0, kappa=1.0, rho_b=1.0, kappa_b=1.0)
     ks = np.array([0.5, 5.0, 11.0, 12.0, 12.5, 13.0])
     table = lat.lattice_sum_table(6, ks, (0.3, 2.1))
     assert table.converged.tolist() == [True] * 4 + [False] * 2
-    count = BlochProblem((0.3, 2.1), unit, DiskCrystal(radius=0.25), 3).counts(ks)
+    problem = BlochProblem((0.3, 2.1), unit, DiskCrystal(radius=0.25), 3)
+    (count,) = batch_counts([(problem, ks)])
     assert np.all(count.bands[:4] >= 0)
     assert count.bands[4:].tolist() == [-1, -1]
 

@@ -159,7 +159,8 @@ def test_assembled_matrix_shape_and_metadata():
     cm, scale = mp.assemble_characteristic_matrix(1.1, generic_problem(3))
     assert cm.shape == (7, 7)
     assert scale.shape == (7,)
-    stack, scales = generic_problem(3).entries(np.array([0.4, 1.1, 2.3]))
+    stack, scales = mp.assemble_characteristic_matrix(np.array([0.4, 1.1, 2.3]),
+                                                      generic_problem(3))
     assert stack.shape == (3, 7, 7)
     assert scales.shape == (3, 7)
 

@@ -38,7 +38,7 @@ KNOWN_MISSING = {
     "bubblebands.bands.scan_and_bracket",
     "bubblebands.bands.singular_value_indicator",
     # Deleted with Muller's method: the search counts the bands and polishes
-    # each root with Brent's method (``bands._brent``), so the tracer's
+    # each root with Brent's method (``bands._brent_steps``), so the tracer's
     # metrics on it (``bands.refines``, ``bands.muller_iters``,
     # ``bands.refine_self_s``, ``bands.roots_accepted``, ``bands.rejected``,
     # ``bands.unconverged``, ``bands.accept_ratio`` and
